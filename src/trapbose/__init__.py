@@ -18,7 +18,6 @@ from .basis import (
 )
 from .config import TrapConfig
 from .errors import (
-    CommensurateFrequenciesError,
     ComplexSpectrumError,
     ConfigError,
     ConvergenceError,
@@ -28,6 +27,7 @@ from .errors import (
     NoSolutionError,
     SingularSystemError,
     TrapBoseError,
+    UnstableSpectrumError,
 )
 from .perturbative import (
     PerturbativeSolution,
@@ -43,6 +43,7 @@ from .riccati import (
     RiccatiProblem,
     RiccatiSolution,
     anomalous_residuals,
+    bogoliubov_levels,
     exact_spectrum,
     residuals,
     solve_1x1,

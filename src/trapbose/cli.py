@@ -94,8 +94,7 @@ def parse_config(text):
             if key == "omega":
                 omega = tuple(float(part) for part in value.split(","))
             elif key in ("dimension", "mass", "hbar", "g", "n_particles"):
-                trap_kwargs[key if key != "n_particles" else "n_particles"] = \
-                    _SCALAR_KEYS[key](value)
+                trap_kwargs[key] = _SCALAR_KEYS[key](value)
             elif key in ("e_cut", "t_min", "t_max", "t_step", "tol"):
                 run_kwargs[key] = float(value)
             elif key == "solver":

@@ -3,12 +3,7 @@
 import math
 from dataclasses import dataclass
 
-from .errors import CommensurateFrequenciesError, ConfigError
-
-# Commensurability scan: reject omega_i/omega_j within this distance of p/q,
-# p, q <= COMMENSURATE_MAX_INT.  Degenerate level bookkeeping is unsupported.
-COMMENSURATE_TOL = 1e-9
-COMMENSURATE_MAX_INT = 12
+from .errors import ConfigError
 
 
 @dataclass(frozen=True)
@@ -46,24 +41,6 @@ class TrapConfig:
             raise ConfigError("interaction strength g must be >= 0")
         if self.n_particles < 1:
             raise ConfigError("n_particles must be >= 1")
-        self._check_commensurability()
-
-    def _check_commensurability(self):
-        for i in range(self.dimension):
-            for j in range(self.dimension):
-                if i == j:
-                    continue
-                ratio = self.frequencies[i] / self.frequencies[j]
-                for q in range(1, COMMENSURATE_MAX_INT + 1):
-                    p = round(ratio * q)
-                    if p < 1 or p > COMMENSURATE_MAX_INT:
-                        continue
-                    if abs(ratio - p / q) < COMMENSURATE_TOL:
-                        raise CommensurateFrequenciesError(
-                            f"frequency ratio omega_{i + 1}/omega_{j + 1} = {ratio!r} "
-                            f"is within {COMMENSURATE_TOL} of {p}/{q}; "
-                            "degenerate traps are unsupported"
-                        )
 
     @property
     def omega_mean(self):

@@ -9,10 +9,6 @@ class ConfigError(TrapBoseError):
     """Invalid physical or run configuration."""
 
 
-class CommensurateFrequenciesError(ConfigError):
-    """Trap frequencies have a (near-)rational ratio; degenerate levels unsupported."""
-
-
 class EmptyBasisError(TrapBoseError):
     """No excited state lies below the requested energy cutoff."""
 
@@ -27,6 +23,10 @@ class SingularSystemError(TrapBoseError):
 
 class ComplexSpectrumError(TrapBoseError):
     """Eigenvalues have imaginary parts above tolerance."""
+
+
+class UnstableSpectrumError(TrapBoseError, ValueError):
+    """A quasiparticle level is zero or negative, so no Bose occupation exists."""
 
 
 class NoSolutionError(TrapBoseError):

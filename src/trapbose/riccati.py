@@ -10,13 +10,18 @@ identically for any generator T.
 
 Two branches are provided:
 
-* symmetric=True (default): T symmetric, Newton on the symmetrized first
-  equation.  This is the canonical Bogoliubov branch: the symmetric part
-  of the first equation is exactly the coefficient of the anomalous
-  operator pairs, the second equation is the transpose of the first, and
-  the commutation constraint holds by construction.  The skew part of the
-  printed equation does not vanish on this branch (it is O(lambda) and
-  carries no operator content); it is reported separately.
+* symmetric=True (default): T symmetric, in closed form.  This is the
+  canonical Bogoliubov branch: the symmetric part of the first equation
+  is exactly the coefficient of the anomalous operator pairs, the second
+  equation is the transpose of the first, and the commutation constraint
+  holds by construction.  With P = A - 2B and Q = A + 2B, the anomalous
+  coefficient vanishes iff exp(2T) Q exp(2T) = P, whose positive solution
+  is the matrix geometric mean: T = -1/2 log(P^{-1} # Q) (Colpa, Physica A
+  93, 327 (1978)).  The quasiparticle levels are sqrt(eig(P Q)).  For
+  lambda >= 0, P = E + 2 lambda C and Q = E + 6 lambda C are positive
+  definite because C is a Gram matrix.  The skew part of the printed
+  equation does not vanish on this branch (it is O(lambda) and carries no
+  operator content); it is reported separately.
 
 * symmetric=False: general T, Newton on the full first equation.  This is
   the branch whose lambda-expansion reproduces the printed perturbative
@@ -28,7 +33,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.sparse.linalg import LinearOperator, lgmres
 
 from .basis import SystemMatrices
 from .errors import ConvergenceError, LineSearchError, NoSolutionError
@@ -37,7 +41,6 @@ from .perturbative import DEFAULT_IMAG_TOL, quasiparticle_levels
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 50
 FD_STEP = 1e-7
-DENSE_SIZE_LIMIT = 30
 
 
 @dataclass(frozen=True)
@@ -130,7 +133,7 @@ def _asinh_series(y):
 
 @dataclass
 class RiccatiSolution:
-    """Converged (or best-effort) solution of the Riccati system.
+    """Solution of the Riccati system on one branch.
 
     r1, r2, r3 are the full-matrix residuals of the printed equations;
     anomalous_r1/anomalous_r2 their symmetric (operator-coefficient)
@@ -138,6 +141,9 @@ class RiccatiSolution:
     residuals on the symmetric branch, the full first equation on the
     general branch -- together with r3; the skew part of the printed
     equations is O(lambda) on the symmetric branch and is not an error.
+
+    The symmetric branch is closed form: there `iterations` is 0,
+    `newton_residual` is anomalous_r1 and `max_r3_iterates` is r3.
     """
 
     x: np.ndarray
@@ -155,64 +161,101 @@ class RiccatiSolution:
     max_r3_iterates: float
 
 
-def _initial_generator(prob, init, symmetric):
-    if init is not None:
-        x0, y0 = init
-        x0 = np.asarray(x0, dtype=float)
-        y0 = np.asarray(y0, dtype=float)
-        r3 = float(np.max(np.abs(x0 @ x0 - y0 @ y0 - np.eye(prob.size))))
-        if r3 >= 0.1:
-            raise ValueError(f"init violates X^2 - Y^2 = I: residual {r3:.3g} >= 0.1")
-        if symmetric:
-            return _asinh_series(0.5 * (y0 + y0.T))
-        return _asinh_series(y0)
-    eps = prob.oscillator_energies()
-    if symmetric:
-        return -2.0 * prob.b / (eps[:, None] + eps[None, :])
-    return -prob.b / eps[:, None]
+def _positive_eigh(mat, name):
+    w, v = np.linalg.eigh(mat)
+    if w[0] <= 0.0:
+        raise NoSolutionError(f"{name} is not positive definite (eigenvalue {w[0]:.3g})")
+    return w, v
+
+
+def bogoliubov_levels(prob: RiccatiProblem):
+    """Quasiparticle levels of the symmetric branch, sorted ascending.
+
+    sqrt(eigvalsh(L^T Q L)) with L = cholesky(P), P = A - 2B, Q = A + 2B:
+    the square roots of the eigenvalues of P Q.  Raises NoSolutionError
+    when P or Q is not positive definite, the matrix form of the
+    |2b/a| < 1 condition of solve_1x1.
+    """
+    try:
+        low = np.linalg.cholesky(prob.a - 2.0 * prob.b)
+    except np.linalg.LinAlgError as exc:
+        raise NoSolutionError("A - 2B is not positive definite") from exc
+    squares = np.linalg.eigvalsh(low.T @ (prob.a + 2.0 * prob.b) @ low)
+    if squares[0] <= 0.0:
+        raise NoSolutionError(f"A + 2B is not positive definite (eigenvalue {squares[0]:.3g})")
+    return np.sqrt(squares)
+
+
+def _canonical_generator(prob):
+    # T = -1/2 log(P^{-1} # Q), P^{-1} # Q = P^{-1/2} (P^{1/2} Q P^{1/2})^{1/2} P^{-1/2}.
+    if not np.any(prob.b):
+        return np.zeros_like(prob.a)  # free theory: T = 0 exactly, not to rounding
+    w, v = _positive_eigh(prob.a - 2.0 * prob.b, "A - 2B")
+    root = (v * np.sqrt(w)) @ v.T
+    inv_root = (v / np.sqrt(w)) @ v.T
+    w, v = _positive_eigh(root @ (prob.a + 2.0 * prob.b) @ root, "A + 2B")
+    w, v = _positive_eigh(inv_root @ ((v * np.sqrt(w)) @ v.T) @ inv_root, "P^-1 # Q")
+    return (v * (-0.5 * np.log(w))) @ v.T
+
+
+def _checked_init(init, n):
+    x0, y0 = (np.asarray(m, dtype=float) for m in init)
+    r3 = float(np.max(np.abs(x0 @ x0 - y0 @ y0 - np.eye(n))))
+    if r3 >= 0.1:
+        raise ValueError(f"init violates X^2 - Y^2 = I: residual {r3:.3g} >= 0.1")
+    return y0
 
 
 def solve_xy(prob: RiccatiProblem, init=None, tol=DEFAULT_TOL,
              max_iter=DEFAULT_MAX_ITER, symmetric=True):
-    """Newton iteration for X = cosh(T), Y = sinh(T).
+    """X = cosh(T), Y = sinh(T) on the symmetric or the general branch.
 
-    init: optional (X0, Y0) pair, e.g. from perturbative_xy; must satisfy
-    the commutation constraint to within 0.1.  Defaults to the first-order
-    perturbative generator.  Raises ConvergenceError (with best residuals
-    attached) after max_iter, LineSearchError if backtracking stalls.
+    symmetric=True builds T in closed form and raises NoSolutionError when
+    A - 2B or A + 2B is not positive definite.  symmetric=False runs Newton
+    to tol on the full first equation; it raises ConvergenceError (with
+    best residuals attached) after max_iter, LineSearchError if
+    backtracking stalls.
+
+    init: optional (X0, Y0) pair, e.g. from perturbative_xy; on either
+    branch it must satisfy the commutation constraint to within 0.1.  It
+    is the Newton starting point on the general branch, which otherwise
+    starts from the first-order perturbative generator.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    n = prob.size
-    iu = np.triu_indices(n)
-
+    y0 = None if init is None else _checked_init(init, prob.size)
     if symmetric:
-        def unpack(vec):
-            t_mat = np.zeros((n, n))
-            t_mat[iu] = vec
-            return t_mat + t_mat.T - np.diag(np.diag(t_mat))
-
-        def residual_vec(vec):
-            x, y = _cosh_sinh_symmetric(unpack(vec))
-            e1 = _equation1(x, y, prob)
-            return (0.5 * (e1 + e1.T))[iu]
-
-        pack = lambda t_mat: t_mat[iu]
+        t_mat = _canonical_generator(prob)
+        x, y = _cosh_sinh_symmetric(t_mat)
+        iterations = 0
     else:
-        def unpack(vec):
-            return vec.reshape(n, n)
+        t_mat, newton_residual, iterations, max_r3 = _newton_general(prob, y0, tol, max_iter)
+        x, y = _cosh_sinh_general(t_mat)
+    r1, r2, r3 = residuals(x, y, prob)
+    an1, an2 = anomalous_residuals(x, y, prob)
+    if symmetric:
+        newton_residual, max_r3 = an1, r3
+    return RiccatiSolution(
+        x=x, y=y, generator=t_mat, symmetric=symmetric,
+        r1=r1, r2=r2, r3=r3, anomalous_r1=an1, anomalous_r2=an2,
+        newton_residual=newton_residual,
+        iterations=iterations, converged=True, max_r3_iterates=max(max_r3, r3),
+    )
 
-        def residual_vec(vec):
-            x, y = _cosh_sinh_general(unpack(vec))
-            return _equation1(x, y, prob).ravel()
 
-        pack = lambda t_mat: t_mat.ravel()
+def _newton_general(prob, y0, tol, max_iter):
+    n = prob.size
 
-    cosh_sinh = _cosh_sinh_symmetric if symmetric else _cosh_sinh_general
+    def residual_vec(vec):
+        x, y = _cosh_sinh_general(vec.reshape(n, n))
+        return _equation1(x, y, prob).ravel()
 
-    t_vec = pack(_initial_generator(prob, init, symmetric))
+    if y0 is None:
+        t_vec = (-prob.b / prob.oscillator_energies()[:, None]).ravel()
+    else:
+        t_vec = _asinh_series(y0).ravel()
     f_vec = residual_vec(t_vec)
-    max_r3 = _constraint_of(t_vec, unpack, cosh_sinh, n)
+    max_r3 = _constraint_of(t_vec, n)
     iterations = 0
     while float(np.max(np.abs(f_vec))) >= tol:
         if iterations >= max_iter:
@@ -223,47 +266,24 @@ def solve_xy(prob: RiccatiProblem, init=None, tol=DEFAULT_TOL,
             )
         step = _newton_step(residual_vec, t_vec, f_vec)
         t_vec, f_vec = _line_search(residual_vec, t_vec, f_vec, step)
-        max_r3 = max(max_r3, _constraint_of(t_vec, unpack, cosh_sinh, n))
+        max_r3 = max(max_r3, _constraint_of(t_vec, n))
         iterations += 1
-
-    t_mat = unpack(t_vec)
-    x, y = cosh_sinh(t_mat)
-    r1, r2, r3 = residuals(x, y, prob)
-    an1, an2 = anomalous_residuals(x, y, prob)
-    return RiccatiSolution(
-        x=x, y=y, generator=t_mat, symmetric=symmetric,
-        r1=r1, r2=r2, r3=r3, anomalous_r1=an1, anomalous_r2=an2,
-        newton_residual=float(np.max(np.abs(f_vec))),
-        iterations=iterations, converged=True, max_r3_iterates=max(max_r3, r3),
-    )
+    return t_vec.reshape(n, n), float(np.max(np.abs(f_vec))), iterations, max_r3
 
 
-def _constraint_of(t_vec, unpack, cosh_sinh, n):
-    x, y = cosh_sinh(unpack(t_vec))
+def _constraint_of(t_vec, n):
+    x, y = _cosh_sinh_general(t_vec.reshape(n, n))
     return float(np.max(np.abs(x @ x - y @ y - np.eye(n))))
 
 
 def _newton_step(residual_vec, t_vec, f_vec):
-    # Dense finite-difference Jacobian up to basis size ~30 (900 parameters
-    # for a general generator), matrix-free Krylov above.
     m = t_vec.size
-    if m <= DENSE_SIZE_LIMIT**2:
-        jac = np.empty((m, m))
-        for k in range(m):
-            bumped = t_vec.copy()
-            bumped[k] += FD_STEP
-            jac[:, k] = (residual_vec(bumped) - f_vec) / FD_STEP
-        return np.linalg.solve(jac, -f_vec)
-
-    def matvec(vec):
-        scale = FD_STEP / max(1.0, float(np.linalg.norm(vec)))
-        return (residual_vec(t_vec + scale * vec) - f_vec) / scale
-
-    op = LinearOperator((m, m), matvec=matvec)
-    step, info = lgmres(op, -f_vec, rtol=1e-8, atol=0.0, maxiter=400)
-    if info != 0:
-        raise ConvergenceError(f"inner Krylov solve failed (info={info})")
-    return step
+    jac = np.empty((m, m))
+    for k in range(m):
+        bumped = t_vec.copy()
+        bumped[k] += FD_STEP
+        jac[:, k] = (residual_vec(bumped) - f_vec) / FD_STEP
+    return np.linalg.solve(jac, -f_vec)
 
 
 def _line_search(residual_vec, t_vec, f_vec, step):

@@ -11,7 +11,6 @@ points are extended with an ideal-spectrum fugacity fit (normal-phase
 extension, an artifact convention).
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -19,9 +18,9 @@ from scipy.optimize import brentq
 
 from .basis import BasisSet, build_matrices, diagonal_coupling
 from .config import TrapConfig
-from .errors import ConvergenceError
+from .errors import ConvergenceError, TrapBoseError, UnstableSpectrumError
 from .perturbative import quasiparticle_levels, spectrum_matrix
-from .riccati import RiccatiProblem, exact_spectrum, solve_xy
+from .riccati import RiccatiProblem, bogoliubov_levels
 
 SOLVER_KINDS = ("ideal", "perturbative1", "perturbative2", "riccati")
 
@@ -61,7 +60,8 @@ def excited_count(levels, temperature):
     """Total occupation of the excited levels at temperature T."""
     levels = np.asarray(levels, dtype=float)
     if np.any(levels <= 0.0):
-        raise ValueError("all levels must be positive")
+        raise UnstableSpectrumError(
+            f"all levels must be positive, lowest is {np.min(levels):.6g}")
     if temperature <= 0.0:
         raise ValueError("temperature must be positive")
     return float(np.sum(_occupations(levels, temperature)))
@@ -73,8 +73,7 @@ class SpectrumModel:
     ideal          -- bare oscillator levels (g forced to zero).
     perturbative1  -- first-order formula eps_n + 4*lambda*c_nn (diagonal only).
     perturbative2  -- eigenvalues of the second-order spectrum matrix.
-    riccati        -- eigenvalues assembled from the Newton solution
-                      (symmetric branch), warm-started across calls.
+    riccati        -- closed-form Bogoliubov levels of the symmetric branch.
     """
 
     def __init__(self, cfg: TrapConfig, basis: BasisSet, kind="perturbative1",
@@ -88,7 +87,6 @@ class SpectrumModel:
         self._energies = basis.energies()
         self._diag_c = None
         self._sys_template = None
-        self._last_init = None
         if kind == "perturbative1":
             self._diag_c = diagonal_coupling(basis, cfg)
         elif kind in ("perturbative2", "riccati"):
@@ -106,10 +104,7 @@ class SpectrumModel:
         sys = self._system_at(n0)
         if self.kind == "perturbative2":
             return quasiparticle_levels(spectrum_matrix(sys, order=2), self.tol_imag)
-        prob = RiccatiProblem.from_system(sys)
-        sol = solve_xy(prob, init=self._last_init, symmetric=True)
-        self._last_init = (sol.x, sol.y)
-        return exact_spectrum(sol, sys, tol_imag=self.tol_imag)
+        return bogoliubov_levels(RiccatiProblem.from_system(sys))
 
 
 @dataclass
@@ -163,6 +158,7 @@ def solve_n0(cfg: TrapConfig, basis: BasisSet, temperature, solver_kind="perturb
     Damped fixed-point iteration on n0 -> N - N_excited(lambda(n0)), with a
     bisection fallback when the iteration oscillates.  When even n0 = 0
     cannot accommodate N particles the normal-phase extension is returned.
+    Raises UnstableSpectrumError when the model returns a non-positive level.
     """
     if temperature <= 0.0:
         raise ValueError("temperature must be positive")
@@ -239,13 +235,12 @@ def _failed_point(temperature):
 
 
 def sweep(cfg: TrapConfig, basis: BasisSet, t_grid, solver_kind="perturbative1",
-          tol=DEFAULT_TOL, warm_start=True, parallel=False):
+          tol=DEFAULT_TOL, warm_start=True):
     """One ThermoPoint per grid temperature.
 
-    The sequential mode warm-starts each point from the previous n0; the
-    parallel mode solves points independently with cold starts (and its own
-    SpectrumModel per worker).  Per-point convergence failures are flagged
-    on the returned points, not raised.
+    With warm_start each point starts from the previous point's n0.
+    A point whose solve raises a TrapBoseError is flagged as not converged
+    on the returned curve, and the sweep goes on.
     """
     t_grid = [float(t) for t in t_grid]
     if any(t <= 0.0 for t in t_grid):
@@ -253,29 +248,18 @@ def sweep(cfg: TrapConfig, basis: BasisSet, t_grid, solver_kind="perturbative1",
     if any(b <= a for a, b in zip(t_grid, t_grid[1:])):
         raise ValueError("temperature grid must be strictly increasing")
 
-    if parallel:
-        def solve_cold(temperature):
-            model = SpectrumModel(cfg, basis, kind=solver_kind)
-            try:
-                return solve_n0(cfg, basis, temperature, tol=tol, model=model)
-            except ConvergenceError:
-                return _failed_point(temperature)
-
-        with ThreadPoolExecutor() as pool:
-            points = list(pool.map(solve_cold, t_grid))
-    else:
-        model = SpectrumModel(cfg, basis, kind=solver_kind)
-        points = []
-        previous_n0 = None
-        for temperature in t_grid:
-            try:
-                point = solve_n0(cfg, basis, temperature, tol=tol, model=model,
-                                 n0_init=previous_n0 if warm_start else None)
-                previous_n0 = point.n0
-            except ConvergenceError:
-                point = _failed_point(temperature)
-                previous_n0 = None
-            points.append(point)
+    model = SpectrumModel(cfg, basis, kind=solver_kind)
+    points = []
+    previous_n0 = None
+    for temperature in t_grid:
+        try:
+            point = solve_n0(cfg, basis, temperature, tol=tol, model=model,
+                             n0_init=previous_n0 if warm_start else None)
+            previous_n0 = point.n0
+        except TrapBoseError:
+            point = _failed_point(temperature)
+            previous_n0 = None
+        points.append(point)
 
     return ThermoCurve(points=points, config=cfg, solver_kind=solver_kind,
                        cutoff=basis.cutoff)

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from trapbose import (
-    CommensurateFrequenciesError,
     EmptyBasisError,
     IndexTooLargeError,
     TrapConfig,
@@ -48,11 +47,10 @@ class TestTrapConfig:
         with pytest.raises(Exception):
             TrapConfig(**kwargs)
 
-    def test_commensurate_frequencies_rejected(self):
-        with pytest.raises(CommensurateFrequenciesError):
-            TrapConfig(dimension=2, frequencies=(1.0, 1.0))
-        with pytest.raises(CommensurateFrequenciesError):
-            TrapConfig(dimension=2, frequencies=(3.0, 2.0))
+    def test_commensurate_frequencies_accepted(self):
+        isotropic = TrapConfig(dimension=2, frequencies=(1.0, 1.0))
+        assert enumerate_basis(isotropic, 6.5).size == 27
+        assert TrapConfig(dimension=2, frequencies=(3.0, 2.0)).dimension == 2
 
     def test_near_irrational_ratio_accepted(self):
         cfg = TrapConfig(dimension=2, frequencies=(1.0, 1.4142135))

@@ -42,6 +42,10 @@ class TestParseConfig:
         config = parse_config("dimension = 2\nomega = 1.0, 1.4142135")
         assert config.trap.frequencies == (1.0, 1.4142135)
 
+    def test_dimension_without_omega_is_isotropic(self):
+        config = parse_config("dimension = 2\n")
+        assert config.trap.frequencies == (1.0, 1.0)
+
     def test_parse_error_carries_line_number(self):
         with pytest.raises(ConfigError, match="line 2"):
             parse_config("e_cut = 10\nnot a key value pair")
@@ -130,6 +134,14 @@ class TestMainExitStatus:
         config = tmp_path / "bad.cfg"
         config.write_text("e_cut = 0.5\n")
         assert main(["--config", str(config)]) == 1
+
+    def test_failed_points_exit_two(self, tmp_path):
+        config = tmp_path / "strong.cfg"
+        out = tmp_path / "out.csv"
+        config.write_text(f"g = 0.02\ne_cut = 20\nt_min = 1\nt_max = 3\n"
+                          f"solver = perturbative2\noutput = {out}\n")
+        assert main(["--config", str(config)]) == 2
+        assert [row.split(",")[4] for row in out.read_text().split()[1:]] == ["0"] * 3
 
     def test_missing_config_file_exit_one(self, tmp_path):
         assert main(["--config", str(tmp_path / "absent.cfg")]) == 1

@@ -3,12 +3,17 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from trapbose import (
     NoSolutionError,
     RiccatiProblem,
+    SystemMatrices,
     TrapConfig,
     anomalous_residuals,
+    bogoliubov_levels,
     build_matrices,
     enumerate_basis,
     exact_spectrum,
@@ -136,6 +141,30 @@ class TestSymmetricBranch:
         with pytest.raises(ValueError):
             solve_xy(prob, init=(2.0 * np.eye(n), np.zeros((n, n))))
 
+    def test_no_solution_outside_domain(self):
+        # |2b/a| >= 1: A - 2B is not positive definite.
+        prob = RiccatiProblem(a=np.array([[1.0]]), b=np.array([[0.6]]))
+        with pytest.raises(NoSolutionError):
+            solve_xy(prob)
+        with pytest.raises(NoSolutionError):
+            bogoliubov_levels(prob)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_closed_form_on_random_gram_couplings(self, data):
+        n = data.draw(st.integers(1, 6))
+        energies = data.draw(arrays(float, n, elements=st.floats(0.5, 10.0)))
+        factor = data.draw(arrays(float, (n, n), elements=st.floats(-1.0, 1.0)))
+        lam = data.draw(st.floats(0.0, 1.0))
+        sysm = SystemMatrices(energies=energies, coupling=factor @ factor.T,
+                              source=np.zeros(n), lam=lam, basis=None)
+        prob = RiccatiProblem.from_system(sysm)
+        sol = solve_xy(prob)
+        assert max(sol.anomalous_r1, sol.anomalous_r2) <= 1e-10
+        assert sol.r3 <= 1e-13
+        np.testing.assert_allclose(exact_spectrum(sol, sysm), bogoliubov_levels(prob),
+                                   rtol=1e-10, atol=0.0)
+
 
 class TestLiteralBranch:
     def test_full_first_equation_vanishes(self):
@@ -153,6 +182,27 @@ class TestLiteralBranch:
             diffs.append(max(np.max(np.abs(sol.x - xp)), np.max(np.abs(sol.y - yp))))
         for big, small in zip(diffs, diffs[1:]):
             assert 6.0 <= big / small <= 10.0
+
+
+class TestIsotropicTrap:
+    # e_cut = 6.5 lies off every level of both traps, so they share a basis size.
+    @staticmethod
+    def system(frequencies, lam=0.1, e_cut=6.5):
+        cfg = TrapConfig(dimension=2, frequencies=frequencies)
+        return replace(build_matrices(enumerate_basis(cfg, e_cut), cfg, 1000), lam=lam)
+
+    def test_closed_form_eliminates_anomalous_terms(self):
+        sol = solve_xy(RiccatiProblem.from_system(self.system((1.0, 1.0))))
+        assert max(sol.anomalous_r1, sol.anomalous_r2) < 1e-10
+        assert sol.r3 < 1e-13
+
+    def test_levels_are_limit_of_anisotropic_trap(self):
+        isotropic = bogoliubov_levels(RiccatiProblem.from_system(self.system((1.0, 1.0))))
+        for eps in (1e-3, 1e-6):
+            shifted = bogoliubov_levels(
+                RiccatiProblem.from_system(self.system((1.0, 1.0 + eps))))
+            assert shifted.size == isotropic.size
+            assert np.max(np.abs(shifted - isotropic)) < 6.0 * eps
 
 
 class TestExactSpectrum:

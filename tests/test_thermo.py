@@ -173,13 +173,32 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(CFG, basis, [-1.0, 2.0])
 
-    def test_parallel_cold_start_agrees(self):
+    def test_cold_start_agrees(self):
         basis = enumerate_basis(CFG, 300.0)
         grid = [20.0, 60.0, 100.0]
         warm = sweep(CFG, basis, grid, warm_start=True)
-        cold = sweep(CFG, basis, grid, parallel=True)
+        cold = sweep(CFG, basis, grid, warm_start=False)
         for a, b in zip(warm.points, cold.points):
             assert a.n0 == pytest.approx(b.n0, abs=1e-6)
+
+    def test_bad_points_flagged_not_raised(self):
+        # At g = 0.02 the second-order levels at n0 = N (lambda = 10) go
+        # negative; each point fails on its own and the sweep completes.
+        cfg = TrapConfig(g=0.02)
+        curve = sweep(cfg, enumerate_basis(cfg, 20.0), [1.0, 2.0, 3.0],
+                      solver_kind="perturbative2")
+        assert len(curve.points) == 3
+        assert not any(p.converged for p in curve.points)
+
+    def test_riccati_large_basis_matches_perturbative2(self):
+        basis = enumerate_basis(CFG, 60.0)
+        grid = [1.0, 5.0]
+        ric = sweep(CFG, basis, grid, solver_kind="riccati")
+        pert = sweep(CFG, basis, grid, solver_kind="perturbative2")
+        assert basis.size == 60
+        for a, b in zip(ric.points, pert.points):
+            assert a.converged
+            assert abs(a.n0 - b.n0) / 1000.0 < 1e-4
 
     def test_solver_kind_consistency(self):
         # Perturbative and Riccati loops agree on n0/N at the reference
