@@ -151,9 +151,6 @@ def build_matrices(basis: BasisSet, cfg: TrapConfig, n0):
             coupling[i, j] = value
             coupling[j, i] = value
     source = np.array([source_coefficient(n, cfg) for n in basis.states])
-
-    assert np.all(energies > 0.0), "excited-state energies must be positive"
-    assert np.all(np.diag(coupling) > 0.0), "diagonal c_nn must be positive"
     return SystemMatrices(
         energies=energies,
         coupling=coupling,

@@ -142,6 +142,7 @@ def run(config: RunConfig, stream=None):
         else:
             lines.append(",".join([_format(point.temperature), "nan", "nan", "nan",
                                    "0", str(point.iterations)]))
+            print(f"# T={_format(point.temperature)}: {point.fail_reason}", file=sys.stderr)
     text = "\n".join(lines) + "\n"
     if stream is not None:
         stream.write(text)

@@ -145,8 +145,11 @@ class TestCouplingCoefficient:
                     coupling_coefficient((n,), (m,), PAPER_1D)
 
     def test_diagonal_positive(self):
-        for n in range(1, 30):
-            assert coupling_coefficient((n,), (n,), PAPER_1D) > 0.0
+        # build_matrices relies on positive energies and diagonal c_nn.
+        for cfg, e_cut in ((PAPER_1D, 29.5), (PAPER_2D, 40.0)):
+            basis = enumerate_basis(cfg, e_cut)
+            assert np.all(basis.energies() > 0.0)
+            assert np.all(diagonal_coupling(basis, cfg) > 0.0)
 
     def test_large_indices_do_not_overflow(self):
         value = coupling_coefficient((60,), (60,), PAPER_1D)

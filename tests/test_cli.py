@@ -1,10 +1,13 @@
 import io
 import math
+from pathlib import Path
 
 import pytest
 
 from trapbose.cli import RunConfig, main, parse_config, run, validate
 from trapbose.errors import ConfigError
+
+REFERENCE_CSV = Path(__file__).resolve().parents[1] / "benchmarks" / "reference" / "ref1d-p1.csv"
 
 
 class TestParseConfig:
@@ -77,6 +80,21 @@ class TestRun:
         assert 0.0 < float(first[1]) <= 1.0
         assert first[4] == "1"
 
+    def test_reference_run_matches_recorded_csv(self):
+        # The default config is the reference run; iterations is left out
+        # because it counts the solver's level evaluations.
+        stream = io.StringIO()
+        assert run(parse_config(""), stream=stream) == 0
+        got = [line.split(",") for line in stream.getvalue().splitlines()]
+        want = [line.split(",") for line in REFERENCE_CSV.read_text().splitlines()]
+        assert got[0] == want[0]
+        assert len(got) == len(want)
+        for row, ref in zip(got[1:], want[1:]):
+            assert row[0] == ref[0] and row[4] == ref[4]
+            assert float(row[1]) == pytest.approx(float(ref[1]), rel=0.0, abs=1e-9)
+            assert float(row[3]) == pytest.approx(float(ref[3]), rel=0.0, abs=1e-9)
+            assert float(row[2]) == pytest.approx(float(ref[2]), rel=1e-9)
+
     def test_byte_identical_reruns(self):
         a, b = io.StringIO(), io.StringIO()
         run(self.small_config(solver="perturbative1"), stream=a)
@@ -135,13 +153,17 @@ class TestMainExitStatus:
         config.write_text("e_cut = 0.5\n")
         assert main(["--config", str(config)]) == 1
 
-    def test_failed_points_exit_two(self, tmp_path):
+    def test_failed_points_exit_two(self, tmp_path, capsys):
         config = tmp_path / "strong.cfg"
         out = tmp_path / "out.csv"
         config.write_text(f"g = 0.02\ne_cut = 20\nt_min = 1\nt_max = 3\n"
                           f"solver = perturbative2\noutput = {out}\n")
         assert main(["--config", str(config)]) == 2
         assert [row.split(",")[4] for row in out.read_text().split()[1:]] == ["0"] * 3
+        reasons = capsys.readouterr().err.splitlines()
+        assert [line.split(":")[0] for line in reasons] == ["# T=1", "# T=2", "# T=3"]
+        assert all(": UnstableSpectrumError: all levels must be positive" in line
+                   for line in reasons)
 
     def test_missing_config_file_exit_one(self, tmp_path):
         assert main(["--config", str(tmp_path / "absent.cfg")]) == 1

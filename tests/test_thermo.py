@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import trapbose.thermo as thermo
 from trapbose import (
     SpectrumModel,
     TrapConfig,
+    UnstableSpectrumError,
     energy_excess,
     enumerate_basis,
     excited_count,
@@ -33,15 +37,18 @@ class TestOccupation:
     def test_large_temperature_value(self):
         assert occupation(1.0, 100.0) == pytest.approx(99.500833, abs=1e-5)
 
-    def test_series_branch_continuous(self):
-        # At the branch point the series and the direct form agree closely.
-        ratio = 1e-8
-        series = 1.0 / ratio - 0.5
-        direct = 1.0 / math.expm1(ratio)
-        assert abs(series - direct) / direct < 1e-10
+    def test_small_ratio_series(self):
+        # 1/(exp(x) - 1) = 1/x - 1/2 + x/12 - ...
+        assert occupation(1e-9, 1.0) == pytest.approx(1e9 - 0.5, rel=1e-12)
+
+    @given(eps=st.floats(0.05, 50.0), temperature=st.floats(0.5, 50.0),
+           fugacity=st.floats(1e-6, 1.0))
+    def test_fugacity_oracle(self, eps, temperature, fugacity):
+        expected = fugacity / (math.exp(eps / temperature) - fugacity)
+        assert occupation(eps, temperature, fugacity) == pytest.approx(expected, rel=1e-12)
 
     def test_domain_errors(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(UnstableSpectrumError):
             occupation(-1.0, 1.0)
         with pytest.raises(ValueError):
             occupation(1.0, 0.0)
@@ -120,6 +127,18 @@ class TestSolveN0:
         occ = point.fugacity / (np.exp(point.levels / 190.0) - point.fugacity)
         assert np.sum(occ) == pytest.approx(1000.0, rel=1e-10)
 
+    @settings(deadline=None)
+    @given(kind=st.sampled_from(["ideal", "perturbative1", "perturbative2", "riccati"]),
+           g=st.floats(0.0, 5e-4), temperature=st.floats(0.2, 40.0))
+    def test_conservation_property(self, kind, g, temperature):
+        cfg = TrapConfig(g=g)
+        basis = enumerate_basis(cfg, 30.0)
+        model = SpectrumModel(cfg, basis, kind=kind)
+        point = solve_n0(cfg, basis, temperature, model=model)
+        if not point.normal_phase:
+            excited = excited_count(model.levels(point.n0), temperature)
+            assert abs(1000.0 - point.n0 - excited) <= 1e-9 * 1000.0
+
     def test_rejects_bad_arguments(self):
         basis = enumerate_basis(CFG, 10.0)
         with pytest.raises(ValueError):
@@ -154,12 +173,27 @@ class TestSpectrumModel:
 
 class TestSweep:
     def test_ideal_matches_pointwise(self):
-        basis = enumerate_basis(IDEAL, 200.0)
-        grid = [5.0, 10.0, 20.0]
-        curve = sweep(IDEAL, basis, grid)
-        for temperature, point in zip(grid, curve.points):
-            single = solve_n0(IDEAL, basis, temperature)
-            assert point.n0 == pytest.approx(single.n0, abs=1e-6)
+        for cfg in (IDEAL, CFG):
+            basis = enumerate_basis(cfg, 200.0)
+            grid = [5.0, 10.0, 20.0]
+            curve = sweep(cfg, basis, grid)
+            for temperature, point in zip(grid, curve.points):
+                single = solve_n0(cfg, basis, temperature)
+                assert point.n0 == pytest.approx(single.n0, abs=1e-6)
+
+    def test_one_solve_per_temperature(self, monkeypatch):
+        # Benchmarks time each point by wrapping the module-global solve_n0.
+        calls = []
+
+        def counting(cfg, basis, temperature, **kwargs):
+            calls.append(temperature)
+            return solve_n0(cfg, basis, temperature, **kwargs)
+
+        monkeypatch.setattr(thermo, "solve_n0", counting)
+        grid = [10.0, 100.0, 190.0]
+        curve = sweep(CFG, enumerate_basis(CFG, 400.0), grid)
+        assert calls == grid
+        assert curve.points[-1].normal_phase
 
     def test_monotone_diagnostic(self):
         basis = enumerate_basis(CFG, 400.0)
@@ -173,14 +207,6 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(CFG, basis, [-1.0, 2.0])
 
-    def test_cold_start_agrees(self):
-        basis = enumerate_basis(CFG, 300.0)
-        grid = [20.0, 60.0, 100.0]
-        warm = sweep(CFG, basis, grid, warm_start=True)
-        cold = sweep(CFG, basis, grid, warm_start=False)
-        for a, b in zip(warm.points, cold.points):
-            assert a.n0 == pytest.approx(b.n0, abs=1e-6)
-
     def test_bad_points_flagged_not_raised(self):
         # At g = 0.02 the second-order levels at n0 = N (lambda = 10) go
         # negative; each point fails on its own and the sweep completes.
@@ -189,6 +215,8 @@ class TestSweep:
                       solver_kind="perturbative2")
         assert len(curve.points) == 3
         assert not any(p.converged for p in curve.points)
+        for point in curve.points:
+            assert point.fail_reason.startswith("UnstableSpectrumError: all levels must be positive")
 
     def test_riccati_large_basis_matches_perturbative2(self):
         basis = enumerate_basis(CFG, 60.0)
