@@ -173,13 +173,23 @@ class TestSpectrumModel:
 
 class TestSweep:
     def test_ideal_matches_pointwise(self):
-        for cfg in (IDEAL, CFG):
-            basis = enumerate_basis(cfg, 200.0)
-            grid = [5.0, 10.0, 20.0]
-            curve = sweep(cfg, basis, grid)
-            for temperature, point in zip(grid, curve.points):
-                single = solve_n0(cfg, basis, temperature)
-                assert point.n0 == pytest.approx(single.n0, abs=1e-6)
+        basis = enumerate_basis(IDEAL, 200.0)
+        grid = [5.0, 10.0, 20.0]
+        curve = sweep(IDEAL, basis, grid)
+        for temperature, point in zip(grid, curve.points):
+            single = solve_n0(IDEAL, basis, temperature)
+            assert point.n0 == pytest.approx(single.n0, abs=1e-6)
+
+    def test_cold_start_agrees(self):
+        # A point of an interacting sweep does not depend on the points
+        # before it: it equals a one-point sweep at the same temperature.
+        basis = enumerate_basis(CFG, 300.0)
+        grid = [20.0, 60.0, 100.0]
+        curve = sweep(CFG, basis, grid)
+        for temperature, point in zip(grid, curve.points):
+            cold = sweep(CFG, basis, [temperature]).points[0]
+            assert point.converged and cold.converged
+            assert point.n0 == pytest.approx(cold.n0, abs=1e-6)
 
     def test_one_solve_per_temperature(self, monkeypatch):
         # Benchmarks time each point by wrapping the module-global solve_n0.
