@@ -6,9 +6,8 @@ coefficients c_mn (coupling matrix C) and d_n (source vector d), which obey
 a per-dimension parity selection rule.
 """
 
-import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import gammaln
@@ -33,41 +32,66 @@ class BasisSet:
     """Ordered excited-state basis: all n != 0 with energy <= cutoff.
 
     Ordering is (energy, lexicographic tuple), so two runs with identical
-    inputs enumerate identically.
+    inputs enumerate identically.  quanta is the same states as a read-only
+    (size, D) integer array; it is derived from states when not given.
     """
 
     states: tuple
     cutoff: float
     config: TrapConfig
+    quanta: np.ndarray = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.quanta is None:
+            quanta = np.array(self.states, dtype=np.int64).reshape(
+                len(self.states), self.config.dimension)
+            quanta.flags.writeable = False
+            object.__setattr__(self, "quanta", quanta)
 
     @property
     def size(self):
         return len(self.states)
 
     def energies(self):
-        """Vector of excitation energies, in basis order."""
-        return np.array([oscillator_energy(n, self.config) for n in self.states])
+        """Vector of excitation energies, in basis order.
+
+        The arithmetic of oscillator_energy in the same order, so the values
+        are bit-identical to it.
+        """
+        total = 0
+        for j, w in enumerate(self.config.frequencies):
+            total = total + w * self.quanta[:, j]
+        return self.config.hbar * total
 
 
 def enumerate_basis(cfg: TrapConfig, e_cut):
     """All excited multi-indices with oscillator_energy <= e_cut.
 
+    The states grow one dimension at a time; a row whose partial energy
+    already exceeds e_cut is dropped, since later terms only add to it.
     Raises EmptyBasisError when not even the first excited state fits.
     """
-    max_per_dim = [int(math.floor(e_cut / (cfg.hbar * w) + 1e-12)) for w in cfg.frequencies]
-    states = []
-    for n in itertools.product(*(range(m + 1) for m in max_per_dim)):
-        if all(k == 0 for k in n):
-            continue
-        if oscillator_energy(n, cfg) <= e_cut:
-            states.append(n)
-    if not states:
+    quanta = np.zeros((1, 0), dtype=np.int64)
+    partial = np.zeros(1)
+    for w in cfg.frequencies:
+        k = np.arange(int(math.floor(e_cut / (cfg.hbar * w) + 1e-12)) + 1)
+        partial = (partial[:, None] + w * k).ravel()
+        quanta = np.column_stack((np.repeat(quanta, k.size, axis=0),
+                                  np.tile(k, len(quanta))))
+        keep = cfg.hbar * partial <= e_cut
+        partial, quanta = partial[keep], quanta[keep]
+    excited = quanta.any(axis=1)
+    quanta, energies = quanta[excited], cfg.hbar * partial[excited]
+    if not quanta.size:
         raise EmptyBasisError(
             f"no excited state below e_cut={e_cut} "
             f"(first level at {cfg.hbar * min(cfg.frequencies)})"
         )
-    states.sort(key=lambda n: (oscillator_energy(n, cfg), n))
-    return BasisSet(states=tuple(states), cutoff=float(e_cut), config=cfg)
+    # lexsort's last key is the primary one: energy, then n_1, ..., n_D.
+    quanta = quanta[np.lexsort((*quanta.T[::-1], energies))]
+    quanta.flags.writeable = False
+    return BasisSet(states=tuple(zip(*quanta.T.tolist())), cutoff=float(e_cut),
+                    config=cfg, quanta=quanta)
 
 
 def _log_prefactor(cfg: TrapConfig):
@@ -128,12 +152,37 @@ class SystemMatrices:
         return np.diag(self.energies)
 
 
+def _coupling_array(m, n, cfg: TrapConfig):
+    """c_mn for integer quanta arrays m and n of shape (..., D), broadcast
+    against each other.
+
+    The arithmetic of coupling_coefficient in the same order, with gammaln
+    read from tables over 0..max quantum number instead of evaluated per
+    element.  The log-magnitude and the sign are symmetric in m and n
+    operation by operation, so swapping m and n gives bit-identical values.
+    """
+    top = int(max(m.max(initial=0), n.max(initial=0)))
+    half_gamma = gammaln((np.arange(2 * top + 1) + 1) / 2.0)
+    log_factorial = gammaln(np.arange(top + 1) + 1.0)
+    log_mag = _log_prefactor(cfg)
+    even = True
+    negative = False
+    for j in range(cfg.dimension):
+        mj, nj = m[..., j], n[..., j]
+        total = mj + nj
+        log_mag = log_mag + half_gamma[total]
+        log_mag = log_mag - 0.5 * (log_factorial[mj] + log_factorial[nj])
+        even = even & (total % 2 == 0)
+        negative = negative ^ ((3 * mj + nj) // 2 % 2 == 1)
+    return np.where(even, np.where(negative, -1.0, 1.0) * np.exp(log_mag), 0.0)
+
+
 def diagonal_coupling(basis: BasisSet, cfg: TrapConfig):
     """Vector of diagonal elements c_nn (always positive).
 
     Cheap path for the first-order level formula; avoids the full matrix.
     """
-    return np.array([coupling_coefficient(n, n, cfg) for n in basis.states])
+    return _coupling_array(basis.quanta, basis.quanta, cfg)
 
 
 def build_matrices(basis: BasisSet, cfg: TrapConfig, n0):
@@ -142,19 +191,12 @@ def build_matrices(basis: BasisSet, cfg: TrapConfig, n0):
         raise EmptyBasisError("basis is empty")
     if not 0.0 <= n0 <= cfg.n_particles:
         raise ValueError(f"n0={n0} outside [0, N={cfg.n_particles}]")
-    size = basis.size
-    energies = basis.energies()
-    coupling = np.zeros((size, size))
-    for i in range(size):
-        for j in range(i, size):
-            value = coupling_coefficient(basis.states[i], basis.states[j], cfg)
-            coupling[i, j] = value
-            coupling[j, i] = value
-    source = np.array([source_coefficient(n, cfg) for n in basis.states])
+    quanta = basis.quanta
+    ground = np.zeros(cfg.dimension, dtype=np.int64)
     return SystemMatrices(
-        energies=energies,
-        coupling=coupling,
-        source=source,
+        energies=basis.energies(),
+        coupling=_coupling_array(quanta[:, None, :], quanta[None, :, :], cfg),
+        source=_coupling_array(ground, quanta, cfg),
         lam=cfg.coupling_lambda(n0),
         basis=basis,
     )

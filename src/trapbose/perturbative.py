@@ -73,7 +73,7 @@ def spectrum_matrix(sys: SystemMatrices, order=2):
     if order == 2:
         einv_c = _einv_apply(sys, sys.coupling)
         correction = (
-            einv_c @ einv_c @ np.diag(sys.energies)
+            (einv_c @ einv_c) * sys.energies
             - 3.0 * sys.coupling @ einv_c
             - 2.0 * _einv_apply(sys, sys.coupling @ sys.coupling)
         )

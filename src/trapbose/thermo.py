@@ -106,11 +106,28 @@ class ThermoPoint:
     fail_reason: str = ""
 
 
-def _normal_phase_point(levels, temperature, n_total):
-    def excess(fug):
-        return float(np.sum(occupation(levels, temperature, fug))) - n_total
+# brentq wraps its function in a closure that refers to itself, a reference
+# cycle that stays until the garbage collector finds it.  The root functions
+# are module-level and take their data through brentq's args, so that cycle
+# holds no model, basis or levels.
 
-    fugacity = brentq(excess, 1e-300, 1.0 - 1e-14, xtol=1e-15, rtol=1e-15)
+def _fugacity_excess(fugacity, levels, temperature, n_total):
+    return float(np.sum(occupation(levels, temperature, fugacity))) - n_total
+
+
+def _condensate_residual(n0, model, temperature, n_total, nearest):
+    """f(n0) = N - n0 - N_excited(levels(n0)).  nearest holds
+    [|f|, n0, levels] of the evaluation with the smallest |f| so far."""
+    levels = model.levels(n0)
+    f = n_total - n0 - excited_count(levels, temperature)
+    if abs(f) < nearest[0]:
+        nearest[:] = [abs(f), n0, levels]
+    return f
+
+
+def _normal_phase_point(levels, temperature, n_total):
+    fugacity = brentq(_fugacity_excess, 1e-300, 1.0 - 1e-14,
+                      args=(levels, temperature, n_total), xtol=1e-15, rtol=1e-15)
     point = ThermoPoint(
         temperature=temperature, n0=0.0, lam=0.0, levels=levels,
         energy_excess=0.0, iterations=0, converged=True, normal_phase=True,
@@ -150,12 +167,13 @@ def solve_n0(cfg: TrapConfig, basis: BasisSet, temperature, solver_kind="perturb
     if excited_count(ideal_levels, temperature) >= n_total:
         return _normal_phase_point(ideal_levels, temperature, n_total)
 
-    def residual(n0):
-        return n_total - n0 - excited_count(model.levels(n0), temperature)
-
-    n0, result = brentq(residual, 0.0, n_total, xtol=tol * n_total,
+    # brentq returns one of the points it evaluated: usually the one of
+    # smallest |f|, and often not the last one.
+    nearest = [np.inf, None, None]
+    n0, result = brentq(_condensate_residual, 0.0, n_total,
+                        args=(model, temperature, n_total, nearest), xtol=tol * n_total,
                         rtol=4 * np.finfo(float).eps, full_output=True)
-    levels = model.levels(n0)
+    levels = nearest[2] if n0 == nearest[1] else model.levels(n0)
     point = ThermoPoint(
         temperature=temperature, n0=n0, lam=cfg.coupling_lambda(n0), levels=levels,
         energy_excess=0.0, iterations=result.function_calls, converged=True,

@@ -3,8 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trapbose import (
+    BasisSet,
     EmptyBasisError,
     IndexTooLargeError,
     TrapConfig,
@@ -20,6 +23,16 @@ from trapbose import (
 PAPER_1D = TrapConfig()
 SQRT2 = math.sqrt(2.0)
 PAPER_2D = TrapConfig(dimension=2, frequencies=(1.0, SQRT2))
+
+
+def reference_enumeration(cfg, e_cut):
+    """The scalar enumeration: every multi-index in the bounding box, filtered
+    and sorted by (oscillator_energy, tuple)."""
+    boxes = [range(int(math.floor(e_cut / (cfg.hbar * w) + 1e-12)) + 1) for w in cfg.frequencies]
+    states = [n for n in itertools.product(*boxes)
+              if any(n) and oscillator_energy(n, cfg) <= e_cut]
+    states.sort(key=lambda n: (oscillator_energy(n, cfg), n))
+    return states
 
 
 class TestTrapConfig:
@@ -95,6 +108,50 @@ class TestEnumerateBasis:
     def test_ground_state_excluded(self):
         basis = enumerate_basis(PAPER_2D, 6.0)
         assert (0, 0) not in basis.states
+
+    @pytest.mark.parametrize("cfg, e_cut", [
+        (PAPER_1D, 400.0),
+        (PAPER_2D, 300.0),
+        (TrapConfig(dimension=2, frequencies=(1.0, 1.0)), 40.0),
+        (TrapConfig(dimension=2, frequencies=(3.0, 2.0)), 50.0),
+        (TrapConfig(dimension=3, frequencies=(1.0, 1.3, 0.7)), 25.0),
+        (TrapConfig(hbar=0.7, mass=3.0), 100.0),
+    ])
+    def test_matches_reference_enumeration(self, cfg, e_cut):
+        # Isotropic and 3:2 traps have exact energy ties, ordered by tuple.
+        states = reference_enumeration(cfg, e_cut)
+        basis = enumerate_basis(cfg, e_cut)
+        assert basis.states == tuple(states)
+        assert np.array_equal(basis.quanta, np.array(states))
+        expected = np.array([oscillator_energy(n, cfg) for n in states])
+        assert np.array_equal(basis.energies(), expected)
+
+    @settings(deadline=None)
+    @given(frequencies=st.lists(st.floats(0.5, 3.0), min_size=1, max_size=3),
+           e_cut=st.floats(0.25, 8.0))
+    def test_reference_enumeration_property(self, frequencies, e_cut):
+        cfg = TrapConfig(dimension=len(frequencies), frequencies=tuple(frequencies))
+        states = reference_enumeration(cfg, e_cut)
+        if not states:
+            with pytest.raises(EmptyBasisError):
+                enumerate_basis(cfg, e_cut)
+            return
+        basis = enumerate_basis(cfg, e_cut)
+        assert basis.states == tuple(states)
+        expected = np.array([oscillator_energy(n, cfg) for n in states])
+        assert np.array_equal(basis.energies(), expected)
+
+    def test_hand_built_subset(self):
+        basis = enumerate_basis(PAPER_2D, 12.0)
+        sub = BasisSet(states=basis.states[:10], cutoff=basis.cutoff, config=PAPER_2D)
+        # quanta is derived: neither compared nor hashed.
+        with_quanta = BasisSet(states=basis.states[:10], cutoff=basis.cutoff,
+                               config=PAPER_2D, quanta=basis.quanta[:10])
+        assert sub == with_quanta and hash(sub) == hash(with_quanta)
+        assert np.array_equal(sub.quanta, basis.quanta[:10])
+        assert np.array_equal(sub.energies(), basis.energies()[:10])
+        full = build_matrices(basis, PAPER_2D, 500).coupling
+        assert np.array_equal(build_matrices(sub, PAPER_2D, 500).coupling, full[:10, :10])
 
 
 class TestCouplingCoefficient:
@@ -182,6 +239,25 @@ class TestBuildMatrices:
         basis = enumerate_basis(PAPER_1D, 8.0)
         sysm = build_matrices(basis, PAPER_1D, 1000)
         assert np.allclose(diagonal_coupling(basis, PAPER_1D), np.diag(sysm.coupling))
+
+    @pytest.mark.parametrize("cfg, e_cut", [
+        (TrapConfig(hbar=0.7, mass=3.0), 30.0),
+        (TrapConfig(dimension=2, frequencies=(1.0, SQRT2), hbar=0.7, mass=3.0), 9.0),
+        (TrapConfig(dimension=3, frequencies=(1.0, 1.3, 0.7), hbar=0.7, mass=3.0), 4.0),
+    ])
+    def test_matches_scalar_elements(self, cfg, e_cut):
+        basis = enumerate_basis(cfg, e_cut)
+        sysm = build_matrices(basis, cfg, 500)
+        expected = np.array([[coupling_coefficient(m, n, cfg) for n in basis.states]
+                             for m in basis.states])
+        source = np.array([source_coefficient(n, cfg) for n in basis.states])
+        assert basis.size >= 30
+        assert np.array_equal(sysm.coupling, sysm.coupling.T)
+        for actual, wanted in ((sysm.coupling, expected), (sysm.source, source),
+                               (diagonal_coupling(basis, cfg), np.diag(expected))):
+            assert np.array_equal(actual == 0.0, wanted == 0.0)
+            assert np.allclose(actual, wanted, rtol=1e-14, atol=0.0)
+        assert np.count_nonzero(source) > 0
 
     def test_n0_out_of_range(self):
         basis = enumerate_basis(PAPER_1D, 2.5)

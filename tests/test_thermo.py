@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -139,6 +141,21 @@ class TestSolveN0:
             excited = excited_count(model.levels(point.n0), temperature)
             assert abs(1000.0 - point.n0 - excited) <= 1e-9 * 1000.0
 
+    def test_model_freed_without_garbage_collection(self):
+        # brentq's function wrapper is a reference cycle; a model it held
+        # would stay alive until the garbage collector found that cycle.
+        basis = enumerate_basis(CFG, 400.0)
+        model = SpectrumModel(CFG, basis)
+        freed = weakref.ref(model)
+        gc.disable()
+        try:
+            assert not solve_n0(CFG, basis, 20.0, model=model).normal_phase
+            assert solve_n0(CFG, basis, 190.0, model=model).normal_phase
+            del model
+            assert freed() is None
+        finally:
+            gc.enable()
+
     def test_rejects_bad_arguments(self):
         basis = enumerate_basis(CFG, 10.0)
         with pytest.raises(ValueError):
@@ -204,6 +221,27 @@ class TestSweep:
         curve = sweep(CFG, enumerate_basis(CFG, 400.0), grid)
         assert calls == grid
         assert curve.points[-1].normal_phase
+
+    def test_levels_calls_per_point(self, monkeypatch):
+        # One call for the ideal levels, one per root-solve evaluation, and
+        # none after the root: its levels are kept from the solve.
+        calls = []
+        levels = SpectrumModel.levels
+
+        def counting(model, n0):
+            calls.append(n0)
+            return levels(model, n0)
+
+        monkeypatch.setattr(SpectrumModel, "levels", counting)
+        basis = enumerate_basis(CFG, 120.0)
+        model = SpectrumModel(CFG, basis, kind="perturbative2")
+        phases = []
+        for temperature in (1.0, 5.0, 15.0, 400.0):
+            calls.clear()
+            point = solve_n0(CFG, basis, temperature, model=model)
+            phases.append(point.normal_phase)
+            assert len(calls) == (1 if point.normal_phase else point.iterations + 1)
+        assert phases == [False, False, False, True]
 
     def test_monotone_diagnostic(self):
         basis = enumerate_basis(CFG, 400.0)
