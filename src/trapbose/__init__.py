@@ -23,7 +23,6 @@ from .errors import (
     ConvergenceError,
     EmptyBasisError,
     IndexTooLargeError,
-    LineSearchError,
     NoSolutionError,
     SingularSystemError,
     TrapBoseError,
@@ -48,6 +47,7 @@ from .riccati import (
     residuals,
     solve_1x1,
     solve_xy,
+    solve_xy_general,
 )
 from .thermo import (
     SpectrumModel,

@@ -148,9 +148,6 @@ class SystemMatrices:
     def size(self):
         return self.energies.shape[0]
 
-    def energy_matrix(self):
-        return np.diag(self.energies)
-
 
 def _coupling_array(m, n, cfg: TrapConfig):
     """c_mn for integer quanta arrays m and n of shape (..., D), broadcast

@@ -16,18 +16,15 @@ from . import basis as basis_mod
 from .config import TrapConfig
 from .errors import ConfigError, TrapBoseError
 from .perturbative import constraint_residual, perturbative_xy
-from .riccati import RiccatiProblem, solve_xy
+from .riccati import RiccatiProblem, solve_xy, solve_xy_general
 from .thermo import SOLVER_KINDS, SpectrumModel, solve_n0, sweep
 
 CSV_HEADER = "T,n0_over_N,energy_excess_per_N,lambda,converged,iterations"
 
-_DEFAULT_TRAP = dict(dimension=1, frequencies=(1.0,), mass=2.0 * math.pi**2,
-                     hbar=1.0, g=2e-4, n_particles=1000)
-
 
 @dataclass
 class RunConfig:
-    trap: TrapConfig = field(default_factory=lambda: TrapConfig(**_DEFAULT_TRAP))
+    trap: TrapConfig = field(default_factory=TrapConfig)
     e_cut: float = 400.0
     t_min: float = 1.0
     t_max: float = 200.0
@@ -56,19 +53,30 @@ class RunConfig:
         return [self.t_min + k * self.t_step for k in range(count)]
 
 
-_SCALAR_KEYS = {
-    "dimension": int,
-    "mass": float,
-    "hbar": float,
-    "g": float,
-    "n_particles": int,
-    "e_cut": float,
-    "t_min": float,
-    "t_max": float,
-    "t_step": float,
-    "tol": float,
-    "solver": str,
-    "output": str,
+def _floats(value):
+    return tuple(float(part) for part in value.split(","))
+
+
+def _flag(value):
+    return value.lower() in ("1", "true", "yes")
+
+
+# config key -> (TrapConfig or RunConfig keyword set, field name, value parser)
+_KEYS = {
+    "dimension": ("trap", "dimension", int),
+    "omega": ("trap", "frequencies", _floats),
+    "mass": ("trap", "mass", float),
+    "hbar": ("trap", "hbar", float),
+    "g": ("trap", "g", float),
+    "n_particles": ("trap", "n_particles", int),
+    "e_cut": ("run", "e_cut", float),
+    "t_min": ("run", "t_min", float),
+    "t_max": ("run", "t_max", float),
+    "t_step": ("run", "t_step", float),
+    "tol": ("run", "tol", float),
+    "solver": ("run", "solver", str),
+    "output": ("run", "output_path", str),
+    "emit_diagnostics": ("run", "emit_diagnostics", _flag),
 }
 
 
@@ -76,11 +84,10 @@ def parse_config(text):
     """Parse the key-value config format into a RunConfig.
 
     Raises ConfigError with a line number on malformed input, and on any
-    violated invariant (via TrapConfig / RunConfig validation).
+    violated invariant (via TrapConfig / RunConfig validation).  Without
+    `omega`, the trap is isotropic with unit frequencies.
     """
-    trap_kwargs = dict(_DEFAULT_TRAP)
-    run_kwargs = {}
-    omega = None
+    kwargs = {"trap": {}, "run": {}}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -89,30 +96,16 @@ def parse_config(text):
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        value = value.strip()
+        if key not in _KEYS:
+            raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        target, name, parse = _KEYS[key]
         try:
-            if key == "omega":
-                omega = tuple(float(part) for part in value.split(","))
-            elif key in ("dimension", "mass", "hbar", "g", "n_particles"):
-                trap_kwargs[key] = _SCALAR_KEYS[key](value)
-            elif key in ("e_cut", "t_min", "t_max", "t_step", "tol"):
-                run_kwargs[key] = float(value)
-            elif key == "solver":
-                run_kwargs["solver"] = value
-            elif key == "output":
-                run_kwargs["output_path"] = value
-            elif key == "emit_diagnostics":
-                run_kwargs["emit_diagnostics"] = value.lower() in ("1", "true", "yes")
-            else:
-                raise ConfigError(f"line {lineno}: unknown key {key!r}")
+            kwargs[target][name] = parse(value.strip())
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
-    if omega is not None:
-        trap_kwargs["frequencies"] = omega
-    elif trap_kwargs["dimension"] != 1:
-        trap_kwargs["frequencies"] = tuple(1.0 for _ in range(trap_kwargs["dimension"]))
-    trap = TrapConfig(**trap_kwargs)
-    return RunConfig(trap=trap, **run_kwargs)
+    trap_kwargs = kwargs["trap"]
+    trap_kwargs.setdefault("frequencies", (1.0,) * trap_kwargs.get("dimension", 1))
+    return RunConfig(trap=TrapConfig(**trap_kwargs), **kwargs["run"])
 
 
 def _format(value):
@@ -184,17 +177,19 @@ def validate(config: RunConfig):
             worst = max(worst, abs(closed - quad))
     lines.append(_check("matrix-element-oracle", worst < 1e-10, f"max delta {worst:.3e}"))
 
-    # Perturbative X, Y against the general-generator Riccati branch.
+    # The next three checks share the lowest (at most) 10 states, at the
+    # full coupling and at half and a quarter of it.
     sub_basis = basis_mod.BasisSet(states=basis.states[: min(basis.size, 10)],
                                    cutoff=basis.cutoff, config=trap)
-    lam_full = trap.coupling_lambda(trap.n_particles)
+    sub_sys = basis_mod.build_matrices(sub_basis, trap, trap.n_particles)
+    scaled = [replace(sub_sys, lam=sub_sys.lam * scale) for scale in (1.0, 0.5, 0.25)]
+    pairs = [perturbative_xy(sys_m, order=2)[:2] for sys_m in scaled]
+
+    # Perturbative X, Y against the general-generator Riccati branch.
     try:
         diffs = []
-        for scale in (1.0, 0.5, 0.25):
-            sys_m = basis_mod.build_matrices(sub_basis, trap, trap.n_particles)
-            sys_m = replace(sys_m, lam=lam_full * scale)
-            x_p, y_p, *_ = perturbative_xy(sys_m, order=2)
-            sol = solve_xy(RiccatiProblem.from_system(sys_m), symmetric=False)
+        for sys_m, (x_p, y_p) in zip(scaled, pairs):
+            sol = solve_xy_general(RiccatiProblem.from_system(sys_m))
             diffs.append(max(np.max(np.abs(sol.x - x_p)), np.max(np.abs(sol.y - y_p))))
         ok, ratios = _scaling_ratio_ok(diffs, 6.0, 10.0)
         lines.append(_check("perturbative-riccati-lambda3-scaling", ok,
@@ -203,27 +198,16 @@ def validate(config: RunConfig):
         lines.append(_check("perturbative-riccati-lambda3-scaling", False, str(exc)))
 
     # Constraint residual of the order-2 perturbative pair scales as lambda^3.
-    try:
-        res = []
-        for scale in (1.0, 0.5, 0.25):
-            sys_m = replace(basis_mod.build_matrices(sub_basis, trap, trap.n_particles),
-                            lam=lam_full * scale)
-            x_p, y_p, *_ = perturbative_xy(sys_m, order=2)
-            res.append(constraint_residual(x_p, y_p))
-        ok, ratios = _scaling_ratio_ok(res, 6.0, 10.0)
-        lines.append(_check("perturbative-constraint-lambda3-scaling", ok,
-                            f"ratios {ratios}"))
-    except TrapBoseError as exc:
-        lines.append(_check("perturbative-constraint-lambda3-scaling", False, str(exc)))
+    ok, ratios = _scaling_ratio_ok([constraint_residual(x_p, y_p) for x_p, y_p in pairs],
+                                   6.0, 10.0)
+    lines.append(_check("perturbative-constraint-lambda3-scaling", ok, f"ratios {ratios}"))
 
     # Symmetric Riccati branch: exact constraint, anomalous terms eliminated.
     try:
-        sys_m = replace(basis_mod.build_matrices(sub_basis, trap, trap.n_particles),
-                        lam=lam_full)
-        sol = solve_xy(RiccatiProblem.from_system(sys_m), symmetric=True)
-        ok = sol.max_r3_iterates < 1e-13 and sol.anomalous_r1 < 1e-10
+        sol = solve_xy(RiccatiProblem.from_system(sub_sys))
+        ok = sol.r3 < 1e-13 and sol.anomalous_r1 < 1e-10
         lines.append(_check("riccati-constraint-residuals", ok,
-                            f"r3 {sol.max_r3_iterates:.3e}, anomalous {sol.anomalous_r1:.3e}"))
+                            f"r3 {sol.r3:.3e}, anomalous {sol.anomalous_r1:.3e}"))
     except TrapBoseError as exc:
         lines.append(_check("riccati-constraint-residuals", False, str(exc)))
 

@@ -34,13 +34,8 @@ class NoSolutionError(TrapBoseError):
 
 
 class ConvergenceError(TrapBoseError):
-    """Iterative solver failed to converge."""
+    """Iterative solver stopped short of its tolerance."""
 
-    def __init__(self, message, iterations=None, residual=None):
+    def __init__(self, message, residual=None):
         super().__init__(message)
-        self.iterations = iterations
         self.residual = residual
-
-
-class LineSearchError(ConvergenceError):
-    """Backtracking line search could not reduce the residual."""

@@ -86,20 +86,18 @@ def first_order_levels(sys: SystemMatrices):
     return np.sort(sys.energies + 4.0 * sys.lam * np.diag(sys.coupling))
 
 
-def quasiparticle_levels(mat, tol_imag=DEFAULT_IMAG_TOL):
+def quasiparticle_levels(mat):
     """Real eigenvalue spectrum of a (generally non-symmetric) matrix.
 
-    Raises ComplexSpectrumError when max|Im| exceeds tol_imag * max|Re|,
-    which signals a coupling beyond the perturbative regime.
+    Raises ComplexSpectrumError when max|Im| exceeds DEFAULT_IMAG_TOL *
+    max|Re|, which signals a coupling beyond the perturbative regime.
     """
-    if tol_imag <= 0.0:
-        raise ValueError("tol_imag must be positive")
     eigenvalues = np.linalg.eigvals(np.asarray(mat, dtype=float))
     scale = np.max(np.abs(eigenvalues.real))
     max_imag = np.max(np.abs(eigenvalues.imag)) if eigenvalues.size else 0.0
-    if max_imag > tol_imag * scale:
+    if max_imag > DEFAULT_IMAG_TOL * scale:
         raise ComplexSpectrumError(
-            f"max |Im eigenvalue| = {max_imag:.3e} exceeds {tol_imag} * {scale:.3e}"
+            f"max |Im eigenvalue| = {max_imag:.3e} exceeds {DEFAULT_IMAG_TOL} * {scale:.3e}"
         )
     return np.sort(eigenvalues.real)
 
@@ -132,12 +130,12 @@ class PerturbativeSolution:
         return float(np.max(np.abs(self.y - self.y.T)))
 
 
-def solve_perturbative(sys: SystemMatrices, n0, order=2, tol_imag=DEFAULT_IMAG_TOL):
+def solve_perturbative(sys: SystemMatrices, n0, order=2):
     """Full perturbative solution: shift vector, X/Y, spectrum, levels."""
     x, y, chi, upsilon, upsilon1 = perturbative_xy(sys, order=order)
     z = shift_vector(sys, n0)
     spec = spectrum_matrix(sys, order=order)
-    levels = quasiparticle_levels(spec, tol_imag=tol_imag)
+    levels = quasiparticle_levels(spec)
     if np.any(levels <= 0.0):
         warnings.warn(
             "non-positive quasiparticle level: coupling beyond the "

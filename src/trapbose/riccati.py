@@ -8,13 +8,13 @@ with A = E + 4*lambda*C and B = lambda*C are solved on the hyperbolic
 ansatz X = cosh(T), Y = sinh(T), which satisfies the third equation
 identically for any generator T.
 
-Two branches are provided:
+Two branches are provided, one function each:
 
-* symmetric=True (default): T symmetric, in closed form.  This is the
-  canonical Bogoliubov branch: the symmetric part of the first equation
-  is exactly the coefficient of the anomalous operator pairs, the second
-  equation is the transpose of the first, and the commutation constraint
-  holds by construction.  With P = A - 2B and Q = A + 2B, the anomalous
+* solve_xy: T symmetric, in closed form.  This is the canonical
+  Bogoliubov branch: the symmetric part of the first equation is exactly
+  the coefficient of the anomalous operator pairs, the second equation is
+  the transpose of the first, and the commutation constraint holds by
+  construction.  With P = A - 2B and Q = A + 2B, the anomalous
   coefficient vanishes iff exp(2T) Q exp(2T) = P, whose positive solution
   is the matrix geometric mean: T = -1/2 log(P^{-1} # Q) (Colpa, Physica A
   93, 327 (1978)).  The quasiparticle levels are sqrt(eig(P Q)).  For
@@ -23,24 +23,25 @@ Two branches are provided:
   equation does not vanish on this branch (it is O(lambda) and carries no
   operator content); it is reported separately.
 
-* symmetric=False: general T, Newton on the full first equation.  This is
-  the branch whose lambda-expansion reproduces the printed perturbative
-  series (chi, upsilon, upsilon1) term by term, at the price of leaving
-  the second equation unsatisfied at O(lambda).
+* solve_xy_general: general T, one hybrid-Powell root solve (MINPACK
+  hybrd) of the full first equation.  This is the branch whose
+  lambda-expansion reproduces the printed perturbative series (chi,
+  upsilon, upsilon1) term by term, at the price of leaving the second
+  equation unsatisfied at O(lambda).  It is the test oracle for that
+  series and runs on small bases only.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import optimize
 from scipy.linalg import expm
 
 from .basis import SystemMatrices
-from .errors import ConvergenceError, LineSearchError, NoSolutionError
-from .perturbative import DEFAULT_IMAG_TOL, quasiparticle_levels
+from .errors import ConvergenceError, NoSolutionError
+from .perturbative import quasiparticle_levels
 
 DEFAULT_TOL = 1e-10
-DEFAULT_MAX_ITER = 50
-FD_STEP = 1e-7
 
 
 @dataclass(frozen=True)
@@ -125,40 +126,32 @@ def _cosh_sinh_general(t_mat):
     return 0.5 * (ep + em), 0.5 * (ep - em)
 
 
-def _asinh_series(y):
-    # arcsinh(Y) to O(Y^7); ample for the weak-coupling init guesses.
-    y2 = y @ y
-    return y @ (np.eye(y.shape[0]) - y2 / 6.0 + 3.0 / 40.0 * y2 @ y2)
-
-
 @dataclass
 class RiccatiSolution:
     """Solution of the Riccati system on one branch.
 
     r1, r2, r3 are the full-matrix residuals of the printed equations;
     anomalous_r1/anomalous_r2 their symmetric (operator-coefficient)
-    parts.  `converged` certifies the branch target -- the anomalous
-    residuals on the symmetric branch, the full first equation on the
-    general branch -- together with r3; the skew part of the printed
-    equations is O(lambda) on the symmetric branch and is not an error.
-
-    The symmetric branch is closed form: there `iterations` is 0,
-    `newton_residual` is anomalous_r1 and `max_r3_iterates` is r3.
+    parts.  solve_xy zeroes the anomalous parts and solve_xy_general the
+    full first equation; the skew part of the printed equations is
+    O(lambda) on the symmetric branch and is not an error.
     """
 
     x: np.ndarray
     y: np.ndarray
     generator: np.ndarray
-    symmetric: bool
     r1: float
     r2: float
     r3: float
     anomalous_r1: float
     anomalous_r2: float
-    newton_residual: float
-    iterations: int
-    converged: bool
-    max_r3_iterates: float
+
+
+def _solution(prob, t_mat, x, y):
+    r1, r2, r3 = residuals(x, y, prob)
+    an1, an2 = anomalous_residuals(x, y, prob)
+    return RiccatiSolution(x=x, y=y, generator=t_mat, r1=r1, r2=r2, r3=r3,
+                           anomalous_r1=an1, anomalous_r2=an2)
 
 
 def _positive_eigh(mat, name):
@@ -198,114 +191,48 @@ def _canonical_generator(prob):
     return (v * (-0.5 * np.log(w))) @ v.T
 
 
-def _checked_init(init, n):
-    x0, y0 = (np.asarray(m, dtype=float) for m in init)
-    r3 = float(np.max(np.abs(x0 @ x0 - y0 @ y0 - np.eye(n))))
-    if r3 >= 0.1:
-        raise ValueError(f"init violates X^2 - Y^2 = I: residual {r3:.3g} >= 0.1")
-    return y0
+def solve_xy(prob: RiccatiProblem):
+    """X = cosh(T), Y = sinh(T) on the symmetric branch, in closed form.
 
-
-def solve_xy(prob: RiccatiProblem, init=None, tol=DEFAULT_TOL,
-             max_iter=DEFAULT_MAX_ITER, symmetric=True):
-    """X = cosh(T), Y = sinh(T) on the symmetric or the general branch.
-
-    symmetric=True builds T in closed form and raises NoSolutionError when
-    A - 2B or A + 2B is not positive definite.  symmetric=False runs Newton
-    to tol on the full first equation; it raises ConvergenceError (with
-    best residuals attached) after max_iter, LineSearchError if
-    backtracking stalls.
-
-    init: optional (X0, Y0) pair, e.g. from perturbative_xy; on either
-    branch it must satisfy the commutation constraint to within 0.1.  It
-    is the Newton starting point on the general branch, which otherwise
-    starts from the first-order perturbative generator.
+    Raises NoSolutionError when A - 2B or A + 2B is not positive definite.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    y0 = None if init is None else _checked_init(init, prob.size)
-    if symmetric:
-        t_mat = _canonical_generator(prob)
-        x, y = _cosh_sinh_symmetric(t_mat)
-        iterations = 0
-    else:
-        t_mat, newton_residual, iterations, max_r3 = _newton_general(prob, y0, tol, max_iter)
-        x, y = _cosh_sinh_general(t_mat)
-    r1, r2, r3 = residuals(x, y, prob)
-    an1, an2 = anomalous_residuals(x, y, prob)
-    if symmetric:
-        newton_residual, max_r3 = an1, r3
-    return RiccatiSolution(
-        x=x, y=y, generator=t_mat, symmetric=symmetric,
-        r1=r1, r2=r2, r3=r3, anomalous_r1=an1, anomalous_r2=an2,
-        newton_residual=newton_residual,
-        iterations=iterations, converged=True, max_r3_iterates=max(max_r3, r3),
-    )
+    t_mat = _canonical_generator(prob)
+    return _solution(prob, t_mat, *_cosh_sinh_symmetric(t_mat))
 
 
-def _newton_general(prob, y0, tol, max_iter):
+def solve_xy_general(prob: RiccatiProblem):
+    """X = cosh(T), Y = sinh(T) for a general T zeroing the full first equation.
+
+    One hybrid-Powell root solve over the n^2 entries of T, started from the
+    first-order generator -B/E.  The solution is accepted when r1 <
+    DEFAULT_TOL, and ConvergenceError (residual r1) is raised otherwise;
+    the solver's own success flag is not used, because it can report a
+    stalled step at a root that already meets the tolerance.
+    """
     n = prob.size
 
-    def residual_vec(vec):
-        x, y = _cosh_sinh_general(vec.reshape(n, n))
+    def equation1_of(t_vec):
+        x, y = _cosh_sinh_general(t_vec.reshape(n, n))
         return _equation1(x, y, prob).ravel()
 
-    if y0 is None:
-        t_vec = (-prob.b / prob.oscillator_energies()[:, None]).ravel()
-    else:
-        t_vec = _asinh_series(y0).ravel()
-    f_vec = residual_vec(t_vec)
-    max_r3 = _constraint_of(t_vec, n)
-    iterations = 0
-    while float(np.max(np.abs(f_vec))) >= tol:
-        if iterations >= max_iter:
-            raise ConvergenceError(
-                f"Newton did not reach {tol} in {max_iter} iterations",
-                iterations=iterations,
-                residual=float(np.max(np.abs(f_vec))),
-            )
-        step = _newton_step(residual_vec, t_vec, f_vec)
-        t_vec, f_vec = _line_search(residual_vec, t_vec, f_vec, step)
-        max_r3 = max(max_r3, _constraint_of(t_vec, n))
-        iterations += 1
-    return t_vec.reshape(n, n), float(np.max(np.abs(f_vec))), iterations, max_r3
+    guess = -prob.b / prob.oscillator_energies()[:, None]
+    # A step tolerance well below the default leaves r1 near rounding, far
+    # under DEFAULT_TOL, instead of within a factor of ten of it.
+    t_mat = optimize.root(equation1_of, guess.ravel(), method="hybr",
+                          options={"xtol": 1e-12}).x.reshape(n, n)
+    sol = _solution(prob, t_mat, *_cosh_sinh_general(t_mat))
+    if not sol.r1 < DEFAULT_TOL:
+        raise ConvergenceError(f"general branch stopped at r1 = {sol.r1:.3g} >= {DEFAULT_TOL}",
+                               residual=sol.r1)
+    return sol
 
 
-def _constraint_of(t_vec, n):
-    x, y = _cosh_sinh_general(t_vec.reshape(n, n))
-    return float(np.max(np.abs(x @ x - y @ y - np.eye(n))))
-
-
-def _newton_step(residual_vec, t_vec, f_vec):
-    m = t_vec.size
-    jac = np.empty((m, m))
-    for k in range(m):
-        bumped = t_vec.copy()
-        bumped[k] += FD_STEP
-        jac[:, k] = (residual_vec(bumped) - f_vec) / FD_STEP
-    return np.linalg.solve(jac, -f_vec)
-
-
-def _line_search(residual_vec, t_vec, f_vec, step):
-    norm0 = float(np.linalg.norm(f_vec))
-    alpha = 1.0
-    while alpha >= 1e-10:
-        trial = t_vec + alpha * step
-        f_trial = residual_vec(trial)
-        if float(np.linalg.norm(f_trial)) < (1.0 - 1e-4 * alpha) * norm0:
-            return trial, f_trial
-        alpha *= 0.5
-    raise LineSearchError("backtracking found no residual decrease", residual=norm0)
-
-
-def exact_spectrum(sol: RiccatiSolution, sys: SystemMatrices, tol_imag=DEFAULT_IMAG_TOL):
-    """Quasiparticle levels from the converged X, Y.
+def exact_spectrum(sol: RiccatiSolution, sys: SystemMatrices):
+    """Quasiparticle levels from the solved X, Y.
 
     Assembles X E X + Y E Y + 4 lambda (X C X + Y C Y) + 2 lambda (X C Y + Y C X)
     and returns its eigenvalues sorted ascending.
     """
-    if not sol.converged:
-        raise ValueError("spectrum requested from a non-converged solution")
     x, y = sol.x, sol.y
     lam = sys.lam
     e_mat = np.diag(sys.energies)
@@ -315,4 +242,4 @@ def exact_spectrum(sol: RiccatiSolution, sys: SystemMatrices, tol_imag=DEFAULT_I
         + 4.0 * lam * (x @ c_mat @ x + y @ c_mat @ y)
         + 2.0 * lam * (x @ c_mat @ y + y @ c_mat @ x)
     )
-    return quasiparticle_levels(spec, tol_imag=tol_imag)
+    return quasiparticle_levels(spec)

@@ -23,6 +23,7 @@ from trapbose import (
     solve_1x1,
     solve_n0,
     solve_xy,
+    solve_xy_general,
     spectrum_matrix,
     sweep,
 )
@@ -65,7 +66,7 @@ def test_free_theory_regression():
     identity_ok = np.array_equal(x, np.eye(sysm.size)) and np.max(np.abs(y)) == 0.0
     sol = solve_xy(RiccatiProblem.from_system(build_matrices(
         enumerate_basis(IDEAL, 20.0), IDEAL, N)))
-    identity_ok &= sol.iterations == 0 and np.max(np.abs(sol.y)) == 0.0
+    identity_ok &= np.max(np.abs(sol.y)) == 0.0
     levels_ok = np.array_equal(
         np.sort(quasiparticle_levels(spectrum_matrix(sysm))), np.sort(sysm.energies))
 
@@ -92,17 +93,12 @@ def test_perturbative_order():
 
 
 def test_riccati_convergence():
-    sysm = system_at(10.0, 0.01)
-    prob = RiccatiProblem.from_system(sysm)
-    xp, yp, *_ = perturbative_xy(sysm)
-    sol = solve_xy(prob, init=(xp, yp))
+    prob = RiccatiProblem.from_system(system_at(10.0, 0.01))
+    sol = solve_xy(prob)
     e1 = sol.x @ prob.a @ sol.y + sol.x @ prob.b @ sol.x + sol.y @ prob.b @ sol.y
     e2 = sol.y @ prob.a @ sol.x + sol.x @ prob.b @ sol.x + sol.y @ prob.b @ sol.y
-    ok = (sol.converged
-          and sol.iterations <= 20
-          and sol.newton_residual < 1e-10
-          and max(sol.anomalous_r1, sol.anomalous_r2) < 1e-10
-          and sol.max_r3_iterates < 1e-13
+    ok = (max(sol.anomalous_r1, sol.anomalous_r2) < 1e-10
+          and sol.r3 < 1e-13
           and np.max(np.abs(e2 - e1.T)) < 1e-12)
     report("riccati-convergence", ok)
 
@@ -112,7 +108,7 @@ def test_cross_branch_lambda3_scaling():
     for lam in (0.02, 0.01, 0.005):
         sysm = system_at(10.0, lam)
         xp, yp, *_ = perturbative_xy(sysm)
-        sol = solve_xy(RiccatiProblem.from_system(sysm), symmetric=False)
+        sol = solve_xy_general(RiccatiProblem.from_system(sysm))
         diffs.append(max(np.max(np.abs(sol.x - xp)), np.max(np.abs(sol.y - yp))))
     ratios = [big / small for big, small in zip(diffs, diffs[1:])]
     report("cross-branch-lambda3-scaling", all(6.0 <= r <= 10.0 for r in ratios))
@@ -124,9 +120,10 @@ def test_scalar_oracle_grid():
     for a in np.linspace(1.0, 3.0, 10):
         for b in np.linspace(-0.15, 0.15, 5):
             x, y = solve_1x1(a, b)
-            sol = solve_xy(RiccatiProblem(a=np.array([[a]]), b=np.array([[b]])),
-                           tol=1e-13)
-            worst = max(worst, abs(sol.x[0, 0] - x), abs(sol.y[0, 0] - y))
+            prob = RiccatiProblem(a=np.array([[a]]), b=np.array([[b]]))
+            for solve in (solve_xy, solve_xy_general):
+                sol = solve(prob)
+                worst = max(worst, abs(sol.x[0, 0] - x), abs(sol.y[0, 0] - y))
             count += 1
     report("scalar-oracle-grid", count == 50 and worst < 1e-12)
 

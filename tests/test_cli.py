@@ -1,5 +1,6 @@
 import io
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -23,19 +24,36 @@ class TestParseConfig:
 
     def test_key_values_and_comments(self):
         text = """
-        # reference run, small grid
+        # every accepted key, small grid
+        dimension = 2
+        omega = 1.0, 1.5   # anisotropic
+        mass = 3.5
+        hbar = 0.5
+        g = 0.001
+        n_particles = 500
         e_cut = 50
         t_min = 2
         t_max = 10
         t_step = 2
+        tol = 1e-9
         solver = ideal
         output = result.csv
+        emit_diagnostics = yes
         """
         config = parse_config(text)
+        assert config.trap.dimension == 2
+        assert config.trap.frequencies == (1.0, 1.5)
+        assert config.trap.mass == 3.5
+        assert config.trap.hbar == 0.5
+        assert config.trap.g == 0.001
+        assert config.trap.n_particles == 500
         assert config.e_cut == 50.0
         assert config.temperature_grid() == [2.0, 4.0, 6.0, 8.0, 10.0]
+        assert config.tol == 1e-9
         assert config.solver == "ideal"
         assert config.output_path == "result.csv"
+        assert config.emit_diagnostics is True
+        assert parse_config("emit_diagnostics = 0").emit_diagnostics is False
 
     def test_negative_g_rejected(self):
         with pytest.raises(ConfigError):
@@ -100,6 +118,21 @@ class TestRun:
         run(self.small_config(solver="perturbative1"), stream=a)
         run(self.small_config(solver="perturbative1"), stream=b)
         assert a.getvalue() == b.getvalue()
+
+    def test_emit_diagnostics(self, capsys):
+        # T = 200..300 lies above the transition of this 200-level basis.
+        config = self.small_config(e_cut=200.0, t_min=100.0, t_max=300.0, t_step=50.0,
+                                   solver="perturbative1")
+        plain, diagnosed = io.StringIO(), io.StringIO()
+        assert run(config, stream=plain) == 0
+        assert capsys.readouterr().err == ""
+        assert run(replace(config, emit_diagnostics=True), stream=diagnosed) == 0
+        rows = plain.getvalue().strip().split("\n")[1:]
+        normal = sum(1 for row in rows if row.split(",")[1] == "0")
+        assert 0 < normal < len(rows)
+        assert capsys.readouterr().err.splitlines() == [
+            "# monotone_n0: True", f"# normal_phase_points: {normal}/{len(rows)}"]
+        assert diagnosed.getvalue() == plain.getvalue()
 
     def test_ideal_solver_forces_lambda_zero(self):
         stream = io.StringIO()

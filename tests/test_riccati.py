@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from trapbose import (
+    ConvergenceError,
     NoSolutionError,
     RiccatiProblem,
     SystemMatrices,
@@ -21,6 +22,7 @@ from trapbose import (
     residuals,
     solve_1x1,
     solve_xy,
+    solve_xy_general,
 )
 
 CFG = TrapConfig()
@@ -92,7 +94,6 @@ class TestSolve1x1:
 class TestSymmetricBranch:
     def test_free_theory_immediate(self):
         sol = solve_xy(problem(6.0, 0.0))
-        assert sol.iterations == 0
         assert np.array_equal(sol.x, np.eye(sol.x.shape[0]))
         assert np.max(np.abs(sol.y)) == 0.0
 
@@ -103,16 +104,10 @@ class TestSymmetricBranch:
         assert abs(sol.x[0, 0] - x) < 1e-12
         assert abs(sol.y[0, 0] - y) < 1e-12
 
-    def test_newton_from_perturbative_init(self):
-        sysm = system(10.0, 0.01)
-        prob = RiccatiProblem.from_system(sysm)
-        xp, yp, *_ = perturbative_xy(sysm)
-        sol = solve_xy(prob, init=(xp, yp))
-        assert sol.converged
-        assert sol.iterations <= 8
-        assert sol.newton_residual < 1e-10
+    def test_closed_form_residuals(self):
+        sol = solve_xy(problem(10.0, 0.01))
         assert sol.anomalous_r1 < 1e-10
-        assert sol.max_r3_iterates < 1e-13
+        assert sol.r3 < 1e-13
 
     def test_transposition_symmetry(self):
         prob = problem(10.0, 0.02)
@@ -134,12 +129,6 @@ class TestSymmetricBranch:
         r1_big = solve_xy(problem(8.0, 0.01)).r1
         assert r1_big > 1e-6
         assert 1.5 <= r1_big / r1_small <= 2.5
-
-    def test_bad_init_rejected(self):
-        prob = problem(6.0, 0.01)
-        n = prob.size
-        with pytest.raises(ValueError):
-            solve_xy(prob, init=(2.0 * np.eye(n), np.zeros((n, n))))
 
     def test_no_solution_outside_domain(self):
         # |2b/a| >= 1: A - 2B is not positive definite.
@@ -168,8 +157,7 @@ class TestSymmetricBranch:
 
 class TestLiteralBranch:
     def test_full_first_equation_vanishes(self):
-        sol = solve_xy(problem(10.0, 0.01), symmetric=False)
-        assert sol.converged
+        sol = solve_xy_general(problem(10.0, 0.01))
         assert sol.r1 < 1e-10
         assert sol.r3 < 1e-13
 
@@ -178,10 +166,18 @@ class TestLiteralBranch:
         for lam in (0.02, 0.01, 0.005):
             sysm = system(10.0, lam)
             xp, yp, *_ = perturbative_xy(sysm)
-            sol = solve_xy(RiccatiProblem.from_system(sysm), symmetric=False)
+            sol = solve_xy_general(RiccatiProblem.from_system(sysm))
             diffs.append(max(np.max(np.abs(sol.x - xp)), np.max(np.abs(sol.y - yp))))
         for big, small in zip(diffs, diffs[1:]):
             assert 6.0 <= big / small <= 10.0
+
+    def test_no_solution_outside_domain(self):
+        # |2b/a| >= 1: a/2 sinh(2t) + b cosh(2t) has no zero, and the
+        # residual cannot fall below sqrt(b^2 - a^2/4).
+        prob = RiccatiProblem(a=np.array([[1.0]]), b=np.array([[0.6]]))
+        with pytest.raises(ConvergenceError) as info:
+            solve_xy_general(prob)
+        assert info.value.residual >= math.sqrt(0.6**2 - 0.25) - 1e-9
 
 
 class TestIsotropicTrap:
@@ -233,7 +229,7 @@ class TestExactSpectrum:
         for lam in (0.01, 0.005):
             sysm = system(10.0, lam)
             pert = quasiparticle_levels(spectrum_matrix(sysm))
-            sol = solve_xy(RiccatiProblem.from_system(sysm), symmetric=False)
+            sol = solve_xy_general(RiccatiProblem.from_system(sysm))
             errors.append(np.max(np.abs(exact_spectrum(sol, sysm) - pert)))
         assert 6.0 <= errors[0] / errors[1] <= 10.0
 
@@ -250,24 +246,19 @@ class TestExactSpectrum:
                 assert np.max(np.abs(levels - previous)) < bound
             previous = levels
 
-    def test_requires_converged_solution(self):
-        sysm = system(6.0, 0.01)
-        sol = solve_xy(RiccatiProblem.from_system(sysm))
-        sol.converged = False
-        with pytest.raises(ValueError):
-            exact_spectrum(sol, sysm)
-
 
 class TestScalarGrid:
     def test_solver_matches_oracle_on_grid(self):
-        # 50 valid 1x1 problems (|2b/a| < 1, a - 4b > 0).
+        # 50 valid 1x1 problems (|2b/a| < 1, a - 4b > 0); for one state the
+        # symmetric and the general branch are the same scalar equation.
         count = 0
         for a in np.linspace(1.0, 3.0, 10):
             for b in np.linspace(-0.15, 0.15, 5):
                 x, y = solve_1x1(a, b)
                 prob = RiccatiProblem(a=np.array([[a]]), b=np.array([[b]]))
-                sol = solve_xy(prob, tol=1e-13)
-                assert abs(sol.x[0, 0] - x) < 1e-12
-                assert abs(sol.y[0, 0] - y) < 1e-12
+                for solve in (solve_xy, solve_xy_general):
+                    sol = solve(prob)
+                    assert abs(sol.x[0, 0] - x) < 1e-12
+                    assert abs(sol.y[0, 0] - y) < 1e-12
                 count += 1
         assert count == 50
