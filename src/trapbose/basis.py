@@ -7,7 +7,7 @@ a per-dimension parity selection rule.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln
@@ -27,30 +27,22 @@ def oscillator_energy(n, cfg: TrapConfig):
     return cfg.hbar * sum(w * k for w, k in zip(cfg.frequencies, n))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BasisSet:
     """Ordered excited-state basis: all n != 0 with energy <= cutoff.
 
-    Ordering is (energy, lexicographic tuple), so two runs with identical
-    inputs enumerate identically.  quanta is the same states as a read-only
-    (size, D) integer array; it is derived from states when not given.
+    quanta is a read-only (size, D) integer array, one state per row.
+    Ordering is (energy, lexicographic row), so two runs with identical
+    inputs enumerate identically.
     """
 
-    states: tuple
+    quanta: np.ndarray
     cutoff: float
     config: TrapConfig
-    quanta: np.ndarray = field(default=None, compare=False, repr=False)
-
-    def __post_init__(self):
-        if self.quanta is None:
-            quanta = np.array(self.states, dtype=np.int64).reshape(
-                len(self.states), self.config.dimension)
-            quanta.flags.writeable = False
-            object.__setattr__(self, "quanta", quanta)
 
     @property
     def size(self):
-        return len(self.states)
+        return len(self.quanta)
 
     def energies(self):
         """Vector of excitation energies, in basis order.
@@ -90,8 +82,7 @@ def enumerate_basis(cfg: TrapConfig, e_cut):
     # lexsort's last key is the primary one: energy, then n_1, ..., n_D.
     quanta = quanta[np.lexsort((*quanta.T[::-1], energies))]
     quanta.flags.writeable = False
-    return BasisSet(states=tuple(zip(*quanta.T.tolist())), cutoff=float(e_cut),
-                    config=cfg, quanta=quanta)
+    return BasisSet(quanta=quanta, cutoff=float(e_cut), config=cfg)
 
 
 def _log_prefactor(cfg: TrapConfig):
@@ -142,7 +133,6 @@ class SystemMatrices:
     coupling: np.ndarray
     source: np.ndarray
     lam: float
-    basis: BasisSet
 
     @property
     def size(self):
@@ -195,7 +185,6 @@ def build_matrices(basis: BasisSet, cfg: TrapConfig, n0):
         coupling=_coupling_array(quanta[:, None, :], quanta[None, :, :], cfg),
         source=_coupling_array(ground, quanta, cfg),
         lam=cfg.coupling_lambda(n0),
-        basis=basis,
     )
 
 

@@ -58,7 +58,10 @@ def _floats(value):
 
 
 def _flag(value):
-    return value.lower() in ("1", "true", "yes")
+    word = value.lower()
+    if word not in ("1", "true", "yes", "0", "false", "no"):
+        raise ValueError(f"expected 1/true/yes or 0/false/no, got {value!r}")
+    return word in ("1", "true", "yes")
 
 
 # config key -> (TrapConfig or RunConfig keyword set, field name, value parser)
@@ -115,8 +118,6 @@ def _format(value):
 def run(config: RunConfig, stream=None):
     """Execute the sweep and write the CSV; returns the process exit status."""
     trap = config.trap
-    if config.solver == "ideal":
-        trap = replace(trap, g=0.0)
     basis = basis_mod.enumerate_basis(trap, config.e_cut)
     curve = sweep(trap, basis, config.temperature_grid(),
                   solver_kind=config.solver, tol=config.tol)
@@ -156,7 +157,11 @@ def _check(name, passed, detail=""):
 
 
 def _scaling_ratio_ok(values, low, high):
-    ratios = [a / b for a, b in zip(values, values[1:])]
+    """Consecutive ratios within [low, high].  All zeros (at g = 0) is exact
+    agreement and passes; a zero denominator under a non-zero value fails."""
+    if not any(values):
+        return True, []
+    ratios = [a / b if b else math.inf for a, b in zip(values, values[1:])]
     return all(low <= r <= high for r in ratios), ratios
 
 
@@ -179,11 +184,11 @@ def validate(config: RunConfig):
 
     # The next three checks share the lowest (at most) 10 states, at the
     # full coupling and at half and a quarter of it.
-    sub_basis = basis_mod.BasisSet(states=basis.states[: min(basis.size, 10)],
-                                   cutoff=basis.cutoff, config=trap)
+    sub_basis = basis_mod.BasisSet(quanta=basis.quanta[:10], cutoff=basis.cutoff,
+                                   config=trap)
     sub_sys = basis_mod.build_matrices(sub_basis, trap, trap.n_particles)
     scaled = [replace(sub_sys, lam=sub_sys.lam * scale) for scale in (1.0, 0.5, 0.25)]
-    pairs = [perturbative_xy(sys_m, order=2)[:2] for sys_m in scaled]
+    pairs = [perturbative_xy(sys_m)[:2] for sys_m in scaled]
 
     # Perturbative X, Y against the general-generator Riccati branch.
     try:
@@ -197,7 +202,7 @@ def validate(config: RunConfig):
     except TrapBoseError as exc:
         lines.append(_check("perturbative-riccati-lambda3-scaling", False, str(exc)))
 
-    # Constraint residual of the order-2 perturbative pair scales as lambda^3.
+    # Constraint residual of the perturbative pair scales as lambda^3.
     ok, ratios = _scaling_ratio_ok([constraint_residual(x_p, y_p) for x_p, y_p in pairs],
                                    6.0, 10.0)
     lines.append(_check("perturbative-constraint-lambda3-scaling", ok, f"ratios {ratios}"))
@@ -221,8 +226,8 @@ def validate(config: RunConfig):
     model_a = SpectrumModel(trap, basis, kind="perturbative1")
     model_b = SpectrumModel(trap, doubled, kind="perturbative1")
     for t in probe:
-        pa = solve_n0(trap, basis, t, model=model_a, tol=config.tol)
-        pb = solve_n0(trap, doubled, t, model=model_b, tol=config.tol)
+        pa = solve_n0(model_a, t, tol=config.tol)
+        pb = solve_n0(model_b, t, tol=config.tol)
         worst = max(worst, abs(pa.n0 - pb.n0) / trap.n_particles)
     lines.append(_check("truncation-doubling", worst < 1e-4, f"max shift {worst:.3e}"))
 
@@ -259,10 +264,7 @@ def main(argv=None):
             sys.stdout.write(report)
             return 0 if passed else 2
         return run(config)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ConfigError, TrapBoseError) as exc:
+    except (OSError, ConfigError, TrapBoseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -41,43 +41,31 @@ def shift_vector(sys: SystemMatrices, n0):
     return -2.0 * lam * np.sqrt(n0) * np.linalg.solve(mat, sys.source)
 
 
-def perturbative_xy(sys: SystemMatrices, order=2):
-    """Weak-coupling X, Y and the expansion matrices (X, Y, chi, upsilon, upsilon1).
-
-    order=1 keeps only the O(lambda) term of Y; order=2 adds the
-    lambda^2 corrections to both X and Y.
-    """
-    if order not in (1, 2):
-        raise ValueError(f"order must be 1 or 2, got {order}")
+def perturbative_xy(sys: SystemMatrices):
+    """Weak-coupling X, Y to second order in lambda, and the expansion
+    matrices: (X, Y, chi, upsilon, upsilon1)."""
     lam = sys.lam
     einv_c = _einv_apply(sys, sys.coupling)
     chi = -0.5 * einv_c
     upsilon = 2.0 * chi
     upsilon1 = 4.0 * einv_c @ einv_c
-    eye = np.eye(sys.size)
-    if order == 1:
-        x = eye.copy()
-        y = lam * upsilon
-    else:
-        x = eye + 2.0 * lam**2 * chi @ chi
-        y = lam * upsilon + lam**2 * upsilon1
+    x = np.eye(sys.size) + 2.0 * lam**2 * chi @ chi
+    y = lam * upsilon + lam**2 * upsilon1
     return x, y, chi, upsilon, upsilon1
 
 
-def spectrum_matrix(sys: SystemMatrices, order=2):
-    """Spectrum matrix to O(lambda^order); order=1 is E + 4*lambda*C."""
-    if order not in (1, 2):
-        raise ValueError(f"order must be 1 or 2, got {order}")
+def spectrum_matrix(sys: SystemMatrices):
+    """Spectrum matrix to O(lambda^2): E + 4*lambda*C plus the lambda^2
+    correction."""
     lam = sys.lam
     result = np.diag(sys.energies) + 4.0 * lam * sys.coupling
-    if order == 2:
-        einv_c = _einv_apply(sys, sys.coupling)
-        correction = (
-            (einv_c @ einv_c) * sys.energies
-            - 3.0 * sys.coupling @ einv_c
-            - 2.0 * _einv_apply(sys, sys.coupling @ sys.coupling)
-        )
-        result += 0.5 * lam**2 * correction
+    einv_c = _einv_apply(sys, sys.coupling)
+    correction = (
+        (einv_c @ einv_c) * sys.energies
+        - 3.0 * sys.coupling @ einv_c
+        - 2.0 * _einv_apply(sys, sys.coupling @ sys.coupling)
+    )
+    result += 0.5 * lam**2 * correction
     return result
 
 
@@ -121,7 +109,6 @@ class PerturbativeSolution:
     upsilon1: np.ndarray
     spectrum: np.ndarray
     levels: np.ndarray
-    order: int
 
     @property
     def y_asymmetry(self):
@@ -130,11 +117,11 @@ class PerturbativeSolution:
         return float(np.max(np.abs(self.y - self.y.T)))
 
 
-def solve_perturbative(sys: SystemMatrices, n0, order=2):
+def solve_perturbative(sys: SystemMatrices, n0):
     """Full perturbative solution: shift vector, X/Y, spectrum, levels."""
-    x, y, chi, upsilon, upsilon1 = perturbative_xy(sys, order=order)
+    x, y, chi, upsilon, upsilon1 = perturbative_xy(sys)
     z = shift_vector(sys, n0)
-    spec = spectrum_matrix(sys, order=order)
+    spec = spectrum_matrix(sys)
     levels = quasiparticle_levels(spec)
     if np.any(levels <= 0.0):
         warnings.warn(
@@ -145,5 +132,5 @@ def solve_perturbative(sys: SystemMatrices, n0, order=2):
         )
     return PerturbativeSolution(
         x=x, y=y, z=z, chi=chi, upsilon=upsilon, upsilon1=upsilon1,
-        spectrum=spec, levels=levels, order=order,
+        spectrum=spec, levels=levels,
     )

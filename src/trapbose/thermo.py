@@ -51,38 +51,37 @@ def excited_count(levels, temperature):
 class SpectrumModel:
     """Maps condensate occupation to quasiparticle levels for one solver branch.
 
-    ideal          -- bare oscillator levels (g forced to zero).
+    ideal          -- bare oscillator levels: cfg is stored with g = 0.
     perturbative1  -- first-order formula eps_n + 4*lambda*c_nn (diagonal only).
     perturbative2  -- eigenvalues of the second-order spectrum matrix.
     riccati        -- closed-form Bogoliubov levels of the symmetric branch.
+
+    model.cfg gives N and lambda = g*N0/2 to the loop; at lambda = 0 every
+    kind returns the bare levels.
     """
 
     def __init__(self, cfg: TrapConfig, basis: BasisSet, kind="perturbative1"):
         if kind not in SOLVER_KINDS:
             raise ValueError(f"unknown solver kind {kind!r}; expected one of {SOLVER_KINDS}")
-        self.cfg = cfg
-        self.basis = basis
+        self.cfg = replace(cfg, g=0.0) if kind == "ideal" else cfg
         self.kind = kind
         self._energies = basis.energies()
         self._diag_c = None
-        self._sys_template = None
+        self._sys = None
         if kind == "perturbative1":
             self._diag_c = diagonal_coupling(basis, cfg)
         elif kind in ("perturbative2", "riccati"):
-            self._sys_template = build_matrices(basis, cfg, 0.0)
-
-    def _system_at(self, n0):
-        return replace(self._sys_template, lam=self.cfg.coupling_lambda(n0))
+            self._sys = build_matrices(basis, cfg, 0.0)
 
     def levels(self, n0):
-        if self.kind == "ideal" or n0 == 0.0 or self.cfg.g == 0.0:
+        lam = self.cfg.coupling_lambda(n0)
+        if lam == 0.0:
             return self._energies
         if self.kind == "perturbative1":
-            lam = self.cfg.coupling_lambda(n0)
             return self._energies + 4.0 * lam * self._diag_c
-        sys = self._system_at(n0)
+        sys = replace(self._sys, lam=lam)
         if self.kind == "perturbative2":
-            return quasiparticle_levels(spectrum_matrix(sys, order=2))
+            return quasiparticle_levels(spectrum_matrix(sys))
         return bogoliubov_levels(RiccatiProblem.from_system(sys))
 
 
@@ -145,22 +144,21 @@ def energy_excess(point: ThermoPoint):
     return float(np.sum(point.levels * occ))
 
 
-def solve_n0(cfg: TrapConfig, basis: BasisSet, temperature, solver_kind="perturbative1",
-             tol=DEFAULT_TOL, model=None):
+def solve_n0(model: SpectrumModel, temperature, tol=DEFAULT_TOL):
     """Self-consistent condensate occupation at one temperature.
 
     Finds the root of f(n0) = N - n0 - N_excited(lambda(n0)) with Brent's
-    method on [0, N] to within tol*N.  The bracket holds: f(N) = -N_excited
-    <= 0, and when f(0) <= 0 (even n0 = 0 cannot accommodate N particles)
-    the normal-phase extension is returned instead.
+    method on [0, N] to within tol*N; N and lambda come from model.cfg.
+    The bracket holds: f(N) = -N_excited <= 0, and when f(0) <= 0 (even
+    n0 = 0 cannot accommodate N particles) the normal-phase extension is
+    returned instead.
     Raises UnstableSpectrumError when the model returns a non-positive level.
     """
     if temperature <= 0.0:
         raise ValueError("temperature must be positive")
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    if model is None:
-        model = SpectrumModel(cfg, basis, kind=solver_kind)
+    cfg = model.cfg
     n_total = float(cfg.n_particles)
 
     ideal_levels = model.levels(0.0)
@@ -188,8 +186,6 @@ class ThermoCurve:
 
     points: list
     config: TrapConfig
-    solver_kind: str
-    cutoff: float
 
     def condensate_fractions(self):
         n = self.config.n_particles
@@ -226,10 +222,9 @@ def sweep(cfg: TrapConfig, basis: BasisSet, t_grid, solver_kind="perturbative1",
     points = []
     for temperature in t_grid:
         try:
-            point = solve_n0(cfg, basis, temperature, tol=tol, model=model)
+            point = solve_n0(model, temperature, tol=tol)
         except TrapBoseError as exc:
             point = _failed_point(temperature, exc)
         points.append(point)
 
-    return ThermoCurve(points=points, config=cfg, solver_kind=solver_kind,
-                       cutoff=basis.cutoff)
+    return ThermoCurve(points=points, config=model.cfg)

@@ -12,6 +12,7 @@ import numpy as np
 
 from trapbose import (
     RiccatiProblem,
+    SpectrumModel,
     TrapConfig,
     build_matrices,
     coupling_coefficient,
@@ -72,8 +73,9 @@ def test_free_theory_regression():
 
     worst = 0.0
     energies = basis.energies()
+    model = SpectrumModel(IDEAL, basis)
     for temperature in range(1, 201):
-        point = solve_n0(IDEAL, basis, temperature)
+        point = solve_n0(model, temperature)
         excited = sum(1.0 / math.expm1(e / temperature) for e in energies)
         brute = max(N - excited, 0.0)
         worst = max(worst, abs(point.n0 - brute) / N)

@@ -87,12 +87,12 @@ class TestOscillatorEnergy:
 class TestEnumerateBasis:
     def test_one_dimensional_counting(self):
         basis = enumerate_basis(PAPER_1D, 3.5)
-        assert basis.states == ((1,), (2,), (3,))
+        assert basis.quanta.tolist() == [[1], [2], [3]]
         assert basis.size == 3
 
     def test_two_dimensional_energy_order(self):
         basis = enumerate_basis(PAPER_2D, 2.5)
-        assert basis.states == ((1, 0), (0, 1), (2, 0), (1, 1))
+        assert basis.quanta.tolist() == [[1, 0], [0, 1], [2, 0], [1, 1]]
         energies = basis.energies()
         assert np.all(np.diff(energies) > 0)
 
@@ -103,11 +103,11 @@ class TestEnumerateBasis:
     def test_deterministic(self):
         a = enumerate_basis(PAPER_2D, 6.0)
         b = enumerate_basis(PAPER_2D, 6.0)
-        assert a.states == b.states
+        assert a.quanta.tolist() == b.quanta.tolist()
 
     def test_ground_state_excluded(self):
         basis = enumerate_basis(PAPER_2D, 6.0)
-        assert (0, 0) not in basis.states
+        assert [0, 0] not in basis.quanta.tolist()
 
     @pytest.mark.parametrize("cfg, e_cut", [
         (PAPER_1D, 400.0),
@@ -121,8 +121,7 @@ class TestEnumerateBasis:
         # Isotropic and 3:2 traps have exact energy ties, ordered by tuple.
         states = reference_enumeration(cfg, e_cut)
         basis = enumerate_basis(cfg, e_cut)
-        assert basis.states == tuple(states)
-        assert np.array_equal(basis.quanta, np.array(states))
+        assert basis.quanta.tolist() == [list(n) for n in states]
         expected = np.array([oscillator_energy(n, cfg) for n in states])
         assert np.array_equal(basis.energies(), expected)
 
@@ -137,18 +136,14 @@ class TestEnumerateBasis:
                 enumerate_basis(cfg, e_cut)
             return
         basis = enumerate_basis(cfg, e_cut)
-        assert basis.states == tuple(states)
+        assert basis.quanta.tolist() == [list(n) for n in states]
         expected = np.array([oscillator_energy(n, cfg) for n in states])
         assert np.array_equal(basis.energies(), expected)
 
     def test_hand_built_subset(self):
         basis = enumerate_basis(PAPER_2D, 12.0)
-        sub = BasisSet(states=basis.states[:10], cutoff=basis.cutoff, config=PAPER_2D)
-        # quanta is derived: neither compared nor hashed.
-        with_quanta = BasisSet(states=basis.states[:10], cutoff=basis.cutoff,
-                               config=PAPER_2D, quanta=basis.quanta[:10])
-        assert sub == with_quanta and hash(sub) == hash(with_quanta)
-        assert np.array_equal(sub.quanta, basis.quanta[:10])
+        sub = BasisSet(quanta=basis.quanta[:10], cutoff=basis.cutoff, config=PAPER_2D)
+        assert sub.size == 10
         assert np.array_equal(sub.energies(), basis.energies()[:10])
         full = build_matrices(basis, PAPER_2D, 500).coupling
         assert np.array_equal(build_matrices(sub, PAPER_2D, 500).coupling, full[:10, :10])
@@ -248,9 +243,10 @@ class TestBuildMatrices:
     def test_matches_scalar_elements(self, cfg, e_cut):
         basis = enumerate_basis(cfg, e_cut)
         sysm = build_matrices(basis, cfg, 500)
-        expected = np.array([[coupling_coefficient(m, n, cfg) for n in basis.states]
-                             for m in basis.states])
-        source = np.array([source_coefficient(n, cfg) for n in basis.states])
+        states = basis.quanta.tolist()
+        expected = np.array([[coupling_coefficient(m, n, cfg) for n in states]
+                             for m in states])
+        source = np.array([source_coefficient(n, cfg) for n in states])
         assert basis.size >= 30
         assert np.array_equal(sysm.coupling, sysm.coupling.T)
         for actual, wanted in ((sysm.coupling, expected), (sysm.source, source),

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from trapbose.cli import RunConfig, main, parse_config, run, validate
+from trapbose.cli import RunConfig, _scaling_ratio_ok, main, parse_config, run, validate
 from trapbose.errors import ConfigError
 
 REFERENCE_CSV = Path(__file__).resolve().parents[1] / "benchmarks" / "reference" / "ref1d-p1.csv"
@@ -54,6 +54,15 @@ class TestParseConfig:
         assert config.output_path == "result.csv"
         assert config.emit_diagnostics is True
         assert parse_config("emit_diagnostics = 0").emit_diagnostics is False
+
+    def test_emit_diagnostics_values(self):
+        for word in ("1", "TRUE", "Yes"):
+            assert parse_config(f"emit_diagnostics = {word}").emit_diagnostics is True
+        for word in ("0", "False", "NO"):
+            assert parse_config(f"emit_diagnostics = {word}").emit_diagnostics is False
+        for word in ("on", "ture", ""):
+            with pytest.raises(ConfigError, match="line 2"):
+                parse_config(f"e_cut = 10\nemit_diagnostics = {word}")
 
     def test_negative_g_rejected(self):
         with pytest.raises(ConfigError):
@@ -158,6 +167,19 @@ class TestValidate:
         assert passed
         assert report.count("PASS") == 5
         assert "FAIL" not in report
+
+    def test_zero_coupling_passes(self, tmp_path, capsys):
+        # At g = 0 the lambda^3 differences and residuals are all exactly 0.
+        config = tmp_path / "free.cfg"
+        config.write_text("g = 0\ne_cut = 40\nt_max = 5\n")
+        assert main(["--config", str(config), "--validate"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("PASS") == 5
+        assert "FAIL" not in out
+
+    def test_scaling_ratio_zero_denominator(self):
+        assert _scaling_ratio_ok([0.0, 0.0, 0.0], 6.0, 10.0)[0]
+        assert not _scaling_ratio_ok([8.0, 0.0], 6.0, 10.0)[0]
 
 
 class TestMainExitStatus:

@@ -78,12 +78,6 @@ class TestPerturbativeXY:
         _, _, chi, upsilon, _ = perturbative_xy(sysm)
         assert np.array_equal(upsilon, 2.0 * chi)
 
-    def test_order1_drops_second_order_terms(self):
-        sysm = system(8.0)
-        x1, y1, _, upsilon, _ = perturbative_xy(sysm, order=1)
-        assert np.array_equal(x1, np.eye(sysm.size))
-        assert np.allclose(y1, sysm.lam * upsilon)
-
     def test_printed_y_is_asymmetric(self):
         sol = solve_perturbative(system(8.0), 1000)
         assert sol.y_asymmetry > 0.0
@@ -107,11 +101,6 @@ class TestSpectrumMatrix:
         expected = 1.0 + 0.4 * C11 - 0.02 * C11**2
         assert spectrum_matrix(sysm)[0, 0] == pytest.approx(expected, abs=1e-12)
         assert expected == pytest.approx(1.3387828, abs=1e-7)
-
-    def test_first_order_diagonal(self):
-        sysm = system(6.0)
-        mat = spectrum_matrix(sysm, order=1)
-        assert np.allclose(np.diag(mat), sysm.energies + 0.4 * np.diag(sysm.coupling))
 
     def test_interaction_shifts_levels_up(self):
         sysm = system(15.0)
@@ -155,7 +144,6 @@ class TestSolvePerturbative:
         sol = solve_perturbative(sysm, 1000)
         assert sol.levels.shape == (sysm.size,)
         assert np.all(sol.levels > 0.0)
-        assert sol.order == 2
         assert np.allclose(sol.spectrum, spectrum_matrix(sysm))
 
     def test_free_theory_levels_exact(self):

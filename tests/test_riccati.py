@@ -146,7 +146,7 @@ class TestSymmetricBranch:
         factor = data.draw(arrays(float, (n, n), elements=st.floats(-1.0, 1.0)))
         lam = data.draw(st.floats(0.0, 1.0))
         sysm = SystemMatrices(energies=energies, coupling=factor @ factor.T,
-                              source=np.zeros(n), lam=lam, basis=None)
+                              source=np.zeros(n), lam=lam)
         prob = RiccatiProblem.from_system(sysm)
         sol = solve_xy(prob)
         assert max(sol.anomalous_r1, sol.anomalous_r2) <= 1e-10

@@ -29,6 +29,11 @@ SUM_OCCUPATION = sum(1.0 / math.expm1(n) for n in range(1, 700))
 SUM_ENERGY = sum(n / math.expm1(n) for n in range(1, 700))
 
 
+def solve_at(cfg, basis, temperature, **kwargs):
+    """solve_n0 with a fresh first-order level model."""
+    return solve_n0(SpectrumModel(cfg, basis), temperature, **kwargs)
+
+
 class TestOccupation:
     def test_log2_ratio_gives_unity(self):
         assert occupation(math.log(2.0), 1.0) == pytest.approx(1.0, rel=1e-14)
@@ -75,52 +80,52 @@ class TestExcitedCount:
 
 class TestEnergyExcess:
     def test_single_level(self):
-        point = solve_n0(IDEAL, enumerate_basis(IDEAL, 40.0), 1e-3)
+        point = solve_at(IDEAL, enumerate_basis(IDEAL, 40.0), 1e-3)
         assert point.energy_excess == pytest.approx(0.0, abs=1e-200)
 
     def test_ideal_ladder_oracle(self):
         basis = enumerate_basis(IDEAL, 699.0)
-        point = solve_n0(IDEAL, basis, 1.0)
+        point = solve_at(IDEAL, basis, 1.0)
         assert point.energy_excess == pytest.approx(SUM_ENERGY, rel=1e-12)
         assert SUM_ENERGY == pytest.approx(1.1866007335148923, abs=1e-12)
 
     def test_recompute_matches_stored(self):
         basis = enumerate_basis(CFG, 100.0)
-        point = solve_n0(CFG, basis, 20.0)
+        point = solve_at(CFG, basis, 20.0)
         assert energy_excess(point) == pytest.approx(point.energy_excess, rel=1e-14)
 
 
 class TestSolveN0:
     def test_ideal_gas_decouples(self):
         basis = enumerate_basis(IDEAL, 400.0)
-        point = solve_n0(IDEAL, basis, 50.0)
+        point = solve_at(IDEAL, basis, 50.0)
         expected = 1000.0 - excited_count(basis.energies(), 50.0)
         assert point.n0 == pytest.approx(expected, abs=1e-6)
         assert point.lam == 0.0
 
     def test_low_temperature_full_condensate(self):
-        point = solve_n0(CFG, enumerate_basis(CFG, 50.0), 1e-2)
+        point = solve_at(CFG, enumerate_basis(CFG, 50.0), 1e-2)
         assert point.n0 == pytest.approx(1000.0, abs=1e-6)
 
     def test_particle_conservation(self):
         basis = enumerate_basis(CFG, 400.0)
         model = SpectrumModel(CFG, basis)
         for temperature in (10.0, 60.0, 120.0):
-            point = solve_n0(CFG, basis, temperature, model=model, tol=1e-10)
+            point = solve_n0(model, temperature, tol=1e-10)
             total = point.n0 + excited_count(model.levels(point.n0), temperature)
             assert abs(total - 1000.0) < 1e-10 * 1000.0 * 10.0
 
     def test_interacting_condensate_above_ideal(self):
         basis = enumerate_basis(CFG, 400.0)
         for temperature in (60.0, 120.0):
-            interacting = solve_n0(CFG, basis, temperature)
-            ideal = solve_n0(IDEAL, basis, temperature)
+            interacting = solve_at(CFG, basis, temperature)
+            ideal = solve_at(IDEAL, basis, temperature)
             assert interacting.n0 >= ideal.n0
-        assert solve_n0(CFG, basis, 120.0).n0 > solve_n0(IDEAL, basis, 120.0).n0 + 1.0
+        assert solve_at(CFG, basis, 120.0).n0 > solve_at(IDEAL, basis, 120.0).n0 + 1.0
 
     def test_normal_phase_extension(self):
         basis = enumerate_basis(CFG, 400.0)
-        point = solve_n0(CFG, basis, 190.0)
+        point = solve_at(CFG, basis, 190.0)
         assert point.normal_phase
         assert point.n0 == 0.0
         assert point.lam == 0.0
@@ -136,7 +141,7 @@ class TestSolveN0:
         cfg = TrapConfig(g=g)
         basis = enumerate_basis(cfg, 30.0)
         model = SpectrumModel(cfg, basis, kind=kind)
-        point = solve_n0(cfg, basis, temperature, model=model)
+        point = solve_n0(model, temperature)
         if not point.normal_phase:
             excited = excited_count(model.levels(point.n0), temperature)
             assert abs(1000.0 - point.n0 - excited) <= 1e-9 * 1000.0
@@ -149,8 +154,8 @@ class TestSolveN0:
         freed = weakref.ref(model)
         gc.disable()
         try:
-            assert not solve_n0(CFG, basis, 20.0, model=model).normal_phase
-            assert solve_n0(CFG, basis, 190.0, model=model).normal_phase
+            assert not solve_n0(model, 20.0).normal_phase
+            assert solve_n0(model, 190.0).normal_phase
             del model
             assert freed() is None
         finally:
@@ -159,9 +164,9 @@ class TestSolveN0:
     def test_rejects_bad_arguments(self):
         basis = enumerate_basis(CFG, 10.0)
         with pytest.raises(ValueError):
-            solve_n0(CFG, basis, -1.0)
+            solve_at(CFG, basis, -1.0)
         with pytest.raises(ValueError):
-            solve_n0(CFG, basis, 1.0, tol=0.0)
+            solve_at(CFG, basis, 1.0, tol=0.0)
 
 
 class TestSpectrumModel:
@@ -194,8 +199,31 @@ class TestSweep:
         grid = [5.0, 10.0, 20.0]
         curve = sweep(IDEAL, basis, grid)
         for temperature, point in zip(grid, curve.points):
-            single = solve_n0(IDEAL, basis, temperature)
+            single = solve_at(IDEAL, basis, temperature)
             assert point.n0 == pytest.approx(single.n0, abs=1e-6)
+
+    def test_ideal_kind_ignores_g(self):
+        # The ideal kind sweeps the bare levels whatever g the config holds:
+        # lambda is 0 and n0 is that of a g = 0 sweep.
+        basis = enumerate_basis(CFG, 200.0)
+        grid = [10.0, 50.0, 100.0]
+        ideal = sweep(CFG, basis, grid, solver_kind="ideal")
+        bare = sweep(IDEAL, basis, grid)
+        for point, ref in zip(ideal.points, bare.points):
+            assert point.lam == 0.0
+            assert point.n0 == ref.n0
+
+    @settings(deadline=None)
+    @given(kind=st.sampled_from(thermo.SOLVER_KINDS), g=st.floats(0.0, 5e-4),
+           temperatures=st.lists(st.floats(0.1, 30.0 / 8.0), min_size=2, max_size=5,
+                                 unique=True))
+    def test_fraction_non_increasing_property(self, kind, g, temperatures):
+        # Inside the cutoff-converged window T <= e_cut/8.
+        cfg = TrapConfig(g=g)
+        curve = sweep(cfg, enumerate_basis(cfg, 30.0), sorted(temperatures),
+                      solver_kind=kind)
+        assert all(p.converged for p in curve.points)
+        assert curve.monotone_within(1e-9)
 
     def test_cold_start_agrees(self):
         # A point of an interacting sweep does not depend on the points
@@ -212,9 +240,9 @@ class TestSweep:
         # Benchmarks time each point by wrapping the module-global solve_n0.
         calls = []
 
-        def counting(cfg, basis, temperature, **kwargs):
+        def counting(model, temperature, **kwargs):
             calls.append(temperature)
-            return solve_n0(cfg, basis, temperature, **kwargs)
+            return solve_n0(model, temperature, **kwargs)
 
         monkeypatch.setattr(thermo, "solve_n0", counting)
         grid = [10.0, 100.0, 190.0]
@@ -238,7 +266,7 @@ class TestSweep:
         phases = []
         for temperature in (1.0, 5.0, 15.0, 400.0):
             calls.clear()
-            point = solve_n0(CFG, basis, temperature, model=model)
+            point = solve_n0(model, temperature)
             phases.append(point.normal_phase)
             assert len(calls) == (1 if point.normal_phase else point.iterations + 1)
         assert phases == [False, False, False, True]
@@ -295,6 +323,6 @@ class TestTruncationStability:
         basis = enumerate_basis(CFG, 400.0)
         doubled = enumerate_basis(CFG, 800.0)
         for temperature in (10.0, 30.0, 50.0):
-            a = solve_n0(CFG, basis, temperature)
-            b = solve_n0(CFG, doubled, temperature)
+            a = solve_at(CFG, basis, temperature)
+            b = solve_at(CFG, doubled, temperature)
             assert abs(a.n0 - b.n0) / 1000.0 < 1e-4
