@@ -31,7 +31,6 @@ from .errors import (
 from .perturbative import (
     PerturbativeSolution,
     constraint_residual,
-    first_order_levels,
     perturbative_xy,
     quasiparticle_levels,
     shift_vector,

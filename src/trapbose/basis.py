@@ -29,7 +29,7 @@ def oscillator_energy(n, cfg: TrapConfig):
 
 @dataclass(frozen=True, eq=False)
 class BasisSet:
-    """Ordered excited-state basis: all n != 0 with energy <= cutoff.
+    """Ordered excited states (n != 0) of the trap in config.
 
     quanta is a read-only (size, D) integer array, one state per row.
     Ordering is (energy, lexicographic row), so two runs with identical
@@ -37,7 +37,6 @@ class BasisSet:
     """
 
     quanta: np.ndarray
-    cutoff: float
     config: TrapConfig
 
     @property
@@ -82,7 +81,7 @@ def enumerate_basis(cfg: TrapConfig, e_cut):
     # lexsort's last key is the primary one: energy, then n_1, ..., n_D.
     quanta = quanta[np.lexsort((*quanta.T[::-1], energies))]
     quanta.flags.writeable = False
-    return BasisSet(quanta=quanta, cutoff=float(e_cut), config=cfg)
+    return BasisSet(quanta=quanta, config=cfg)
 
 
 def _log_prefactor(cfg: TrapConfig):
@@ -164,16 +163,17 @@ def _coupling_array(m, n, cfg: TrapConfig):
     return np.where(even, np.where(negative, -1.0, 1.0) * np.exp(log_mag), 0.0)
 
 
-def diagonal_coupling(basis: BasisSet, cfg: TrapConfig):
-    """Vector of diagonal elements c_nn (always positive).
+def diagonal_coupling(basis: BasisSet):
+    """Vector of diagonal elements c_nn (always positive) in basis.config's trap.
 
     Cheap path for the first-order level formula; avoids the full matrix.
     """
-    return _coupling_array(basis.quanta, basis.quanta, cfg)
+    return _coupling_array(basis.quanta, basis.quanta, basis.config)
 
 
-def build_matrices(basis: BasisSet, cfg: TrapConfig, n0):
-    """Assemble SystemMatrices for condensate occupation n0."""
+def build_matrices(basis: BasisSet, n0):
+    """Assemble SystemMatrices for condensate occupation n0 in basis.config."""
+    cfg = basis.config
     if basis.size == 0:
         raise EmptyBasisError("basis is empty")
     if not 0.0 <= n0 <= cfg.n_particles:

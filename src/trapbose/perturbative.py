@@ -69,11 +69,6 @@ def spectrum_matrix(sys: SystemMatrices):
     return result
 
 
-def first_order_levels(sys: SystemMatrices):
-    """Diagonal level formula eps_n + 4*lambda*c_nn, sorted ascending."""
-    return np.sort(sys.energies + 4.0 * sys.lam * np.diag(sys.coupling))
-
-
 def quasiparticle_levels(mat):
     """Real eigenvalue spectrum of a (generally non-symmetric) matrix.
 

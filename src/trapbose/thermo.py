@@ -56,22 +56,25 @@ class SpectrumModel:
     perturbative2  -- eigenvalues of the second-order spectrum matrix.
     riccati        -- closed-form Bogoliubov levels of the symmetric branch.
 
-    model.cfg gives N and lambda = g*N0/2 to the loop; at lambda = 0 every
-    kind returns the bare levels.
+    cfg must describe the trap of basis.config; it gives N and lambda = g*N0/2
+    to the loop.  At lambda = 0 every kind returns the bare levels.
     """
 
     def __init__(self, cfg: TrapConfig, basis: BasisSet, kind="perturbative1"):
         if kind not in SOLVER_KINDS:
             raise ValueError(f"unknown solver kind {kind!r}; expected one of {SOLVER_KINDS}")
+        trap = basis.config
+        if (cfg.frequencies, cfg.mass, cfg.hbar) != (trap.frequencies, trap.mass, trap.hbar):
+            raise ValueError(f"cfg and basis.config are different traps: {cfg} vs {trap}")
         self.cfg = replace(cfg, g=0.0) if kind == "ideal" else cfg
         self.kind = kind
         self._energies = basis.energies()
         self._diag_c = None
         self._sys = None
         if kind == "perturbative1":
-            self._diag_c = diagonal_coupling(basis, cfg)
+            self._diag_c = diagonal_coupling(basis)
         elif kind in ("perturbative2", "riccati"):
-            self._sys = build_matrices(basis, cfg, 0.0)
+            self._sys = build_matrices(basis, 0.0)
 
     def levels(self, n0):
         lam = self.cfg.coupling_lambda(n0)
@@ -210,7 +213,8 @@ def sweep(cfg: TrapConfig, basis: BasisSet, t_grid, solver_kind="perturbative1",
     """One ThermoPoint per grid temperature, each solved on its own.
 
     A point whose solve raises a TrapBoseError is flagged as not converged
-    on the returned curve, and the sweep goes on.
+    on the returned curve, and the sweep goes on.  Raises ValueError when
+    cfg and basis.config describe different traps.
     """
     t_grid = [float(t) for t in t_grid]
     if any(t <= 0.0 for t in t_grid):

@@ -40,7 +40,7 @@ def report(name, ok):
 
 
 def system_at(e_cut, lam):
-    sysm = build_matrices(enumerate_basis(CFG, e_cut), CFG, N)
+    sysm = build_matrices(enumerate_basis(CFG, e_cut), N)
     return replace(sysm, lam=lam)
 
 
@@ -62,11 +62,11 @@ def test_matrix_element_oracle():
 def test_free_theory_regression():
     start = time.perf_counter()
     basis = enumerate_basis(IDEAL, 400.0)
-    sysm = build_matrices(basis, IDEAL, N)
+    sysm = build_matrices(basis, N)
     x, y, *_ = perturbative_xy(sysm)
     identity_ok = np.array_equal(x, np.eye(sysm.size)) and np.max(np.abs(y)) == 0.0
     sol = solve_xy(RiccatiProblem.from_system(build_matrices(
-        enumerate_basis(IDEAL, 20.0), IDEAL, N)))
+        enumerate_basis(IDEAL, 20.0), N)))
     identity_ok &= np.max(np.abs(sol.y)) == 0.0
     levels_ok = np.array_equal(
         np.sort(quasiparticle_levels(spectrum_matrix(sysm))), np.sort(sysm.energies))
@@ -156,7 +156,7 @@ def test_truncation_convergence():
 
 
 def test_linear_term_elimination():
-    sysm = build_matrices(enumerate_basis(CFG, 20.0), CFG, N)
+    sysm = build_matrices(enumerate_basis(CFG, 20.0), N)
     z = shift_vector(sysm, N)
     residual = (sysm.energies * z + 6.0 * sysm.lam * sysm.coupling @ z
                 + 2.0 * sysm.lam * math.sqrt(N) * sysm.source)

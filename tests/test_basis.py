@@ -142,11 +142,11 @@ class TestEnumerateBasis:
 
     def test_hand_built_subset(self):
         basis = enumerate_basis(PAPER_2D, 12.0)
-        sub = BasisSet(quanta=basis.quanta[:10], cutoff=basis.cutoff, config=PAPER_2D)
+        sub = BasisSet(quanta=basis.quanta[:10], config=PAPER_2D)
         assert sub.size == 10
         assert np.array_equal(sub.energies(), basis.energies()[:10])
-        full = build_matrices(basis, PAPER_2D, 500).coupling
-        assert np.array_equal(build_matrices(sub, PAPER_2D, 500).coupling, full[:10, :10])
+        full = build_matrices(basis, 500).coupling
+        assert np.array_equal(build_matrices(sub, 500).coupling, full[:10, :10])
 
 
 class TestCouplingCoefficient:
@@ -201,7 +201,7 @@ class TestCouplingCoefficient:
         for cfg, e_cut in ((PAPER_1D, 29.5), (PAPER_2D, 40.0)):
             basis = enumerate_basis(cfg, e_cut)
             assert np.all(basis.energies() > 0.0)
-            assert np.all(diagonal_coupling(basis, cfg) > 0.0)
+            assert np.all(diagonal_coupling(basis) > 0.0)
 
     def test_large_indices_do_not_overflow(self):
         value = coupling_coefficient((60,), (60,), PAPER_1D)
@@ -211,7 +211,7 @@ class TestCouplingCoefficient:
 class TestBuildMatrices:
     def test_reference_two_state_assembly(self):
         basis = enumerate_basis(PAPER_1D, 2.5)
-        sysm = build_matrices(basis, PAPER_1D, 1000)
+        sysm = build_matrices(basis, 1000)
         assert np.allclose(sysm.energies, [1.0, 2.0])
         expected_c = np.array([[math.sqrt(math.pi) / 2.0, 0.0],
                                [0.0, 3.0 * math.sqrt(math.pi) / 8.0]])
@@ -222,18 +222,18 @@ class TestBuildMatrices:
 
     def test_zero_interaction_means_zero_lambda(self):
         cfg = TrapConfig(g=0.0)
-        sysm = build_matrices(enumerate_basis(cfg, 5.0), cfg, 700)
+        sysm = build_matrices(enumerate_basis(cfg, 5.0), 700)
         assert sysm.lam == 0.0
 
     def test_coupling_exactly_symmetric(self):
         basis = enumerate_basis(PAPER_2D, 6.0)
-        sysm = build_matrices(basis, PAPER_2D, 500)
+        sysm = build_matrices(basis, 500)
         assert np.array_equal(sysm.coupling, sysm.coupling.T)
 
     def test_diagonal_coupling_matches_full(self):
         basis = enumerate_basis(PAPER_1D, 8.0)
-        sysm = build_matrices(basis, PAPER_1D, 1000)
-        assert np.allclose(diagonal_coupling(basis, PAPER_1D), np.diag(sysm.coupling))
+        sysm = build_matrices(basis, 1000)
+        assert np.allclose(diagonal_coupling(basis), np.diag(sysm.coupling))
 
     @pytest.mark.parametrize("cfg, e_cut", [
         (TrapConfig(hbar=0.7, mass=3.0), 30.0),
@@ -242,7 +242,7 @@ class TestBuildMatrices:
     ])
     def test_matches_scalar_elements(self, cfg, e_cut):
         basis = enumerate_basis(cfg, e_cut)
-        sysm = build_matrices(basis, cfg, 500)
+        sysm = build_matrices(basis, 500)
         states = basis.quanta.tolist()
         expected = np.array([[coupling_coefficient(m, n, cfg) for n in states]
                              for m in states])
@@ -250,7 +250,7 @@ class TestBuildMatrices:
         assert basis.size >= 30
         assert np.array_equal(sysm.coupling, sysm.coupling.T)
         for actual, wanted in ((sysm.coupling, expected), (sysm.source, source),
-                               (diagonal_coupling(basis, cfg), np.diag(expected))):
+                               (diagonal_coupling(basis), np.diag(expected))):
             assert np.array_equal(actual == 0.0, wanted == 0.0)
             assert np.allclose(actual, wanted, rtol=1e-14, atol=0.0)
         assert np.count_nonzero(source) > 0
@@ -258,7 +258,7 @@ class TestBuildMatrices:
     def test_n0_out_of_range(self):
         basis = enumerate_basis(PAPER_1D, 2.5)
         with pytest.raises(ValueError):
-            build_matrices(basis, PAPER_1D, 2000)
+            build_matrices(basis, 2000)
 
 
 class TestQuadratureOracle:

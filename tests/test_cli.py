@@ -177,6 +177,14 @@ class TestValidate:
         assert out.count("PASS") == 5
         assert "FAIL" not in out
 
+    def test_truncation_doubling_fails_without_probe(self, tmp_path, capsys):
+        # No grid temperature lies at or below e_cut/8, so nothing is probed.
+        config = tmp_path / "hot.cfg"
+        config.write_text("e_cut = 40\nt_min = 6\nt_max = 9\n")
+        assert main(["--config", str(config), "--validate"]) == 2
+        out = capsys.readouterr().out
+        assert "FAIL truncation-doubling: no grid temperature <= e_cut/8 (= 5)\n" in out
+
     def test_scaling_ratio_zero_denominator(self):
         assert _scaling_ratio_ok([0.0, 0.0, 0.0], 6.0, 10.0)[0]
         assert not _scaling_ratio_ok([8.0, 0.0], 6.0, 10.0)[0]

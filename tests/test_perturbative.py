@@ -6,11 +6,11 @@ import pytest
 
 from trapbose import (
     ComplexSpectrumError,
+    SpectrumModel,
     TrapConfig,
     build_matrices,
     constraint_residual,
     enumerate_basis,
-    first_order_levels,
     perturbative_xy,
     quasiparticle_levels,
     shift_vector,
@@ -23,7 +23,7 @@ C11 = math.sqrt(math.pi) / 2.0
 
 
 def system(e_cut, lam=None, n0=1000):
-    sysm = build_matrices(enumerate_basis(CFG, e_cut), CFG, n0)
+    sysm = build_matrices(enumerate_basis(CFG, e_cut), n0)
     if lam is not None:
         sysm = replace(sysm, lam=lam)
     return sysm
@@ -103,9 +103,9 @@ class TestSpectrumMatrix:
         assert expected == pytest.approx(1.3387828, abs=1e-7)
 
     def test_interaction_shifts_levels_up(self):
-        sysm = system(15.0)
-        levels = first_order_levels(sysm)
-        assert np.all(levels > np.sort(sysm.energies))
+        basis = enumerate_basis(CFG, 15.0)
+        levels = SpectrumModel(CFG, basis, kind="perturbative1").levels(1000)
+        assert np.all(np.sort(levels) > np.sort(basis.energies()))
 
 
 class TestQuasiparticleLevels:

@@ -29,7 +29,7 @@ CFG = TrapConfig()
 
 
 def system(e_cut, lam):
-    sysm = build_matrices(enumerate_basis(CFG, e_cut), CFG, 1000)
+    sysm = build_matrices(enumerate_basis(CFG, e_cut), 1000)
     return replace(sysm, lam=lam)
 
 
@@ -185,7 +185,7 @@ class TestIsotropicTrap:
     @staticmethod
     def system(frequencies, lam=0.1, e_cut=6.5):
         cfg = TrapConfig(dimension=2, frequencies=frequencies)
-        return replace(build_matrices(enumerate_basis(cfg, e_cut), cfg, 1000), lam=lam)
+        return replace(build_matrices(enumerate_basis(cfg, e_cut), 1000), lam=lam)
 
     def test_closed_form_eliminates_anomalous_terms(self):
         sol = solve_xy(RiccatiProblem.from_system(self.system((1.0, 1.0))))

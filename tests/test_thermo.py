@@ -9,14 +9,19 @@ from hypothesis import strategies as st
 
 import trapbose.thermo as thermo
 from trapbose import (
+    RiccatiProblem,
     SpectrumModel,
     TrapConfig,
     UnstableSpectrumError,
+    bogoliubov_levels,
+    build_matrices,
     energy_excess,
     enumerate_basis,
     excited_count,
     occupation,
+    quasiparticle_levels,
     solve_n0,
+    spectrum_matrix,
     sweep,
 )
 
@@ -174,14 +179,42 @@ class TestSpectrumModel:
         with pytest.raises(ValueError):
             SpectrumModel(CFG, enumerate_basis(CFG, 5.0), kind="exact")
 
-    def test_first_order_levels(self):
-        basis = enumerate_basis(CFG, 10.0)
-        model = SpectrumModel(CFG, basis, kind="perturbative1")
-        lam = CFG.coupling_lambda(500.0)
-        from trapbose import diagonal_coupling
+    @pytest.mark.parametrize("n0", [1.0, 250.0, 1000.0])
+    @pytest.mark.parametrize("cfg, e_cut", [
+        (CFG, 60.0),
+        (TrapConfig(dimension=2, frequencies=(1.0, math.sqrt(2.0))), 12.0),
+        (TrapConfig(dimension=2, frequencies=(1.0, 1.0)), 10.0),
+    ], ids=["1d", "2d-aniso", "2d-iso"])
+    @pytest.mark.parametrize("kind", ["perturbative1", "perturbative2", "riccati"])
+    def test_levels_match_direct_evaluation(self, kind, cfg, e_cut, n0):
+        basis = enumerate_basis(cfg, e_cut)
+        sysm = build_matrices(basis, n0)
+        if kind == "perturbative1":
+            expected = sysm.energies + 4.0 * sysm.lam * np.diag(sysm.coupling)
+        elif kind == "perturbative2":
+            expected = quasiparticle_levels(spectrum_matrix(sysm))
+        else:
+            expected = bogoliubov_levels(RiccatiProblem.from_system(sysm))
+        assert np.array_equal(SpectrumModel(cfg, basis, kind=kind).levels(n0), expected)
 
-        expected = basis.energies() + 4.0 * lam * diagonal_coupling(basis, CFG)
-        assert np.allclose(model.levels(500.0), expected)
+    @pytest.mark.parametrize("cfg, basis_cfg", [
+        (TrapConfig(frequencies=(2.0,)), CFG),
+        (TrapConfig(mass=1.0), CFG),
+        (CFG, TrapConfig(dimension=2, frequencies=(1.0, 1.5))),
+        (TrapConfig(dimension=2, frequencies=(1.0, 1.5)), CFG),
+    ], ids=["omega", "mass", "1d-cfg-2d-basis", "2d-cfg-1d-basis"])
+    def test_trap_must_match_basis(self, cfg, basis_cfg):
+        basis = enumerate_basis(basis_cfg, 10.0)
+        with pytest.raises(ValueError, match="different traps"):
+            SpectrumModel(cfg, basis)
+        with pytest.raises(ValueError, match="different traps"):
+            sweep(cfg, basis, [5.0])
+
+    def test_coupling_may_differ_from_basis(self):
+        cfg = TrapConfig(g=1e-4, n_particles=500)
+        curve = sweep(cfg, enumerate_basis(CFG, 50.0), [5.0])
+        assert curve.config is cfg
+        assert 0.0 < curve.points[0].n0 <= 500.0
 
     def test_branches_agree_at_weak_coupling(self):
         basis = enumerate_basis(CFG, 10.0)
