@@ -13,6 +13,7 @@ from .basis import (
     diagonal_coupling,
     enumerate_basis,
     oscillator_energy,
+    parity_sectors,
     quadrature_oracle_element,
     source_coefficient,
 )
@@ -33,6 +34,7 @@ from .perturbative import (
     constraint_residual,
     perturbative_xy,
     quasiparticle_levels,
+    second_order_term,
     shift_vector,
     solve_perturbative,
     spectrum_matrix,

@@ -6,6 +6,7 @@ coefficients c_mn (coupling matrix C) and d_n (source vector d), which obey
 a per-dimension parity selection rule.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -188,6 +189,33 @@ def build_matrices(basis: BasisSet, n0):
     )
 
 
+def parity_sectors(basis: BasisSet):
+    """The coupling matrix as blocks of its parity sectors, stacked by size.
+
+    c_mn vanishes unless m_j + n_j is even in every dimension, so the states
+    split into at most 2^D sectors, keyed by sum_j (n_j mod 2) 2^j, with no
+    coupling between them.  Sectors of equal size m are stacked: for each
+    size, ascending, one pair (index, coupling) of shapes (k, m) and
+    (k, m, m), where row i of index holds the basis indices of one sector in
+    basis order.  Each block equals the matching block of
+    build_matrices(basis, n0).coupling element for element.
+    """
+    if basis.size == 0:
+        raise EmptyBasisError("basis is empty")
+    quanta = basis.quanta
+    key = (quanta % 2) @ (1 << np.arange(quanta.shape[1]))
+    order = np.argsort(key, kind="stable")
+    sizes = np.bincount(key)
+    starts = np.cumsum(sizes) - sizes
+    stacks = []
+    for m in sorted(set(sizes.tolist()) - {0}):
+        index = order[starts[sizes == m][:, None] + np.arange(m)]
+        block = quanta[index]
+        stacks.append((index, _coupling_array(block[..., :, None, :], block[..., None, :, :],
+                                              basis.config)))
+    return stacks
+
+
 def _hermite_functions(order, xi):
     """Gaussian-free normalized Hermite-function values psi_n(xi)*exp(xi^2/2)
     for n = 0..order, by the stable three-term recurrence."""
@@ -201,6 +229,15 @@ def _hermite_functions(order, xi):
             - math.sqrt(k / (k + 1.0)) * values[k - 1]
         )
     return values
+
+
+@functools.lru_cache(maxsize=None)
+def _hermgauss(order):
+    # At most ORACLE_MAX_INDEX + 1 orders exist; a --validate run on a 3D trap
+    # asks for the same few rules 46,875 times.
+    nodes, weights = np.polynomial.hermite.hermgauss(order)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def quadrature_oracle_element(m, n, cfg: TrapConfig):
@@ -218,7 +255,7 @@ def quadrature_oracle_element(m, n, cfg: TrapConfig):
     result = 1.0
     for mj, nj, w in zip(m, n, cfg.frequencies):
         order = 2 * max(mj, nj) + 20
-        nodes, weights = np.polynomial.hermite.hermgauss(order)
+        nodes, weights = _hermgauss(order)
         xi = nodes / math.sqrt(2.0)
         psi = _hermite_functions(max(mj, nj), xi)
         # The four Gaussian envelopes combine to exp(-2 xi^2) = exp(-u^2),

@@ -182,11 +182,13 @@ def validate(config: RunConfig):
                 np.max(np.abs(grid_sys.source - oracle[0, 1:])))
     lines.append(_check("matrix-element-oracle", worst < 1e-10, f"max delta {worst:.3e}"))
 
-    # The next three checks share the lowest (at most) 10 states, at the
-    # full coupling and at half and a quarter of it.
+    # The next three checks share the lowest (at most) 10 states.  The two
+    # lambda^3 checks probe a quarter, an eighth and a sixteenth of the full
+    # coupling: their ratios tend to 8 only as lambda shrinks, and at the
+    # full coupling of an anisotropic or 3D trap they fall below 6.
     sub_basis = basis_mod.BasisSet(quanta=basis.quanta[:10], config=trap)
     sub_sys = basis_mod.build_matrices(sub_basis, trap.n_particles)
-    scaled = [replace(sub_sys, lam=sub_sys.lam * scale) for scale in (1.0, 0.5, 0.25)]
+    scaled = [replace(sub_sys, lam=sub_sys.lam * scale) for scale in (0.25, 0.125, 0.0625)]
     pairs = [perturbative_xy(sys_m)[:2] for sys_m in scaled]
 
     # Perturbative X, Y against the general-generator Riccati branch.

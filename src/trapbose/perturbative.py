@@ -20,9 +20,9 @@ DEFAULT_IMAG_TOL = 1e-8
 CONDITION_LIMIT = 1e12
 
 
-def _einv_apply(sys: SystemMatrices, mat):
+def _einv_apply(energies, mat):
     # Einv is diagonal: row scaling, never an explicit inverse matrix product.
-    return mat / sys.energies[:, None]
+    return mat / energies[..., :, None]
 
 
 def shift_vector(sys: SystemMatrices, n0):
@@ -45,7 +45,7 @@ def perturbative_xy(sys: SystemMatrices):
     """Weak-coupling X, Y to second order in lambda, and the expansion
     matrices: (X, Y, chi, upsilon, upsilon1)."""
     lam = sys.lam
-    einv_c = _einv_apply(sys, sys.coupling)
+    einv_c = _einv_apply(sys.energies, sys.coupling)
     chi = -0.5 * einv_c
     upsilon = 2.0 * chi
     upsilon1 = 4.0 * einv_c @ einv_c
@@ -54,28 +54,38 @@ def perturbative_xy(sys: SystemMatrices):
     return x, y, chi, upsilon, upsilon1
 
 
-def spectrum_matrix(sys: SystemMatrices):
-    """Spectrum matrix to O(lambda^2): E + 4*lambda*C plus the lambda^2
-    correction."""
-    lam = sys.lam
-    result = np.diag(sys.energies) + 4.0 * lam * sys.coupling
-    einv_c = _einv_apply(sys, sys.coupling)
-    correction = (
-        (einv_c @ einv_c) * sys.energies
-        - 3.0 * sys.coupling @ einv_c
-        - 2.0 * _einv_apply(sys, sys.coupling @ sys.coupling)
+def second_order_term(energies, coupling):
+    """The lambda-independent coefficient K of lambda^2 in the spectrum matrix.
+
+    energies (..., m) and coupling (..., m, m) are one basis or a stack of
+    blocks of one; K has the shape of coupling.
+    """
+    einv_c = _einv_apply(energies, coupling)
+    return 0.5 * (
+        (einv_c @ einv_c) * energies[..., None, :]
+        - 3.0 * coupling @ einv_c
+        - 2.0 * _einv_apply(energies, coupling @ coupling)
     )
-    result += 0.5 * lam**2 * correction
-    return result
 
 
-def quasiparticle_levels(mat):
-    """Real eigenvalue spectrum of a (generally non-symmetric) matrix.
+def spectrum_matrix(sys: SystemMatrices):
+    """Spectrum matrix to O(lambda^2): E + 4*lambda*C + lambda^2*K."""
+    lam = sys.lam
+    return (np.diag(sys.energies) + 4.0 * lam * sys.coupling
+            + lam**2 * second_order_term(sys.energies, sys.coupling))
+
+
+def quasiparticle_levels(*stacks):
+    """Real eigenvalue spectrum of one or more (generally non-symmetric)
+    matrices, each given alone or as a (..., m, m) stack; the eigenvalues of
+    all of them, sorted ascending.
 
     Raises ComplexSpectrumError when max|Im| exceeds DEFAULT_IMAG_TOL *
-    max|Re|, which signals a coupling beyond the perturbative regime.
+    max|Re|, both over all eigenvalues, which signals a coupling beyond the
+    perturbative regime.
     """
-    eigenvalues = np.linalg.eigvals(np.asarray(mat, dtype=float))
+    eigenvalues = np.concatenate(
+        [np.linalg.eigvals(np.asarray(mat, dtype=float)).ravel() for mat in stacks])
     scale = np.max(np.abs(eigenvalues.real))
     max_imag = np.max(np.abs(eigenvalues.imag)) if eigenvalues.size else 0.0
     if max_imag > DEFAULT_IMAG_TOL * scale:

@@ -46,7 +46,11 @@ DEFAULT_TOL = 1e-10
 
 @dataclass(frozen=True)
 class RiccatiProblem:
-    """Coefficient matrices A = E + 4*lambda*C and B = lambda*C."""
+    """Coefficient matrices A = E + 4*lambda*C and B = lambda*C.
+
+    A and B may also be (..., n, n) stacks of problems, which only
+    bogoliubov_levels accepts.
+    """
 
     a: np.ndarray
     b: np.ndarray
@@ -54,7 +58,7 @@ class RiccatiProblem:
     def __post_init__(self):
         a = np.asarray(self.a, dtype=float)
         b = np.asarray(self.b, dtype=float)
-        if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
+        if a.shape != b.shape or a.ndim < 2 or a.shape[-2] != a.shape[-1]:
             raise ValueError(f"A and B must be square and congruent, got {a.shape}, {b.shape}")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
@@ -68,7 +72,7 @@ class RiccatiProblem:
 
     @property
     def size(self):
-        return self.a.shape[0]
+        return self.a.shape[-1]
 
     def oscillator_energies(self):
         """Diagonal of E, recovered as diag(A - 4B)."""
@@ -161,19 +165,24 @@ def _positive_eigh(mat, name):
     return w, v
 
 
-def bogoliubov_levels(prob: RiccatiProblem):
-    """Quasiparticle levels of the symmetric branch, sorted ascending.
+def bogoliubov_levels(*problems):
+    """Quasiparticle levels of the symmetric branch of one or more problems,
+    each one alone or a stack; the levels of all of them, sorted ascending.
 
     sqrt(eigvalsh(L^T Q L)) with L = cholesky(P), P = A - 2B, Q = A + 2B:
     the square roots of the eigenvalues of P Q.  Raises NoSolutionError
-    when P or Q is not positive definite, the matrix form of the
+    when a P or Q is not positive definite, the matrix form of the
     |2b/a| < 1 condition of solve_1x1.
     """
-    try:
-        low = np.linalg.cholesky(prob.a - 2.0 * prob.b)
-    except np.linalg.LinAlgError as exc:
-        raise NoSolutionError("A - 2B is not positive definite") from exc
-    squares = np.linalg.eigvalsh(low.T @ (prob.a + 2.0 * prob.b) @ low)
+    squares = []
+    for prob in problems:
+        try:
+            low = np.linalg.cholesky(prob.a - 2.0 * prob.b)
+        except np.linalg.LinAlgError as exc:
+            raise NoSolutionError("A - 2B is not positive definite") from exc
+        q_in_low = np.swapaxes(low, -1, -2) @ (prob.a + 2.0 * prob.b) @ low
+        squares.append(np.linalg.eigvalsh(q_in_low).ravel())
+    squares = np.sort(np.concatenate(squares))
     if squares[0] <= 0.0:
         raise NoSolutionError(f"A + 2B is not positive definite (eigenvalue {squares[0]:.3g})")
     return np.sqrt(squares)

@@ -16,10 +16,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.optimize import brentq
 
-from .basis import BasisSet, build_matrices, diagonal_coupling
+from .basis import BasisSet, diagonal_coupling, parity_sectors
 from .config import TrapConfig
 from .errors import TrapBoseError, UnstableSpectrumError
-from .perturbative import quasiparticle_levels, spectrum_matrix
+from .perturbative import quasiparticle_levels, second_order_term
 from .riccati import RiccatiProblem, bogoliubov_levels
 
 SOLVER_KINDS = ("ideal", "perturbative1", "perturbative2", "riccati")
@@ -48,6 +48,11 @@ def excited_count(levels, temperature):
     return float(np.sum(occupation(levels, temperature)))
 
 
+def _read_only(array):
+    array.flags.writeable = False
+    return array
+
+
 class SpectrumModel:
     """Maps condensate occupation to quasiparticle levels for one solver branch.
 
@@ -56,8 +61,21 @@ class SpectrumModel:
     perturbative2  -- eigenvalues of the second-order spectrum matrix.
     riccati        -- closed-form Bogoliubov levels of the symmetric branch.
 
+    The dense kinds solve each parity sector of the basis on its own: C
+    does not couple sectors (basis.parity_sectors), so the spectrum matrix
+    and P, Q are block diagonal in them.  At construction the model keeps,
+    for each sector size m shared by k sectors, E as a (k, m, m) stack of
+    diagonal matrices, the in-sector C blocks as a (k, m, m) stack, and for
+    perturbative2 the lambda^2 term K of the spectrum matrix.  A levels call
+    is then one batched eigen-solve per sector size, and the levels of all
+    sectors are returned sorted ascending.  The full-matrix path
+    (build_matrices -> spectrum_matrix or RiccatiProblem.from_system ->
+    quasiparticle_levels or bogoliubov_levels) gives the same levels and is
+    the tests' oracle for this one.
+
     cfg must describe the trap of basis.config; it gives N and lambda = g*N0/2
-    to the loop.  At lambda = 0 every kind returns the bare levels.
+    to the loop.  At lambda = 0 every kind returns the bare levels.  Every
+    array the model keeps is read-only, as its levels may be returned as is.
     """
 
     def __init__(self, cfg: TrapConfig, basis: BasisSet, kind="perturbative1"):
@@ -68,13 +86,19 @@ class SpectrumModel:
             raise ValueError(f"cfg and basis.config are different traps: {cfg} vs {trap}")
         self.cfg = replace(cfg, g=0.0) if kind == "ideal" else cfg
         self.kind = kind
-        self._energies = basis.energies()
+        self._energies = _read_only(basis.energies())
         self._diag_c = None
-        self._sys = None
+        self._stacks = None
         if kind == "perturbative1":
-            self._diag_c = diagonal_coupling(basis)
+            self._diag_c = _read_only(diagonal_coupling(basis))
         elif kind in ("perturbative2", "riccati"):
-            self._sys = build_matrices(basis, 0.0)
+            self._stacks = []
+            for index, coupling in parity_sectors(basis):
+                energies = self._energies[index]
+                stack = [energies[..., None] * np.eye(index.shape[1]), coupling]
+                if kind == "perturbative2":
+                    stack.append(second_order_term(energies, coupling))
+                self._stacks.append(tuple(_read_only(a) for a in stack))
 
     def levels(self, n0):
         lam = self.cfg.coupling_lambda(n0)
@@ -82,10 +106,11 @@ class SpectrumModel:
             return self._energies
         if self.kind == "perturbative1":
             return self._energies + 4.0 * lam * self._diag_c
-        sys = replace(self._sys, lam=lam)
         if self.kind == "perturbative2":
-            return quasiparticle_levels(spectrum_matrix(sys))
-        return bogoliubov_levels(RiccatiProblem.from_system(sys))
+            return quasiparticle_levels(*(e + 4.0 * lam * c + lam**2 * k
+                                          for e, c, k in self._stacks))
+        return bogoliubov_levels(*(RiccatiProblem(a=e + 4.0 * lam * c, b=lam * c)
+                                   for e, c in self._stacks))
 
 
 @dataclass

@@ -16,6 +16,7 @@ from trapbose import (
     diagonal_coupling,
     enumerate_basis,
     oscillator_energy,
+    parity_sectors,
     quadrature_oracle_element,
     source_coefficient,
 )
@@ -23,6 +24,11 @@ from trapbose import (
 PAPER_1D = TrapConfig()
 SQRT2 = math.sqrt(2.0)
 PAPER_2D = TrapConfig(dimension=2, frequencies=(1.0, SQRT2))
+
+
+def sector_keys(basis):
+    """Parity-sector key sum_j (n_j mod 2) 2^j of each state, one state at a time."""
+    return np.array([sum((n % 2) << j for j, n in enumerate(row)) for row in basis.quanta.tolist()])
 
 
 def reference_enumeration(cfg, e_cut):
@@ -259,6 +265,38 @@ class TestBuildMatrices:
         basis = enumerate_basis(PAPER_1D, 2.5)
         with pytest.raises(ValueError):
             build_matrices(basis, 2000)
+
+
+class TestParitySectors:
+    @settings(deadline=None)
+    @given(frequencies=st.lists(st.floats(0.5, 3.0), min_size=1, max_size=3),
+           e_cut=st.floats(3.0, 6.0))
+    def test_no_coupling_between_sectors(self, frequencies, e_cut):
+        cfg = TrapConfig(dimension=len(frequencies), frequencies=tuple(frequencies))
+        basis = enumerate_basis(cfg, e_cut)
+        keys = sector_keys(basis)
+        coupling = build_matrices(basis, 500).coupling
+        assert np.all(coupling[keys[:, None] != keys[None, :]] == 0.0)
+
+    @pytest.mark.parametrize("cfg, e_cut, sizes", [
+        (PAPER_1D, 61.0, [30, 31]),
+        (PAPER_2D, 12.0, [12, 15, 16, 18]),
+        (TrapConfig(dimension=2, frequencies=(1.0, 1.0)), 10.0, [15, 20]),
+        (TrapConfig(dimension=3, frequencies=(1.0, 1.3, 0.7)), 5.0, [3, 4, 5, 6, 8, 9, 10]),
+    ], ids=["1d-odd", "2d-aniso", "2d-iso", "3d-aniso"])
+    def test_blocks_of_the_full_matrices(self, cfg, e_cut, sizes):
+        basis = enumerate_basis(cfg, e_cut)
+        sysm = build_matrices(basis, 500)
+        keys = sector_keys(basis)
+        stacks = parity_sectors(basis)
+        assert [index.shape[1] for index, _ in stacks] == sizes
+        covered = np.concatenate([index.ravel() for index, _ in stacks])
+        assert np.array_equal(np.sort(covered), np.arange(basis.size))
+        for index, coupling in stacks:
+            for row in index:
+                assert np.all(keys[row] == keys[row[0]])
+                assert np.all(np.diff(row) > 0)
+            assert np.array_equal(coupling, sysm.coupling[index[:, :, None], index[:, None, :]])
 
 
 class TestQuadratureOracle:

@@ -177,6 +177,21 @@ class TestValidate:
         assert out.count("PASS") == 5
         assert "FAIL" not in out
 
+    @pytest.mark.parametrize("text", [
+        "",
+        "dimension = 2\nomega = 1, 1.4142135623730951\ne_cut = 24\nt_max = 3\n",
+        "dimension = 3\nomega = 1, 1.3, 0.7\ne_cut = 12\nt_max = 1.5\nt_step = 0.25\n",
+    ], ids=["default", "2d-aniso", "3d-aniso"])
+    def test_traps_pass(self, tmp_path, capsys, text):
+        # The lambda^3 ratios tend to 8 only as lambda shrinks; at the full
+        # coupling they fall below 6 on the anisotropic 2D and 3D traps.
+        config = tmp_path / "trap.cfg"
+        config.write_text(text)
+        assert main(["--config", str(config), "--validate"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("PASS") == 5
+        assert "FAIL" not in out
+
     def test_truncation_doubling_fails_without_probe(self, tmp_path, capsys):
         # No grid temperature lies at or below e_cut/8, so nothing is probed.
         config = tmp_path / "hot.cfg"

@@ -34,6 +34,17 @@ SUM_OCCUPATION = sum(1.0 / math.expm1(n) for n in range(1, 700))
 SUM_ENERGY = sum(n / math.expm1(n) for n in range(1, 700))
 
 
+def direct_levels(kind, basis, n0):
+    """Levels of a solver kind from the full-basis matrices: the oracle for
+    SpectrumModel.levels."""
+    sysm = build_matrices(basis, n0)
+    if kind == "perturbative1":
+        return sysm.energies + 4.0 * sysm.lam * np.diag(sysm.coupling)
+    if kind == "perturbative2":
+        return quasiparticle_levels(spectrum_matrix(sysm))
+    return bogoliubov_levels(RiccatiProblem.from_system(sysm))
+
+
 def solve_at(cfg, basis, temperature, **kwargs):
     """solve_n0 with a fresh first-order level model."""
     return solve_n0(SpectrumModel(cfg, basis), temperature, **kwargs)
@@ -184,18 +195,56 @@ class TestSpectrumModel:
         (CFG, 60.0),
         (TrapConfig(dimension=2, frequencies=(1.0, math.sqrt(2.0))), 12.0),
         (TrapConfig(dimension=2, frequencies=(1.0, 1.0)), 10.0),
-    ], ids=["1d", "2d-aniso", "2d-iso"])
+        (TrapConfig(dimension=3, frequencies=(1.0, 1.3, 0.7)), 6.0),
+    ], ids=["1d", "2d-aniso", "2d-iso", "3d-aniso"])
     @pytest.mark.parametrize("kind", ["perturbative1", "perturbative2", "riccati"])
     def test_levels_match_direct_evaluation(self, kind, cfg, e_cut, n0):
+        # The dense kinds solve each parity sector on its own, which is exact
+        # but rounds differently from the full-matrix solve.
         basis = enumerate_basis(cfg, e_cut)
-        sysm = build_matrices(basis, n0)
+        got = SpectrumModel(cfg, basis, kind=kind).levels(n0)
         if kind == "perturbative1":
-            expected = sysm.energies + 4.0 * sysm.lam * np.diag(sysm.coupling)
-        elif kind == "perturbative2":
-            expected = quasiparticle_levels(spectrum_matrix(sysm))
+            assert np.array_equal(got, direct_levels(kind, basis, n0))
         else:
-            expected = bogoliubov_levels(RiccatiProblem.from_system(sysm))
-        assert np.array_equal(SpectrumModel(cfg, basis, kind=kind).levels(n0), expected)
+            np.testing.assert_allclose(got, direct_levels(kind, basis, n0), rtol=1e-11, atol=0.0)
+
+    @settings(deadline=None)
+    @given(kind=st.sampled_from(["perturbative2", "riccati"]),
+           frequencies=st.lists(st.floats(0.5, 3.0), min_size=1, max_size=3),
+           e_cut=st.floats(3.0, 6.0), n0=st.floats(1.0, 1000.0))
+    def test_sector_levels_property(self, kind, frequencies, e_cut, n0):
+        cfg = TrapConfig(dimension=len(frequencies), frequencies=tuple(frequencies))
+        basis = enumerate_basis(cfg, e_cut)
+        got = SpectrumModel(cfg, basis, kind=kind).levels(n0)
+        assert got.shape == (basis.size,)
+        assert np.all(np.diff(got) >= 0.0)
+        np.testing.assert_allclose(got, direct_levels(kind, basis, n0), rtol=1e-11, atol=0.0)
+
+    @pytest.mark.parametrize("kind", thermo.SOLVER_KINDS)
+    def test_cached_arrays_read_only(self, kind):
+        model = SpectrumModel(CFG, enumerate_basis(CFG, 31.0), kind=kind)
+        arrays = []
+        pending = list(vars(model).values())
+        while pending:
+            value = pending.pop()
+            if isinstance(value, np.ndarray):
+                arrays.append(value)
+            elif isinstance(value, (list, tuple)):
+                pending.extend(value)
+        assert arrays
+        assert not any(array.flags.writeable for array in arrays)
+
+    def test_normal_phase_levels_do_not_alias_model(self):
+        # A normal-phase point holds the model's bare levels; writing into
+        # them must not change what the model returns afterwards.
+        cfg = TrapConfig(n_particles=20)
+        model = SpectrumModel(cfg, enumerate_basis(cfg, 60.0))
+        before = solve_n0(model, 5.0).n0
+        point = solve_n0(model, 40.0)
+        assert point.normal_phase
+        with pytest.raises(ValueError):
+            point.levels[:] = 1e9
+        assert solve_n0(model, 5.0).n0 == before
 
     @pytest.mark.parametrize("cfg, basis_cfg", [
         (TrapConfig(frequencies=(2.0,)), CFG),
