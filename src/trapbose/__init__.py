@@ -34,6 +34,7 @@ from .perturbative import (
     constraint_residual,
     perturbative_xy,
     quasiparticle_levels,
+    real_eigenvalues,
     second_order_term,
     shift_vector,
     solve_perturbative,
@@ -44,6 +45,7 @@ from .riccati import (
     RiccatiSolution,
     anomalous_residuals,
     bogoliubov_levels,
+    bogoliubov_sector_levels,
     exact_spectrum,
     residuals,
     solve_1x1,

@@ -157,11 +157,12 @@ def _check(name, passed, detail=""):
 
 
 def _scaling_ratio_ok(values, low, high):
-    """Consecutive ratios within [low, high].  All zeros (at g = 0) is exact
-    agreement and passes; a zero denominator under a non-zero value fails."""
+    """Consecutive ratios within [low, high], as plain floats.  All zeros (at
+    g = 0) is exact agreement and passes; a zero denominator under a non-zero
+    value fails."""
     if not any(values):
         return True, []
-    ratios = [a / b if b else math.inf for a, b in zip(values, values[1:])]
+    ratios = [float(a / b) if b else math.inf for a, b in zip(values, values[1:])]
     return all(low <= r <= high for r in ratios), ratios
 
 

@@ -75,24 +75,30 @@ def spectrum_matrix(sys: SystemMatrices):
             + lam**2 * second_order_term(sys.energies, sys.coupling))
 
 
-def quasiparticle_levels(*stacks):
-    """Real eigenvalue spectrum of one or more (generally non-symmetric)
-    matrices, each given alone or as a (..., m, m) stack; the eigenvalues of
-    all of them, sorted ascending.
+def real_eigenvalues(*stacks):
+    """Real eigenvalues of one or more (generally non-symmetric) matrices,
+    each given alone or as a (..., m, m) stack: one (..., m) array per
+    argument, sorted along its last axis.
 
     Raises ComplexSpectrumError when max|Im| exceeds DEFAULT_IMAG_TOL *
     max|Re|, both over all eigenvalues, which signals a coupling beyond the
     perturbative regime.
     """
-    eigenvalues = np.concatenate(
-        [np.linalg.eigvals(np.asarray(mat, dtype=float)).ravel() for mat in stacks])
-    scale = np.max(np.abs(eigenvalues.real))
-    max_imag = np.max(np.abs(eigenvalues.imag)) if eigenvalues.size else 0.0
+    eigenvalues = [np.linalg.eigvals(np.asarray(mat, dtype=float)) for mat in stacks]
+    scale = max(np.max(np.abs(w.real)) for w in eigenvalues)
+    max_imag = max(np.max(np.abs(w.imag)) for w in eigenvalues)
     if max_imag > DEFAULT_IMAG_TOL * scale:
         raise ComplexSpectrumError(
             f"max |Im eigenvalue| = {max_imag:.3e} exceeds {DEFAULT_IMAG_TOL} * {scale:.3e}"
         )
-    return np.sort(eigenvalues.real)
+    return [np.sort(w.real, axis=-1) for w in eigenvalues]
+
+
+def quasiparticle_levels(*stacks):
+    """Real eigenvalue spectrum of one or more matrices or (..., m, m)
+    stacks (real_eigenvalues): the eigenvalues of all of them, sorted
+    ascending."""
+    return np.sort(np.concatenate([w.ravel() for w in real_eigenvalues(*stacks)]))
 
 
 def constraint_residual(x, y):

@@ -165,9 +165,10 @@ def _positive_eigh(mat, name):
     return w, v
 
 
-def bogoliubov_levels(*problems):
+def bogoliubov_sector_levels(*problems):
     """Quasiparticle levels of the symmetric branch of one or more problems,
-    each one alone or a stack; the levels of all of them, sorted ascending.
+    each one alone or a (..., n, n) stack: one (..., n) array per problem,
+    sorted along its last axis.
 
     sqrt(eigvalsh(L^T Q L)) with L = cholesky(P), P = A - 2B, Q = A + 2B:
     the square roots of the eigenvalues of P Q.  Raises NoSolutionError
@@ -181,11 +182,17 @@ def bogoliubov_levels(*problems):
         except np.linalg.LinAlgError as exc:
             raise NoSolutionError("A - 2B is not positive definite") from exc
         q_in_low = np.swapaxes(low, -1, -2) @ (prob.a + 2.0 * prob.b) @ low
-        squares.append(np.linalg.eigvalsh(q_in_low).ravel())
-    squares = np.sort(np.concatenate(squares))
-    if squares[0] <= 0.0:
-        raise NoSolutionError(f"A + 2B is not positive definite (eigenvalue {squares[0]:.3g})")
-    return np.sqrt(squares)
+        squares.append(np.linalg.eigvalsh(q_in_low))
+    lowest = min(np.min(s) for s in squares)
+    if lowest <= 0.0:
+        raise NoSolutionError(f"A + 2B is not positive definite (eigenvalue {lowest:.3g})")
+    return [np.sqrt(s) for s in squares]
+
+
+def bogoliubov_levels(*problems):
+    """Symmetric-branch levels of one or more problems or stacks
+    (bogoliubov_sector_levels): the levels of all of them, sorted ascending."""
+    return np.sort(np.concatenate([s.ravel() for s in bogoliubov_sector_levels(*problems)]))
 
 
 def _canonical_generator(prob):

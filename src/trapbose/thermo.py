@@ -12,6 +12,7 @@ extension, an artifact convention).
 """
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import brentq
@@ -19,8 +20,8 @@ from scipy.optimize import brentq
 from .basis import BasisSet, diagonal_coupling, parity_sectors
 from .config import TrapConfig
 from .errors import TrapBoseError, UnstableSpectrumError
-from .perturbative import quasiparticle_levels, second_order_term
-from .riccati import RiccatiProblem, bogoliubov_levels
+from .perturbative import real_eigenvalues, second_order_term
+from .riccati import RiccatiProblem, bogoliubov_sector_levels
 
 SOLVER_KINDS = ("ideal", "perturbative1", "perturbative2", "riccati")
 
@@ -53,6 +54,61 @@ def _read_only(array):
     return array
 
 
+# The dense kinds solve each parity sector on its own.  Per kind: the
+# lambda-independent terms kept per sector-size group besides E and C, and the
+# levels of every group at a batch of lambda (shape (p,)) -- one (p, k, m) array
+# per group of k sectors of size m, sorted within each sector.  levels(n0) and
+# the level table both evaluate the levels through this one function.
+
+def _second_order_sectors(lam, groups):
+    lam = np.reshape(lam, (-1, 1, 1, 1))
+    return real_eigenvalues(*(e + 4.0 * lam * c + lam**2 * k for e, c, k in groups))
+
+
+def _bogoliubov_sectors(lam, groups):
+    lam = np.reshape(lam, (-1, 1, 1, 1))
+    return bogoliubov_sector_levels(*(RiccatiProblem(a=e + 4.0 * lam * c, b=lam * c)
+                                      for e, c in groups))
+
+
+_SECTOR_KINDS = {
+    "perturbative2": (lambda energies, coupling: (second_order_term(energies, coupling),),
+                      _second_order_sectors),
+    "riccati": (lambda energies, coupling: (), _bogoliubov_sectors),
+}
+
+# Chebyshev points of the second kind in t = lambda/lambda_max = n0/N on
+# [0, 1], ascending, and their barycentric weights (Berrut and Trefethen,
+# SIAM Rev. 46, 501 (2004)).
+TABLE_NODES = 12
+_NODES = _read_only(np.sin(0.5 * np.pi * np.arange(TABLE_NODES) / (TABLE_NODES - 1)) ** 2)
+_WEIGHTS = _read_only(np.r_[0.5, np.ones(TABLE_NODES - 2), 0.5] * (-1.0) ** np.arange(TABLE_NODES))
+
+
+@dataclass(frozen=True)
+class LevelTable:
+    """A dense model's levels at the Chebyshev nodes of lambda in [0, lambda_max].
+
+    values[j] are the levels at t = lambda/lambda_max = _NODES[j]; column i
+    follows the level of state i's parity sector that has state i's rank in
+    it, so values[0] are the bare energies in basis order.  Calling the table
+    interpolates each column barycentrically at t = n0/n_total.
+    """
+
+    values: np.ndarray
+    n_total: float
+
+    def __call__(self, n0):
+        gap = n0 / self.n_total - _NODES
+        nearest = np.argmin(np.abs(gap))
+        if gap[nearest] == 0.0:
+            return self.values[nearest]
+        # Scaled by the smallest gap: every term is at most 1 in magnitude,
+        # so none overflows however close t comes to a node.
+        terms = _WEIGHTS * (gap[nearest] / gap)
+        return (terms @ self.values) / np.sum(terms)
+
+
 class SpectrumModel:
     """Maps condensate occupation to quasiparticle levels for one solver branch.
 
@@ -73,6 +129,17 @@ class SpectrumModel:
     quasiparticle_levels or bogoliubov_levels) gives the same levels and is
     the tests' oracle for this one.
 
+    For the dense kinds, `table` is a LevelTable of the sector levels at
+    TABLE_NODES Chebyshev nodes on [0, cfg.coupling_lambda(N)], built by one
+    batched eigen-solve per sector size at its first use (solve_n0 uses it
+    at the first condensed-phase point, so a sweep with none never builds
+    it) and kept.  solve_n0 root-solves on the interpolated levels and
+    certifies the root with one direct levels(n0) call, so a point's
+    iterations count table evaluations.  The table is None for ideal and
+    perturbative1, at g = 0, and when a node raises a TrapBoseError or has
+    a non-positive level; solve_n0 then evaluates every level directly.
+    levels(n0) always evaluates directly.
+
     cfg must describe the trap of basis.config; it gives N and lambda = g*N0/2
     to the loop.  At lambda = 0 every kind returns the bare levels.  Every
     array the model keeps is read-only, as its levels may be returned as is.
@@ -88,37 +155,63 @@ class SpectrumModel:
         self.kind = kind
         self._energies = _read_only(basis.energies())
         self._diag_c = None
-        self._stacks = None
+        self._sector_index = None
+        self._groups = None
+        extra_terms, self._sector_levels = _SECTOR_KINDS.get(kind, (None, None))
         if kind == "perturbative1":
             self._diag_c = _read_only(diagonal_coupling(basis))
-        elif kind in ("perturbative2", "riccati"):
-            self._stacks = []
+        elif extra_terms is not None:
+            self._sector_index, self._groups = [], []
             for index, coupling in parity_sectors(basis):
                 energies = self._energies[index]
-                stack = [energies[..., None] * np.eye(index.shape[1]), coupling]
-                if kind == "perturbative2":
-                    stack.append(second_order_term(energies, coupling))
-                self._stacks.append(tuple(_read_only(a) for a in stack))
+                group = (energies[..., None] * np.eye(index.shape[1]), coupling,
+                         *extra_terms(energies, coupling))
+                self._sector_index.append(_read_only(index))
+                self._groups.append(tuple(_read_only(a) for a in group))
 
     def levels(self, n0):
         lam = self.cfg.coupling_lambda(n0)
         if lam == 0.0:
             return self._energies
-        if self.kind == "perturbative1":
+        if self._sector_levels is None:
             return self._energies + 4.0 * lam * self._diag_c
-        if self.kind == "perturbative2":
-            return quasiparticle_levels(*(e + 4.0 * lam * c + lam**2 * k
-                                          for e, c, k in self._stacks))
-        return bogoliubov_levels(*(RiccatiProblem(a=e + 4.0 * lam * c, b=lam * c)
-                                   for e, c in self._stacks))
+        sectors = self._sector_levels(np.array([lam]), self._groups)
+        return np.sort(np.concatenate([s.ravel() for s in sectors]))
+
+    @cached_property
+    def table(self):
+        """The LevelTable of a dense model, built at first use; None when
+        the model has none."""
+        lam_max = self.cfg.coupling_lambda(self.cfg.n_particles)
+        if self._sector_levels is None or lam_max == 0.0:
+            return None
+        try:
+            sectors = self._sector_levels(lam_max * _NODES[1:], self._groups)
+        except TrapBoseError:
+            return None
+        # Column i of the table follows the level of state i's sector that has
+        # state i's bare-energy rank in it, so that values[0] are the bare
+        # energies in basis order.
+        columns = np.concatenate([
+            np.take_along_axis(index, np.argsort(self._energies[index], kind="stable"), -1).ravel()
+            for index in self._sector_index])
+        values = np.empty((TABLE_NODES, self._energies.size))
+        values[0] = self._energies
+        values[1:, columns] = np.concatenate(
+            [s.reshape(TABLE_NODES - 1, -1) for s in sectors], axis=1)
+        if np.any(values <= 0.0):
+            return None
+        return LevelTable(_read_only(values), float(self.cfg.n_particles))
 
 
 @dataclass
 class ThermoPoint:
     """One temperature point of the self-consistent loop.
 
-    iterations counts the level evaluations of the root solve; a point that
-    failed has converged False and the exception in fail_reason.
+    iterations counts the level evaluations of the root solve that gave n0
+    (table evaluations for a dense model with a level table, direct levels
+    calls otherwise); a point that failed has converged False and the
+    exception in fail_reason.
     """
 
     temperature: float
@@ -142,14 +235,30 @@ def _fugacity_excess(fugacity, levels, temperature, n_total):
     return float(np.sum(occupation(levels, temperature, fugacity))) - n_total
 
 
-def _condensate_residual(n0, model, temperature, n_total, nearest):
-    """f(n0) = N - n0 - N_excited(levels(n0)).  nearest holds
-    [|f|, n0, levels] of the evaluation with the smallest |f| so far."""
-    levels = model.levels(n0)
+def _condensate_residual(n0, level_source, temperature, n_total, nearest):
+    """f(n0) = N - n0 - N_excited(level_source(n0)).  nearest holds
+    [|f|, n0, f, levels] of the evaluation with the smallest |f| so far."""
+    levels = level_source(n0)
     f = n_total - n0 - excited_count(levels, temperature)
     if abs(f) < nearest[0]:
-        nearest[:] = [abs(f), n0, levels]
+        nearest[:] = [abs(f), n0, f, levels]
     return f
+
+
+def _condensed_root(level_source, temperature, n_total, tol):
+    """Brent's method for f on [0, N] with the given level source:
+    (n0, f(n0), levels at n0, evaluations)."""
+    # brentq returns one of the points it evaluated: usually the one of
+    # smallest |f|, and often not the last one.
+    nearest = [np.inf, None, None, None]
+    n0, result = brentq(_condensate_residual, 0.0, n_total,
+                        args=(level_source, temperature, n_total, nearest), xtol=tol * n_total,
+                        rtol=4 * np.finfo(float).eps, full_output=True)
+    if n0 == nearest[1]:
+        return n0, nearest[2], nearest[3], result.function_calls
+    levels = level_source(n0)
+    return (n0, n_total - n0 - excited_count(levels, temperature), levels,
+            result.function_calls)
 
 
 def _normal_phase_point(levels, temperature, n_total):
@@ -180,6 +289,12 @@ def solve_n0(model: SpectrumModel, temperature, tol=DEFAULT_TOL):
     The bracket holds: f(N) = -N_excited <= 0, and when f(0) <= 0 (even
     n0 = 0 cannot accommodate N particles) the normal-phase extension is
     returned instead.
+
+    With a level table (model.table) the root is found on the interpolated
+    levels, and one direct levels(n0) at that root gives the point's levels
+    and energy.  The point stands when f from those levels is within tol*N
+    of the table's f at the root; otherwise it is solved again on direct
+    levels.
     Raises UnstableSpectrumError when the model returns a non-positive level.
     """
     if temperature <= 0.0:
@@ -193,16 +308,19 @@ def solve_n0(model: SpectrumModel, temperature, tol=DEFAULT_TOL):
     if excited_count(ideal_levels, temperature) >= n_total:
         return _normal_phase_point(ideal_levels, temperature, n_total)
 
-    # brentq returns one of the points it evaluated: usually the one of
-    # smallest |f|, and often not the last one.
-    nearest = [np.inf, None, None]
-    n0, result = brentq(_condensate_residual, 0.0, n_total,
-                        args=(model, temperature, n_total, nearest), xtol=tol * n_total,
-                        rtol=4 * np.finfo(float).eps, full_output=True)
-    levels = nearest[2] if n0 == nearest[1] else model.levels(n0)
+    table = model.table
+    if table is not None:
+        # Certificate: the point stands if f from the direct levels at the
+        # table's root agrees with the table's f there.
+        n0, f_table, _, calls = _condensed_root(table, temperature, n_total, tol)
+        levels = model.levels(n0)
+        if abs(n_total - n0 - excited_count(levels, temperature) - f_table) > tol * n_total:
+            table = None
+    if table is None:
+        n0, _, levels, calls = _condensed_root(model.levels, temperature, n_total, tol)
     point = ThermoPoint(
         temperature=temperature, n0=n0, lam=cfg.coupling_lambda(n0), levels=levels,
-        energy_excess=0.0, iterations=result.function_calls, converged=True,
+        energy_excess=0.0, iterations=calls, converged=True,
     )
     point.energy_excess = energy_excess(point)
     return point

@@ -3,6 +3,7 @@ import math
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from trapbose.cli import RunConfig, _scaling_ratio_ok, main, parse_config, run, validate
@@ -203,6 +204,15 @@ class TestValidate:
     def test_scaling_ratio_zero_denominator(self):
         assert _scaling_ratio_ok([0.0, 0.0, 0.0], 6.0, 10.0)[0]
         assert not _scaling_ratio_ok([8.0, 0.0], 6.0, 10.0)[0]
+
+    def test_scaling_ratios_are_plain_floats(self):
+        # The FAIL detail prints the ratios; numpy >= 2 would print a numpy
+        # scalar as np.float64(...).
+        ok, ratios = _scaling_ratio_ok([np.float64(2.0), np.float64(1.0)], 6, 10)
+        assert not ok
+        assert ratios == [2.0]
+        assert all(type(r) is float for r in ratios)
+        assert "np.float64" not in f"ratios {ratios}"
 
 
 class TestMainExitStatus:

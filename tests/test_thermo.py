@@ -1,14 +1,16 @@
 import gc
 import math
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import trapbose.thermo as thermo
 from trapbose import (
+    BasisSet,
     RiccatiProblem,
     SpectrumModel,
     TrapConfig,
@@ -275,6 +277,99 @@ class TestSpectrumModel:
         assert np.max(np.abs(p2 - ric)) < 5e-4
 
 
+class TestLevelTable:
+    @settings(deadline=None, max_examples=40)
+    @given(kind=st.sampled_from(["perturbative2", "riccati"]),
+           frequencies=st.lists(st.floats(0.7, 2.0), min_size=1, max_size=3),
+           g=st.floats(0.0, 5e-4), share=st.floats(0.05, 1.0))
+    @example(kind="perturbative2", frequencies=[1.0], g=2.2e-309, share=0.5)
+    def test_table_path_matches_direct_path(self, kind, frequencies, g, share):
+        # Inside the cutoff-converged window T <= e_cut/8; g includes
+        # subnormal values, where lambda_max is subnormal too.
+        e_cut = {1: 40.0, 2: 12.0, 3: 7.0}[len(frequencies)]
+        cfg = TrapConfig(dimension=len(frequencies), frequencies=tuple(frequencies), g=g)
+        basis = enumerate_basis(cfg, e_cut)
+        temperature = share * e_cut / 8.0
+        model = SpectrumModel(cfg, basis, kind=kind)
+        direct = SpectrumModel(cfg, basis, kind=kind)
+        direct.table = None
+        point = solve_n0(model, temperature)
+        reference = solve_n0(direct, temperature)
+        assert point.normal_phase == reference.normal_phase
+        assert abs(point.n0 - reference.n0) <= 2.0 * thermo.DEFAULT_TOL * 1000.0
+        assert np.array_equal(point.levels, direct.levels(point.n0))
+
+    @pytest.mark.parametrize("kind", ["ideal", "perturbative1"])
+    def test_no_table_for_diagonal_kinds(self, kind):
+        model = SpectrumModel(CFG, enumerate_basis(CFG, 120.0), kind=kind)
+        assert not solve_n0(model, 5.0).normal_phase
+        assert model.table is None
+
+    def test_no_table_for_normal_phase_sweep(self, monkeypatch):
+        models = []
+
+        class Recording(SpectrumModel):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                models.append(self)
+
+        monkeypatch.setattr(thermo, "SpectrumModel", Recording)
+        curve = sweep(CFG, enumerate_basis(CFG, 120.0), [300.0, 400.0],
+                      solver_kind="perturbative2")
+        assert all(p.normal_phase for p in curve.points)
+        assert len(models) == 1
+        assert "table" not in vars(models[0])
+
+    def test_no_table_when_a_node_fails(self):
+        # At g = 0.02 the second-order levels go negative before lambda_max.
+        cfg = TrapConfig(g=0.02)
+        assert SpectrumModel(cfg, enumerate_basis(cfg, 20.0), kind="perturbative2").table is None
+
+    def test_table_matches_direct_levels(self):
+        # A basis in shuffled order: node 0 is its bare spectrum in basis
+        # order, every node holds the direct levels at its lambda (computed
+        # there as lambda_max * t, so lambda itself rounds differently), and
+        # between the nodes the interpolated levels follow the direct ones.
+        ordered = enumerate_basis(CFG, 60.0)
+        rng = np.random.default_rng(7)
+        basis = BasisSet(ordered.quanta[rng.permutation(ordered.size)], CFG)
+        model = SpectrumModel(CFG, basis, kind="riccati")
+        values = model.table.values
+        assert values.shape == (thermo.TABLE_NODES, basis.size)
+        assert np.array_equal(values[0], basis.energies())
+        for node, row in zip(thermo._NODES, values):
+            np.testing.assert_allclose(np.sort(row), np.sort(model.levels(node * 1000.0)),
+                                       rtol=1e-12, atol=0.0)
+        for n0 in (3.0, 333.0, 777.0):
+            np.testing.assert_allclose(np.sort(model.table(n0)), model.levels(n0),
+                                       rtol=1e-9, atol=0.0)
+
+    def test_perturbed_table_fails_certificate(self, monkeypatch):
+        # Node values scaled by 1 + 1e-6 move f by more than tol*N: the point
+        # is solved again on direct levels and equals the direct solve.
+        basis = enumerate_basis(CFG, 120.0)
+        model = SpectrumModel(CFG, basis, kind="perturbative2")
+        table = model.table
+        model.table = replace(table, values=table.values * (1.0 + 1e-6))
+        direct = SpectrumModel(CFG, basis, kind="perturbative2")
+        direct.table = None
+        reference = solve_n0(direct, 5.0)
+        calls = []
+        levels = SpectrumModel.levels
+
+        def counting(model, n0):
+            calls.append(n0)
+            return levels(model, n0)
+
+        monkeypatch.setattr(SpectrumModel, "levels", counting)
+        point = solve_n0(model, 5.0)
+        assert len(calls) == 2 + reference.iterations
+        assert point.n0 == reference.n0
+        assert point.iterations == reference.iterations
+        assert np.array_equal(point.levels, reference.levels)
+        assert point.energy_excess == reference.energy_excess
+
+
 class TestSweep:
     def test_ideal_matches_pointwise(self):
         basis = enumerate_basis(IDEAL, 200.0)
@@ -333,8 +428,10 @@ class TestSweep:
         assert curve.points[-1].normal_phase
 
     def test_levels_calls_per_point(self, monkeypatch):
-        # One call for the ideal levels, one per root-solve evaluation, and
-        # none after the root: its levels are kept from the solve.
+        # One call for the ideal levels.  perturbative1 then makes one per
+        # root-solve evaluation and none after the root, whose levels are
+        # kept from the solve; perturbative2 root-solves on its level table
+        # and makes one call at the root, the certificate.
         calls = []
         levels = SpectrumModel.levels
 
@@ -344,14 +441,20 @@ class TestSweep:
 
         monkeypatch.setattr(SpectrumModel, "levels", counting)
         basis = enumerate_basis(CFG, 120.0)
-        model = SpectrumModel(CFG, basis, kind="perturbative2")
-        phases = []
-        for temperature in (1.0, 5.0, 15.0, 400.0):
-            calls.clear()
-            point = solve_n0(model, temperature)
-            phases.append(point.normal_phase)
-            assert len(calls) == (1 if point.normal_phase else point.iterations + 1)
-        assert phases == [False, False, False, True]
+        for kind in ("perturbative1", "perturbative2"):
+            model = SpectrumModel(CFG, basis, kind=kind)
+            phases = []
+            for temperature in (1.0, 5.0, 15.0, 400.0):
+                calls.clear()
+                point = solve_n0(model, temperature)
+                phases.append(point.normal_phase)
+                if point.normal_phase:
+                    assert len(calls) == 1
+                elif kind == "perturbative1":
+                    assert len(calls) == point.iterations + 1
+                else:
+                    assert len(calls) == 2
+            assert phases == [False, False, False, True]
 
     def test_monotone_diagnostic(self):
         basis = enumerate_basis(CFG, 400.0)
