@@ -58,7 +58,7 @@ def _read_only(array):
 # lambda-independent terms kept per sector-size group besides E and C, and the
 # levels of every group at a batch of lambda (shape (p,)) -- one (p, k, m) array
 # per group of k sectors of size m, sorted within each sector.  levels(n0) and
-# the level table both evaluate the levels through this one function.
+# the table both evaluate the levels through this one function.
 
 def _second_order_sectors(lam, groups):
     lam = np.reshape(lam, (-1, 1, 1, 1))
@@ -78,35 +78,30 @@ _SECTOR_KINDS = {
 }
 
 # Chebyshev points of the second kind in t = lambda/lambda_max = n0/N on
-# [0, 1], ascending, and their barycentric weights (Berrut and Trefethen,
-# SIAM Rev. 46, 501 (2004)).
-TABLE_NODES = 12
+# [0, 1], ascending, and the barycentric weights of all of them and of every
+# other one (Berrut and Trefethen, SIAM Rev. 46, 501 (2004)).
+TABLE_NODES = 23
 _NODES = _read_only(np.sin(0.5 * np.pi * np.arange(TABLE_NODES) / (TABLE_NODES - 1)) ** 2)
-_WEIGHTS = _read_only(np.r_[0.5, np.ones(TABLE_NODES - 2), 0.5] * (-1.0) ** np.arange(TABLE_NODES))
 
 
-@dataclass(frozen=True)
-class LevelTable:
-    """A dense model's levels at the Chebyshev nodes of lambda in [0, lambda_max].
+def _chebyshev_weights(k):
+    return _read_only(np.r_[0.5, np.ones(k - 2), 0.5] * (-1.0) ** np.arange(k))
 
-    values[j] are the levels at t = lambda/lambda_max = _NODES[j]; column i
-    follows the level of state i's parity sector that has state i's rank in
-    it, so values[0] are the bare energies in basis order.  Calling the table
-    interpolates each column barycentrically at t = n0/n_total.
-    """
 
-    values: np.ndarray
-    n_total: float
+_FINE = (_NODES, _chebyshev_weights(TABLE_NODES))
+_COARSE = (_NODES[::2], _chebyshev_weights((TABLE_NODES + 1) // 2))
 
-    def __call__(self, n0):
-        gap = n0 / self.n_total - _NODES
-        nearest = np.argmin(np.abs(gap))
-        if gap[nearest] == 0.0:
-            return self.values[nearest]
-        # Scaled by the smallest gap: every term is at most 1 in magnitude,
-        # so none overflows however close t comes to a node.
-        terms = _WEIGHTS * (gap[nearest] / gap)
-        return (terms @ self.values) / np.sum(terms)
+
+def _interpolate(values, t, nodes, weights):
+    """Barycentric interpolant of values at the given nodes, evaluated at t."""
+    gap = t - nodes
+    nearest = np.argmin(np.abs(gap))
+    if gap[nearest] == 0.0:
+        return values[nearest]
+    # Scaled by the smallest gap: every term is at most 1 in magnitude, so
+    # none overflows however close t comes to a node.
+    terms = weights * (gap[nearest] / gap)
+    return (terms @ values) / np.sum(terms)
 
 
 class SpectrumModel:
@@ -129,19 +124,21 @@ class SpectrumModel:
     quasiparticle_levels or bogoliubov_levels) gives the same levels and is
     the tests' oracle for this one.
 
-    For the dense kinds, `table` is a LevelTable of the sector levels at
-    TABLE_NODES Chebyshev nodes on [0, cfg.coupling_lambda(N)], built by one
-    batched eigen-solve per sector size at its first use (solve_n0 uses it
-    at the first condensed-phase point, so a sweep with none never builds
-    it) and kept.  solve_n0 root-solves on the interpolated levels and
-    certifies the root with one direct levels(n0) call, so a point's
-    iterations count table evaluations.  The table is None for ideal and
-    perturbative1, at g = 0, and when a node raises a TrapBoseError or has
-    a non-positive level; solve_n0 then evaluates every level directly.
-    levels(n0) always evaluates directly.
+    For the dense kinds, `table` is a read-only (TABLE_NODES, size) array:
+    row j holds the sector levels, in no particular order, at the Chebyshev
+    node lambda = _NODES[j] * lambda_max, with lambda_max =
+    cfg.coupling_lambda(N).  It is built by one batched eigen-solve per
+    sector size at its first use (solve_n0 uses it at the first
+    condensed-phase point, so a sweep with none never builds it) and kept.
+    solve_n0 interpolates the excited count and energy between the nodes.
+    The table is None for ideal and perturbative1, at g = 0, and when a
+    node raises a TrapBoseError or has a non-positive level; solve_n0 then
+    evaluates every level directly.  levels(n0) always evaluates directly.
 
     cfg must describe the trap of basis.config; it gives N and lambda = g*N0/2
-    to the loop.  At lambda = 0 every kind returns the bare levels.  Every
+    to the loop.  At lambda = 0 every kind returns the bare levels: sorted
+    ascending for the dense kinds, in basis order for ideal and
+    perturbative1, whose levels at any lambda are in basis order.  Every
     array the model keeps is read-only, as its levels may be returned as is.
     """
 
@@ -153,21 +150,21 @@ class SpectrumModel:
             raise ValueError(f"cfg and basis.config are different traps: {cfg} vs {trap}")
         self.cfg = replace(cfg, g=0.0) if kind == "ideal" else cfg
         self.kind = kind
-        self._energies = _read_only(basis.energies())
+        energies = basis.energies()
         self._diag_c = None
-        self._sector_index = None
         self._groups = None
         extra_terms, self._sector_levels = _SECTOR_KINDS.get(kind, (None, None))
         if kind == "perturbative1":
             self._diag_c = _read_only(diagonal_coupling(basis))
         elif extra_terms is not None:
-            self._sector_index, self._groups = [], []
+            self._groups = []
             for index, coupling in parity_sectors(basis):
-                energies = self._energies[index]
-                group = (energies[..., None] * np.eye(index.shape[1]), coupling,
-                         *extra_terms(energies, coupling))
-                self._sector_index.append(_read_only(index))
+                sector = energies[index]
+                group = (sector[..., None] * np.eye(index.shape[1]), coupling,
+                         *extra_terms(sector, coupling))
                 self._groups.append(tuple(_read_only(a) for a in group))
+            energies = np.sort(energies)
+        self._energies = _read_only(energies)
 
     def levels(self, n0):
         lam = self.cfg.coupling_lambda(n0)
@@ -180,44 +177,34 @@ class SpectrumModel:
 
     @cached_property
     def table(self):
-        """The LevelTable of a dense model, built at first use; None when
+        """The node levels of a dense model, built at first use; None when
         the model has none."""
         lam_max = self.cfg.coupling_lambda(self.cfg.n_particles)
         if self._sector_levels is None or lam_max == 0.0:
             return None
         try:
-            sectors = self._sector_levels(lam_max * _NODES[1:], self._groups)
+            sectors = self._sector_levels(lam_max * _NODES, self._groups)
         except TrapBoseError:
             return None
-        # Column i of the table follows the level of state i's sector that has
-        # state i's bare-energy rank in it, so that values[0] are the bare
-        # energies in basis order.
-        columns = np.concatenate([
-            np.take_along_axis(index, np.argsort(self._energies[index], kind="stable"), -1).ravel()
-            for index in self._sector_index])
-        values = np.empty((TABLE_NODES, self._energies.size))
-        values[0] = self._energies
-        values[1:, columns] = np.concatenate(
-            [s.reshape(TABLE_NODES - 1, -1) for s in sectors], axis=1)
+        values = np.concatenate([s.reshape(TABLE_NODES, -1) for s in sectors], axis=1)
         if np.any(values <= 0.0):
             return None
-        return LevelTable(_read_only(values), float(self.cfg.n_particles))
+        return _read_only(values)
 
 
 @dataclass
 class ThermoPoint:
     """One temperature point of the self-consistent loop.
 
-    iterations counts the level evaluations of the root solve that gave n0
-    (table evaluations for a dense model with a level table, direct levels
-    calls otherwise); a point that failed has converged False and the
-    exception in fail_reason.
+    iterations counts the evaluations of the root solve that gave n0
+    (evaluations of the count interpolant for a dense model with a table,
+    direct levels calls otherwise); a point that failed has converged False
+    and the exception in fail_reason.
     """
 
     temperature: float
     n0: float
     lam: float
-    levels: np.ndarray
     energy_excess: float
     iterations: int
     converged: bool
@@ -235,50 +222,66 @@ def _fugacity_excess(fugacity, levels, temperature, n_total):
     return float(np.sum(occupation(levels, temperature, fugacity))) - n_total
 
 
-def _condensate_residual(n0, level_source, temperature, n_total, nearest):
-    """f(n0) = N - n0 - N_excited(level_source(n0)).  nearest holds
-    [|f|, n0, f, levels] of the evaluation with the smallest |f| so far."""
-    levels = level_source(n0)
+def _interpolated_residual(n0, counts, n_total):
+    return n_total - n0 - _interpolate(counts, n0 / n_total, *_FINE)
+
+
+def _interpolated_root(table, temperature, n_total, tol):
+    """Brent's method for f on [0, N] with the excited count interpolated
+    between the table's nodes: (n0, energy at n0, evaluations), or None when
+    the interpolant on every other node differs by more than tol*N at n0."""
+    occ = occupation(table, temperature)
+    counts = np.sum(occ, axis=1)
+    # Node 0 holds the bare levels from an eigen-solve, summed in sector
+    # order, so its count may round to N where that of levels(0.0) did not.
+    if counts[0] >= n_total:
+        return None
+    n0, result = brentq(_interpolated_residual, 0.0, n_total, args=(counts, n_total),
+                        xtol=tol * n_total, rtol=4 * np.finfo(float).eps, full_output=True)
+    t = n0 / n_total
+    estimate = _interpolate(counts, t, *_FINE) - _interpolate(counts[::2], t, *_COARSE)
+    if abs(estimate) > tol * n_total:
+        return None
+    energy = _interpolate(np.sum(table * occ, axis=1), t, *_FINE)
+    return n0, float(energy), result.function_calls
+
+
+def _condensate_residual(n0, model, temperature, n_total, nearest):
+    """f(n0) = N - n0 - N_excited(model.levels(n0)).  nearest holds
+    [|f|, n0, levels] of the evaluation with the smallest |f| so far."""
+    levels = model.levels(n0)
     f = n_total - n0 - excited_count(levels, temperature)
     if abs(f) < nearest[0]:
-        nearest[:] = [abs(f), n0, f, levels]
+        nearest[:] = [abs(f), n0, levels]
     return f
 
 
-def _condensed_root(level_source, temperature, n_total, tol):
-    """Brent's method for f on [0, N] with the given level source:
-    (n0, f(n0), levels at n0, evaluations)."""
+def _condensed_root(model, temperature, n_total, tol):
+    """Brent's method for f on [0, N] with direct levels:
+    (n0, energy at n0, evaluations)."""
     # brentq returns one of the points it evaluated: usually the one of
     # smallest |f|, and often not the last one.
-    nearest = [np.inf, None, None, None]
+    nearest = [np.inf, None, None]
     n0, result = brentq(_condensate_residual, 0.0, n_total,
-                        args=(level_source, temperature, n_total, nearest), xtol=tol * n_total,
+                        args=(model, temperature, n_total, nearest), xtol=tol * n_total,
                         rtol=4 * np.finfo(float).eps, full_output=True)
-    if n0 == nearest[1]:
-        return n0, nearest[2], nearest[3], result.function_calls
-    levels = level_source(n0)
-    return (n0, n_total - n0 - excited_count(levels, temperature), levels,
-            result.function_calls)
+    levels = nearest[2] if n0 == nearest[1] else model.levels(n0)
+    return n0, energy_excess(levels, temperature), result.function_calls
 
 
 def _normal_phase_point(levels, temperature, n_total):
     fugacity = brentq(_fugacity_excess, 1e-300, 1.0 - 1e-14,
                       args=(levels, temperature, n_total), xtol=1e-15, rtol=1e-15)
-    point = ThermoPoint(
-        temperature=temperature, n0=0.0, lam=0.0, levels=levels,
-        energy_excess=0.0, iterations=0, converged=True, normal_phase=True,
-        fugacity=fugacity,
+    return ThermoPoint(
+        temperature=temperature, n0=0.0, lam=0.0,
+        energy_excess=energy_excess(levels, temperature, fugacity), iterations=0,
+        converged=True, normal_phase=True, fugacity=fugacity,
     )
-    point.energy_excess = energy_excess(point)
-    return point
 
 
-def energy_excess(point: ThermoPoint):
-    """E - E0 = sum_n eps_n z/(exp(eps_n/T) - z) at the point's levels."""
-    if not point.converged:
-        raise ValueError("energy requested from a non-converged point")
-    occ = occupation(point.levels, point.temperature, point.fugacity)
-    return float(np.sum(point.levels * occ))
+def energy_excess(levels, temperature, fugacity=1.0):
+    """E - E0 = sum_n eps_n z/(exp(eps_n/T) - z) at the given levels."""
+    return float(np.sum(levels * occupation(levels, temperature, fugacity)))
 
 
 def solve_n0(model: SpectrumModel, temperature, tol=DEFAULT_TOL):
@@ -290,12 +293,16 @@ def solve_n0(model: SpectrumModel, temperature, tol=DEFAULT_TOL):
     n0 = 0 cannot accommodate N particles) the normal-phase extension is
     returned instead.
 
-    With a level table (model.table) the root is found on the interpolated
-    levels, and one direct levels(n0) at that root gives the point's levels
-    and energy.  The point stands when f from those levels is within tol*N
-    of the table's f at the root; otherwise it is solved again on direct
-    levels.
-    Raises UnstableSpectrumError when the model returns a non-positive level.
+    With a table (model.table) the excited count and energy at each node
+    are formed once, and the root is found on the barycentric interpolant
+    of the counts in t = n0/N; the point's energy is the interpolated one.
+    Both are traces over the levels, analytic in lambda through level
+    crossings, so the interpolant converges geometrically.  The point
+    stands when the interpolant on every other node agrees with it within
+    tol*N at the root, the convergence estimate of Chebfun (Battles and
+    Trefethen, SIAM J. Sci. Comput. 25, 1743 (2004)); otherwise it is
+    solved again on direct levels.  Raises UnstableSpectrumError when the
+    model returns a non-positive level.
     """
     if temperature <= 0.0:
         raise ValueError("temperature must be positive")
@@ -309,21 +316,10 @@ def solve_n0(model: SpectrumModel, temperature, tol=DEFAULT_TOL):
         return _normal_phase_point(ideal_levels, temperature, n_total)
 
     table = model.table
-    if table is not None:
-        # Certificate: the point stands if f from the direct levels at the
-        # table's root agrees with the table's f there.
-        n0, f_table, _, calls = _condensed_root(table, temperature, n_total, tol)
-        levels = model.levels(n0)
-        if abs(n_total - n0 - excited_count(levels, temperature) - f_table) > tol * n_total:
-            table = None
-    if table is None:
-        n0, _, levels, calls = _condensed_root(model.levels, temperature, n_total, tol)
-    point = ThermoPoint(
-        temperature=temperature, n0=n0, lam=cfg.coupling_lambda(n0), levels=levels,
-        energy_excess=0.0, iterations=calls, converged=True,
-    )
-    point.energy_excess = energy_excess(point)
-    return point
+    root = None if table is None else _interpolated_root(table, temperature, n_total, tol)
+    n0, energy, calls = root or _condensed_root(model, temperature, n_total, tol)
+    return ThermoPoint(temperature=temperature, n0=n0, lam=cfg.coupling_lambda(n0),
+                       energy_excess=energy, iterations=calls, converged=True)
 
 
 @dataclass
@@ -346,7 +342,7 @@ class ThermoCurve:
 def _failed_point(temperature, exc):
     return ThermoPoint(
         temperature=temperature, n0=float("nan"), lam=float("nan"),
-        levels=np.array([]), energy_excess=float("nan"), iterations=0,
+        energy_excess=float("nan"), iterations=0,
         converged=False, fail_reason=f"{type(exc).__name__}: {exc}",
     )
 

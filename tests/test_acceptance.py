@@ -149,6 +149,26 @@ def test_condensate_curve_reproduction():
     report("condensate-curve-reproduction", ok)
 
 
+def test_dense_reference_run():
+    # The reference run for the dense kinds: both together within 3 s.
+    basis = enumerate_basis(CFG, 400.0)
+    grid = [float(t) for t in range(1, 201)]
+    first_order = sweep(CFG, basis, grid, solver_kind="perturbative1").condensate_fractions()
+    ideal_frac = sweep(IDEAL, basis, grid, solver_kind="ideal").condensate_fractions()
+    start = time.perf_counter()
+    curves = [sweep(CFG, basis, grid, solver_kind=kind) for kind in ("perturbative2", "riccati")]
+    elapsed = time.perf_counter() - start
+    ok = elapsed < 3.0
+    for curve in curves:
+        frac = curve.condensate_fractions()
+        ok = (ok and all(p.converged for p in curve.points)
+              and sum(not p.normal_phase for p in curve.points) == 177
+              and np.all(frac >= ideal_frac)
+              and curve.monotone_within(1e-6)
+              and np.max(np.abs(frac - first_order)) <= 5e-3)
+    report("dense-reference-run", ok)
+
+
 def test_truncation_convergence():
     levels = [np.sort(quasiparticle_levels(spectrum_matrix(system_at(e, 0.1))))[:5]
               for e in (40.0, 60.0)]

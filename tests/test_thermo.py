@@ -1,7 +1,6 @@
 import gc
 import math
 import weakref
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -45,6 +44,13 @@ def direct_levels(kind, basis, n0):
     if kind == "perturbative2":
         return quasiparticle_levels(spectrum_matrix(sysm))
     return bogoliubov_levels(RiccatiProblem.from_system(sysm))
+
+
+def shuffled_basis():
+    """The 1D basis below e_cut 60, its states in random order."""
+    ordered = enumerate_basis(CFG, 60.0)
+    rng = np.random.default_rng(7)
+    return BasisSet(ordered.quanta[rng.permutation(ordered.size)], CFG)
 
 
 def solve_at(cfg, basis, temperature, **kwargs):
@@ -108,9 +114,10 @@ class TestEnergyExcess:
         assert SUM_ENERGY == pytest.approx(1.1866007335148923, abs=1e-12)
 
     def test_recompute_matches_stored(self):
-        basis = enumerate_basis(CFG, 100.0)
-        point = solve_at(CFG, basis, 20.0)
-        assert energy_excess(point) == pytest.approx(point.energy_excess, rel=1e-14)
+        model = SpectrumModel(CFG, enumerate_basis(CFG, 100.0))
+        point = solve_n0(model, 20.0)
+        recomputed = energy_excess(model.levels(point.n0), 20.0, point.fugacity)
+        assert recomputed == pytest.approx(point.energy_excess, rel=1e-14)
 
 
 class TestSolveN0:
@@ -142,14 +149,14 @@ class TestSolveN0:
         assert solve_at(CFG, basis, 120.0).n0 > solve_at(IDEAL, basis, 120.0).n0 + 1.0
 
     def test_normal_phase_extension(self):
-        basis = enumerate_basis(CFG, 400.0)
-        point = solve_at(CFG, basis, 190.0)
+        model = SpectrumModel(CFG, enumerate_basis(CFG, 400.0))
+        point = solve_n0(model, 190.0)
         assert point.normal_phase
         assert point.n0 == 0.0
         assert point.lam == 0.0
         assert 0.0 < point.fugacity < 1.0
         # The fugacity fit accounts for all N particles.
-        occ = point.fugacity / (np.exp(point.levels / 190.0) - point.fugacity)
+        occ = point.fugacity / (np.exp(model.levels(0.0) / 190.0) - point.fugacity)
         assert np.sum(occ) == pytest.approx(1000.0, rel=1e-10)
 
     @settings(deadline=None)
@@ -237,16 +244,24 @@ class TestSpectrumModel:
         assert not any(array.flags.writeable for array in arrays)
 
     def test_normal_phase_levels_do_not_alias_model(self):
-        # A normal-phase point holds the model's bare levels; writing into
-        # them must not change what the model returns afterwards.
+        # A normal-phase point is solved on the model's bare levels, which
+        # levels(0.0) returns as is; writing into them must fail, so that
+        # the model's levels cannot change afterwards.
         cfg = TrapConfig(n_particles=20)
         model = SpectrumModel(cfg, enumerate_basis(cfg, 60.0))
         before = solve_n0(model, 5.0).n0
-        point = solve_n0(model, 40.0)
-        assert point.normal_phase
+        assert solve_n0(model, 40.0).normal_phase
         with pytest.raises(ValueError):
-            point.levels[:] = 1e9
+            model.levels(0.0)[:] = 1e9
         assert solve_n0(model, 5.0).n0 == before
+
+    @pytest.mark.parametrize("kind", ["perturbative2", "riccati"])
+    def test_dense_bare_levels_sorted(self, kind):
+        # Like every other levels(n0) of a dense kind, and whatever the
+        # basis order.
+        basis = shuffled_basis()
+        got = SpectrumModel(CFG, basis, kind=kind).levels(0.0)
+        assert np.array_equal(got, np.sort(basis.energies()))
 
     @pytest.mark.parametrize("cfg, basis_cfg", [
         (TrapConfig(frequencies=(2.0,)), CFG),
@@ -297,7 +312,7 @@ class TestLevelTable:
         reference = solve_n0(direct, temperature)
         assert point.normal_phase == reference.normal_phase
         assert abs(point.n0 - reference.n0) <= 2.0 * thermo.DEFAULT_TOL * 1000.0
-        assert np.array_equal(point.levels, direct.levels(point.n0))
+        assert abs(point.energy_excess - reference.energy_excess) <= 1e-12 * 1000.0
 
     @pytest.mark.parametrize("kind", ["ideal", "perturbative1"])
     def test_no_table_for_diagonal_kinds(self, kind):
@@ -326,34 +341,29 @@ class TestLevelTable:
         assert SpectrumModel(cfg, enumerate_basis(cfg, 20.0), kind="perturbative2").table is None
 
     def test_table_matches_direct_levels(self):
-        # A basis in shuffled order: node 0 is its bare spectrum in basis
-        # order, every node holds the direct levels at its lambda (computed
-        # there as lambda_max * t, so lambda itself rounds differently), and
-        # between the nodes the interpolated levels follow the direct ones.
-        ordered = enumerate_basis(CFG, 60.0)
-        rng = np.random.default_rng(7)
-        basis = BasisSet(ordered.quanta[rng.permutation(ordered.size)], CFG)
+        # A basis in shuffled order: every node holds the direct levels at
+        # its lambda (computed there as lambda_max * t, so lambda itself
+        # rounds differently), and between the nodes the interpolated count
+        # follows the direct one.
+        basis = shuffled_basis()
         model = SpectrumModel(CFG, basis, kind="riccati")
-        values = model.table.values
-        assert values.shape == (thermo.TABLE_NODES, basis.size)
-        assert np.array_equal(values[0], basis.energies())
-        for node, row in zip(thermo._NODES, values):
-            np.testing.assert_allclose(np.sort(row), np.sort(model.levels(node * 1000.0)),
-                                       rtol=1e-12, atol=0.0)
-        for n0 in (3.0, 333.0, 777.0):
-            np.testing.assert_allclose(np.sort(model.table(n0)), model.levels(n0),
-                                       rtol=1e-9, atol=0.0)
-
-    def test_perturbed_table_fails_certificate(self, monkeypatch):
-        # Node values scaled by 1 + 1e-6 move f by more than tol*N: the point
-        # is solved again on direct levels and equals the direct solve.
-        basis = enumerate_basis(CFG, 120.0)
-        model = SpectrumModel(CFG, basis, kind="perturbative2")
         table = model.table
-        model.table = replace(table, values=table.values * (1.0 + 1e-6))
-        direct = SpectrumModel(CFG, basis, kind="perturbative2")
+        assert table.shape == (thermo.TABLE_NODES, basis.size)
+        assert not table.flags.writeable
+        for node, row in zip(thermo._NODES, table):
+            np.testing.assert_allclose(np.sort(row), model.levels(node * 1000.0),
+                                       rtol=1e-12, atol=0.0)
+        counts = np.sum(occupation(table, 5.0), axis=1)
+        for n0 in (3.0, 333.0, 777.0):
+            count = thermo._interpolate(counts, n0 / 1000.0, *thermo._FINE)
+            assert count == pytest.approx(excited_count(model.levels(n0), 5.0), rel=1e-12)
+
+    @staticmethod
+    def assert_direct_solve(model, basis, temperature, monkeypatch):
+        """solve_n0 on model equals that on a model of basis with no table,
+        down to its direct levels calls."""
+        direct = SpectrumModel(model.cfg, basis, kind=model.kind)
         direct.table = None
-        reference = solve_n0(direct, 5.0)
         calls = []
         levels = SpectrumModel.levels
 
@@ -362,12 +372,46 @@ class TestLevelTable:
             return levels(model, n0)
 
         monkeypatch.setattr(SpectrumModel, "levels", counting)
-        point = solve_n0(model, 5.0)
-        assert len(calls) == 2 + reference.iterations
+        reference = solve_n0(direct, temperature)
+        reference_calls = calls[:]
+        calls.clear()
+        point = solve_n0(model, temperature)
+        assert not point.normal_phase
+        assert calls == reference_calls
         assert point.n0 == reference.n0
         assert point.iterations == reference.iterations
-        assert np.array_equal(point.levels, reference.levels)
         assert point.energy_excess == reference.energy_excess
+
+    def test_perturbed_table_fails_certificate(self, monkeypatch):
+        # An odd node scaled by 1 + 1e-3 moves the 23-node count interpolant
+        # but not the one on every other node: the two differ by more than
+        # tol*N, and the point is solved again on direct levels.
+        basis = enumerate_basis(CFG, 120.0)
+        model = SpectrumModel(CFG, basis, kind="perturbative2")
+        table = model.table.copy()
+        table[thermo.TABLE_NODES - 2] *= 1.0 + 1e-3
+        model.table = table
+        self.assert_direct_solve(model, basis, 5.0, monkeypatch)
+
+    def test_node_zero_count_at_n_falls_back(self, monkeypatch):
+        # Node 0 holds the bare levels from an eigen-solve, which may round
+        # below levels(0.0).  Just under the transition its count then
+        # reaches N although that of levels(0.0) does not; brentq would find
+        # no sign change on the interpolant.  Here node 0 is lowered on
+        # purpose and T is the largest float below the transition.
+        cfg = TrapConfig(n_particles=20)
+        basis = enumerate_basis(cfg, 30.0)
+        model = SpectrumModel(cfg, basis, kind="riccati")
+        table = model.table.copy()
+        table[0] *= 1.0 - 1e-9
+        model.table = table
+        bare = model.levels(0.0)
+        low, high = 1.0, 30.0
+        while np.nextafter(low, high) < high:
+            mid = 0.5 * (low + high)
+            low, high = (mid, high) if excited_count(bare, mid) < 20.0 else (low, mid)
+        assert np.sum(occupation(table[0], low)) >= 20.0
+        self.assert_direct_solve(model, basis, low, monkeypatch)
 
 
 class TestSweep:
@@ -430,8 +474,8 @@ class TestSweep:
     def test_levels_calls_per_point(self, monkeypatch):
         # One call for the ideal levels.  perturbative1 then makes one per
         # root-solve evaluation and none after the root, whose levels are
-        # kept from the solve; perturbative2 root-solves on its level table
-        # and makes one call at the root, the certificate.
+        # kept from the solve; perturbative2 root-solves on its count
+        # interpolant and makes no other call.
         calls = []
         levels = SpectrumModel.levels
 
@@ -453,7 +497,7 @@ class TestSweep:
                 elif kind == "perturbative1":
                     assert len(calls) == point.iterations + 1
                 else:
-                    assert len(calls) == 2
+                    assert len(calls) == 1
             assert phases == [False, False, False, True]
 
     def test_monotone_diagnostic(self):
