@@ -20,14 +20,6 @@ from .errors import EmptyBasisError, IndexTooLargeError
 ORACLE_MAX_INDEX = 40
 
 
-def oscillator_energy(n, cfg: TrapConfig):
-    """Excitation energy hbar*(omega_1*n_1 + ... + omega_D*n_D).
-
-    Measured from the ground state: the zero-point offset is excluded.
-    """
-    return cfg.hbar * sum(w * k for w, k in zip(cfg.frequencies, n))
-
-
 @dataclass(frozen=True, eq=False)
 class BasisSet:
     """Ordered excited states (n != 0) of the trap in config.
@@ -45,10 +37,11 @@ class BasisSet:
         return len(self.quanta)
 
     def energies(self):
-        """Vector of excitation energies, in basis order.
+        """Vector of excitation energies hbar*(omega_1*n_1 + ... + omega_D*n_D),
+        in basis order, measured from the ground state.
 
-        The arithmetic of oscillator_energy in the same order, so the values
-        are bit-identical to it.
+        The arithmetic of the scalar oscillator_energy in tests/oracles.py in
+        the same order, so the values are bit-identical to it.
         """
         total = 0
         for j, w in enumerate(self.config.frequencies):
@@ -57,7 +50,7 @@ class BasisSet:
 
 
 def enumerate_basis(cfg: TrapConfig, e_cut):
-    """All excited multi-indices with oscillator_energy <= e_cut.
+    """All excited multi-indices with excitation energy <= e_cut.
 
     The states grow one dimension at a time; a row whose partial energy
     already exceeds e_cut is dropped, since later terms only add to it.
@@ -93,31 +86,6 @@ def _log_prefactor(cfg: TrapConfig):
     )
 
 
-def coupling_coefficient(m, n, cfg: TrapConfig):
-    """Interaction matrix element c_mn.
-
-    Vanishes exactly unless m_j + n_j is even in every dimension.  The
-    Gamma/factorial magnitudes are accumulated in log space with the sign
-    tracked separately, so large quantum numbers do not overflow.
-    """
-    if any((mj + nj) % 2 for mj, nj in zip(m, n)):
-        return 0.0
-    log_mag = _log_prefactor(cfg)
-    sign = 1
-    for mj, nj in zip(m, n):
-        log_mag += gammaln((mj + nj + 1) / 2.0)
-        log_mag -= 0.5 * (gammaln(mj + 1.0) + gammaln(nj + 1.0))
-        if ((3 * mj + nj) // 2) % 2:
-            sign = -sign
-    return sign * math.exp(log_mag)
-
-
-def source_coefficient(n, cfg: TrapConfig):
-    """Linear-term coefficient d_n; equals c_mn with m = 0."""
-    zero = (0,) * cfg.dimension
-    return coupling_coefficient(zero, n, cfg)
-
-
 @dataclass(frozen=True)
 class SystemMatrices:
     """Truncated matrices of the quadratic Hamiltonian at coupling lambda.
@@ -140,13 +108,18 @@ class SystemMatrices:
 
 
 def _coupling_array(m, n, cfg: TrapConfig):
-    """c_mn for integer quanta arrays m and n of shape (..., D), broadcast
-    against each other.
+    """Interaction matrix element c_mn for integer quanta arrays m and n of
+    shape (..., D), broadcast against each other; the source d_n is c_mn
+    with m = 0.
 
-    The arithmetic of coupling_coefficient in the same order, with gammaln
-    read from tables over 0..max quantum number instead of evaluated per
-    element.  The log-magnitude and the sign are symmetric in m and n
-    operation by operation, so swapping m and n gives bit-identical values.
+    c_mn vanishes exactly unless m_j + n_j is even in every dimension.  The
+    Gamma/factorial magnitudes are accumulated in log space with the sign
+    tracked separately, so large quantum numbers do not overflow.  The
+    arithmetic is that of the scalar coupling_coefficient in tests/oracles.py
+    in the same order, with gammaln read from tables over 0..max quantum
+    number instead of evaluated per element.  The log-magnitude and the sign
+    are symmetric in m and n operation by operation, so swapping m and n
+    gives bit-identical values.
     """
     top = int(max(m.max(initial=0), n.max(initial=0)))
     half_gamma = gammaln((np.arange(2 * top + 1) + 1) / 2.0)
@@ -243,7 +216,7 @@ def _hermgauss(order):
 def quadrature_oracle_element(m, n, cfg: TrapConfig):
     """Overlap integral of phi_m * phi_n * phi_0^2 by Gauss-Hermite quadrature.
 
-    Independent cross-check for coupling_coefficient / source_coefficient:
+    Independent cross-check for the c_mn and d_n arrays of build_matrices:
     it never touches the closed-form Gamma expression, and it uses the
     per-dimension frequencies rather than the geometric mean.
     """

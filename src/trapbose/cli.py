@@ -1,8 +1,8 @@
 """Command-line front end: config parsing, sweeps, and validation reports.
 
-Config files are flat `key = value` text with `#` comments; list values
-are comma-separated.  Defaults reproduce the reference 1D run
-(hbar = omega = 1, m = 2*pi^2, N = 1000, g = 0.0002).
+Config files are flat `key = value` text with `#` comments, each key at
+most once; list values are comma-separated.  Defaults reproduce the
+reference 1D run (hbar = omega = 1, m = 2*pi^2, N = 1000, g = 0.0002).
 """
 
 import argparse
@@ -86,11 +86,13 @@ _KEYS = {
 def parse_config(text):
     """Parse the key-value config format into a RunConfig.
 
-    Raises ConfigError with a line number on malformed input, and on any
-    violated invariant (via TrapConfig / RunConfig validation).  Without
-    `omega`, the trap is isotropic with unit frequencies.
+    Raises ConfigError with a line number on malformed input or a repeated
+    key, and on any violated invariant (via TrapConfig / RunConfig
+    validation).  Without `omega`, the trap is isotropic with unit
+    frequencies.
     """
     kwargs = {"trap": {}, "run": {}}
+    first_line = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -101,6 +103,9 @@ def parse_config(text):
         key = key.strip()
         if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if key in first_line:
+            raise ConfigError(f"line {lineno}: key {key!r} repeats line {first_line[key]}")
+        first_line[key] = lineno
         target, name, parse = _KEYS[key]
         try:
             kwargs[target][name] = parse(value.strip())

@@ -17,10 +17,6 @@ class IndexTooLargeError(TrapBoseError):
     """Quantum number beyond the quadrature-order guard."""
 
 
-class SingularSystemError(TrapBoseError):
-    """Linear system too ill-conditioned to solve reliably."""
-
-
 class ComplexSpectrumError(TrapBoseError):
     """Eigenvalues have imaginary parts above tolerance."""
 

@@ -39,7 +39,6 @@ from scipy.linalg import expm
 
 from .basis import SystemMatrices
 from .errors import ConvergenceError, NoSolutionError
-from .perturbative import quasiparticle_levels
 
 DEFAULT_TOL = 1e-10
 
@@ -49,7 +48,7 @@ class RiccatiProblem:
     """Coefficient matrices A = E + 4*lambda*C and B = lambda*C.
 
     A and B may also be (..., n, n) stacks of problems, which only
-    bogoliubov_levels accepts.
+    bogoliubov_sector_levels accepts.
     """
 
     a: np.ndarray
@@ -111,14 +110,6 @@ def anomalous_residuals(x, y, prob: RiccatiProblem):
     )
 
 
-def solve_1x1(a, b):
-    """Scalar oracle: x = cosh(t), y = sinh(t) with tanh(2t) = -2b/a."""
-    if a == 0.0 or abs(2.0 * b / a) >= 1.0:
-        raise NoSolutionError(f"|2b/a| = {abs(2 * b / a) if a else np.inf:.6g} >= 1")
-    t = 0.5 * np.arctanh(-2.0 * b / a)
-    return float(np.cosh(t)), float(np.sinh(t))
-
-
 def _cosh_sinh_symmetric(t_mat):
     w, v = np.linalg.eigh(t_mat)
     return (v * np.cosh(w)) @ v.T, (v * np.sinh(w)) @ v.T
@@ -173,7 +164,7 @@ def bogoliubov_sector_levels(*problems):
     sqrt(eigvalsh(L^T Q L)) with L = cholesky(P), P = A - 2B, Q = A + 2B:
     the square roots of the eigenvalues of P Q.  Raises NoSolutionError
     when a P or Q is not positive definite, the matrix form of the
-    |2b/a| < 1 condition of solve_1x1.
+    |2b/a| < 1 condition of the scalar problem, where tanh(2t) = -2b/a.
     """
     squares = []
     for prob in problems:
@@ -187,12 +178,6 @@ def bogoliubov_sector_levels(*problems):
     if lowest <= 0.0:
         raise NoSolutionError(f"A + 2B is not positive definite (eigenvalue {lowest:.3g})")
     return [np.sqrt(s) for s in squares]
-
-
-def bogoliubov_levels(*problems):
-    """Symmetric-branch levels of one or more problems or stacks
-    (bogoliubov_sector_levels): the levels of all of them, sorted ascending."""
-    return np.sort(np.concatenate([s.ravel() for s in bogoliubov_sector_levels(*problems)]))
 
 
 def _canonical_generator(prob):
@@ -241,21 +226,3 @@ def solve_xy_general(prob: RiccatiProblem):
         raise ConvergenceError(f"general branch stopped at r1 = {sol.r1:.3g} >= {DEFAULT_TOL}",
                                residual=sol.r1)
     return sol
-
-
-def exact_spectrum(sol: RiccatiSolution, sys: SystemMatrices):
-    """Quasiparticle levels from the solved X, Y.
-
-    Assembles X E X + Y E Y + 4 lambda (X C X + Y C Y) + 2 lambda (X C Y + Y C X)
-    and returns its eigenvalues sorted ascending.
-    """
-    x, y = sol.x, sol.y
-    lam = sys.lam
-    e_mat = np.diag(sys.energies)
-    c_mat = sys.coupling
-    spec = (
-        x @ e_mat @ x + y @ e_mat @ y
-        + 4.0 * lam * (x @ c_mat @ x + y @ c_mat @ y)
-        + 2.0 * lam * (x @ c_mat @ y + y @ c_mat @ x)
-    )
-    return quasiparticle_levels(spec)

@@ -119,10 +119,10 @@ class SpectrumModel:
     diagonal matrices, the in-sector C blocks as a (k, m, m) stack, and for
     perturbative2 the lambda^2 term K of the spectrum matrix.  A levels call
     is then one batched eigen-solve per sector size, and the levels of all
-    sectors are returned sorted ascending.  The full-matrix path
-    (build_matrices -> spectrum_matrix or RiccatiProblem.from_system ->
-    quasiparticle_levels or bogoliubov_levels) gives the same levels and is
-    the tests' oracle for this one.
+    sectors are returned sorted ascending.  The full-matrix path of
+    tests/oracles.py (build_matrices -> spectrum_matrix or
+    RiccatiProblem.from_system -> quasiparticle_levels or bogoliubov_levels)
+    gives the same levels and is the tests' oracle for this one.
 
     For the dense kinds, `table` is a read-only (TABLE_NODES, size) array:
     row j holds the sector levels, in no particular order, at the Chebyshev
@@ -270,7 +270,9 @@ def _condensed_root(model, temperature, n_total, tol):
 
 
 def _normal_phase_point(levels, temperature, n_total):
-    fugacity = brentq(_fugacity_excess, 1e-300, 1.0 - 1e-14,
+    # At z = 1 the sum is the excited_count that chose the normal phase, so
+    # f(1) >= 0 holds even at the transition temperature itself.
+    fugacity = brentq(_fugacity_excess, 1e-300, 1.0,
                       args=(levels, temperature, n_total), xtol=1e-15, rtol=1e-15)
     return ThermoPoint(
         temperature=temperature, n0=0.0, lam=0.0,

@@ -1,0 +1,128 @@
+"""The paper's printed formulas, kept as independent oracles for the tests.
+
+The package evaluates each of these in a faster form: the basis arrays
+vectorize the scalar matrix elements, the level models solve each parity
+sector on its own instead of the full matrices, and the pipeline never
+needs the shift vector z or the spectrum of the solved X, Y.  The tests
+compare the fast forms against these, so their arithmetic must stay as the
+formulas read.
+"""
+
+import math
+
+import numpy as np
+from scipy.special import gammaln
+
+from trapbose import NoSolutionError, RiccatiSolution, SystemMatrices, TrapConfig
+from trapbose.basis import _log_prefactor
+from trapbose.perturbative import real_eigenvalues, second_order_term
+from trapbose.riccati import bogoliubov_sector_levels
+
+CONDITION_LIMIT = 1e12
+
+
+# Scalar matrix elements: the references for BasisSet.energies and the
+# vectorized coupling and source arrays, which are bit-identical to them.
+
+def oscillator_energy(n, cfg: TrapConfig):
+    """Excitation energy hbar*(omega_1*n_1 + ... + omega_D*n_D).
+
+    Measured from the ground state: the zero-point offset is excluded.
+    """
+    return cfg.hbar * sum(w * k for w, k in zip(cfg.frequencies, n))
+
+
+def coupling_coefficient(m, n, cfg: TrapConfig):
+    """Interaction matrix element c_mn.
+
+    Vanishes exactly unless m_j + n_j is even in every dimension.  The
+    Gamma/factorial magnitudes are accumulated in log space with the sign
+    tracked separately, so large quantum numbers do not overflow.
+    """
+    if any((mj + nj) % 2 for mj, nj in zip(m, n)):
+        return 0.0
+    log_mag = _log_prefactor(cfg)
+    sign = 1
+    for mj, nj in zip(m, n):
+        log_mag += gammaln((mj + nj + 1) / 2.0)
+        log_mag -= 0.5 * (gammaln(mj + 1.0) + gammaln(nj + 1.0))
+        if ((3 * mj + nj) // 2) % 2:
+            sign = -sign
+    return sign * math.exp(log_mag)
+
+
+def source_coefficient(n, cfg: TrapConfig):
+    """Linear-term coefficient d_n; equals c_mn with m = 0."""
+    zero = (0,) * cfg.dimension
+    return coupling_coefficient(zero, n, cfg)
+
+
+# The full-matrix level path: the reference for the per-sector levels of
+# SpectrumModel.
+
+def spectrum_matrix(sys: SystemMatrices):
+    """Spectrum matrix to O(lambda^2): E + 4*lambda*C + lambda^2*K."""
+    lam = sys.lam
+    return (np.diag(sys.energies) + 4.0 * lam * sys.coupling
+            + lam**2 * second_order_term(sys.energies, sys.coupling))
+
+
+def quasiparticle_levels(*stacks):
+    """Real eigenvalue spectrum of one or more matrices or (..., m, m)
+    stacks (real_eigenvalues): the eigenvalues of all of them, sorted
+    ascending."""
+    return np.sort(np.concatenate([w.ravel() for w in real_eigenvalues(*stacks)]))
+
+
+def bogoliubov_levels(*problems):
+    """Symmetric-branch levels of one or more problems or stacks
+    (bogoliubov_sector_levels): the levels of all of them, sorted ascending."""
+    return np.sort(np.concatenate([s.ravel() for s in bogoliubov_sector_levels(*problems)]))
+
+
+# The printed z, the scalar Bogoliubov problem, and the spectrum of a solved
+# X, Y.
+
+def shift_vector(sys: SystemMatrices, n0):
+    """Shift z = -2 lambda sqrt(N0) (E + 6 lambda C)^{-1} d eliminating the
+    linear terms, computed by a factorized linear solve.
+
+    Raises ValueError when E + 6 lambda C is too ill-conditioned to solve.
+    """
+    lam = sys.lam
+    if lam == 0.0:
+        return np.zeros(sys.size)
+    mat = np.diag(sys.energies) + 6.0 * lam * sys.coupling
+    cond = np.linalg.cond(mat)
+    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
+        raise ValueError(
+            f"(E + 6*lambda*C) condition number {cond:.3e} exceeds {CONDITION_LIMIT:.0e}; "
+            "lambda too large for this basis"
+        )
+    return -2.0 * lam * np.sqrt(n0) * np.linalg.solve(mat, sys.source)
+
+
+def solve_1x1(a, b):
+    """Scalar oracle: x = cosh(t), y = sinh(t) with tanh(2t) = -2b/a."""
+    if a == 0.0 or abs(2.0 * b / a) >= 1.0:
+        raise NoSolutionError(f"|2b/a| = {abs(2 * b / a) if a else np.inf:.6g} >= 1")
+    t = 0.5 * np.arctanh(-2.0 * b / a)
+    return float(np.cosh(t)), float(np.sinh(t))
+
+
+def exact_spectrum(sol: RiccatiSolution, sys: SystemMatrices):
+    """Quasiparticle levels from the solved X, Y.
+
+    Assembles X E X + Y E Y + 4 lambda (X C X + Y C Y) + 2 lambda (X C Y + Y C X)
+    and returns its eigenvalues sorted ascending.
+    """
+    x, y = sol.x, sol.y
+    lam = sys.lam
+    e_mat = np.diag(sys.energies)
+    c_mat = sys.coupling
+    spec = (
+        x @ e_mat @ x + y @ e_mat @ y
+        + 4.0 * lam * (x @ c_mat @ x + y @ c_mat @ y)
+        + 2.0 * lam * (x @ c_mat @ y + y @ c_mat @ x)
+    )
+    return quasiparticle_levels(spec)

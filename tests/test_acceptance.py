@@ -15,18 +15,20 @@ from trapbose import (
     SpectrumModel,
     TrapConfig,
     build_matrices,
-    coupling_coefficient,
     enumerate_basis,
     perturbative_xy,
     quadrature_oracle_element,
-    quasiparticle_levels,
-    shift_vector,
-    solve_1x1,
     solve_n0,
     solve_xy,
     solve_xy_general,
-    spectrum_matrix,
     sweep,
+)
+from oracles import (
+    coupling_coefficient,
+    quasiparticle_levels,
+    shift_vector,
+    solve_1x1,
+    spectrum_matrix,
 )
 
 CFG = TrapConfig()

@@ -12,14 +12,12 @@ from trapbose import (
     IndexTooLargeError,
     TrapConfig,
     build_matrices,
-    coupling_coefficient,
     diagonal_coupling,
     enumerate_basis,
-    oscillator_energy,
     parity_sectors,
     quadrature_oracle_element,
-    source_coefficient,
 )
+from oracles import coupling_coefficient, oscillator_energy, source_coefficient
 
 PAPER_1D = TrapConfig()
 SQRT2 = math.sqrt(2.0)

@@ -85,6 +85,10 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config("ecut = 10")
 
+    def test_repeated_key_rejected(self):
+        with pytest.raises(ConfigError, match="line 3: key 'e_cut' repeats line 1"):
+            parse_config("e_cut = 10\n# a comment\ne_cut = 20")
+
     def test_zero_step_rejected(self):
         with pytest.raises(ConfigError):
             parse_config("t_step = 0")

@@ -14,15 +14,19 @@ from trapbose import (
     SystemMatrices,
     TrapConfig,
     anomalous_residuals,
-    bogoliubov_levels,
     build_matrices,
     enumerate_basis,
-    exact_spectrum,
     perturbative_xy,
     residuals,
-    solve_1x1,
     solve_xy,
     solve_xy_general,
+)
+from oracles import (
+    bogoliubov_levels,
+    exact_spectrum,
+    quasiparticle_levels,
+    solve_1x1,
+    spectrum_matrix,
 )
 
 CFG = TrapConfig()
@@ -223,8 +227,6 @@ class TestExactSpectrum:
         # Compared on the literal branch, whose expansion the printed
         # second-order spectrum matrix actually is; the canonical branch
         # differs from it at O(lambda^2) in the eigenvalues.
-        from trapbose import quasiparticle_levels, spectrum_matrix
-
         errors = []
         for lam in (0.01, 0.005):
             sysm = system(10.0, lam)

@@ -8,23 +8,22 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import trapbose.thermo as thermo
+from trapbose.cli import main
 from trapbose import (
     BasisSet,
     RiccatiProblem,
     SpectrumModel,
     TrapConfig,
     UnstableSpectrumError,
-    bogoliubov_levels,
     build_matrices,
     energy_excess,
     enumerate_basis,
     excited_count,
     occupation,
-    quasiparticle_levels,
     solve_n0,
-    spectrum_matrix,
     sweep,
 )
+from oracles import bogoliubov_levels, quasiparticle_levels, spectrum_matrix
 
 CFG = TrapConfig()
 IDEAL = TrapConfig(g=0.0)
@@ -158,6 +157,27 @@ class TestSolveN0:
         # The fugacity fit accounts for all N particles.
         occ = point.fugacity / (np.exp(model.levels(0.0) / 190.0) - point.fugacity)
         assert np.sum(occ) == pytest.approx(1000.0, rel=1e-10)
+
+    @pytest.mark.parametrize("kind", thermo.SOLVER_KINDS)
+    def test_transition_temperature_is_normal_phase(self, kind, tmp_path):
+        # T is the smallest float at which the ideal count reaches N: the
+        # fugacity root lies at z = 1 itself, so the bracket must include it.
+        cfg = TrapConfig(n_particles=20)
+        basis = enumerate_basis(cfg, 30.0)
+        bare = SpectrumModel(cfg, basis, kind=kind).levels(0.0)
+        low, high = 1.0, 30.0
+        while np.nextafter(low, high) < high:
+            mid = 0.5 * (low + high)
+            low, high = (mid, high) if excited_count(bare, mid) < 20.0 else (low, mid)
+        (point,) = sweep(cfg, basis, [high], solver_kind=kind).points
+        assert point.converged and point.normal_phase
+        config = tmp_path / "transition.cfg"
+        out = tmp_path / "transition.csv"
+        config.write_text(f"n_particles = 20\ne_cut = 30\nt_min = {high!r}\n"
+                          f"t_max = {high + 0.5!r}\nsolver = {kind}\noutput = {out}\n")
+        assert main(["--config", str(config)]) == 0
+        (row,) = out.read_text().split()[1:]
+        assert row.split(",")[4] == "1"
 
     @settings(deadline=None)
     @given(kind=st.sampled_from(["ideal", "perturbative1", "perturbative2", "riccati"]),
