@@ -39,6 +39,7 @@ from scipy.linalg import expm
 
 from .basis import SystemMatrices
 from .errors import ConvergenceError, NoSolutionError
+from .perturbative import constraint_residual
 
 DEFAULT_TOL = 1e-10
 
@@ -92,8 +93,7 @@ def residuals(x, y, prob: RiccatiProblem):
     y = np.asarray(y, dtype=float)
     r1 = float(np.max(np.abs(_equation1(x, y, prob))))
     r2 = float(np.max(np.abs(_equation2(x, y, prob))))
-    r3 = float(np.max(np.abs(x @ x - y @ y - np.eye(x.shape[0]))))
-    return r1, r2, r3
+    return r1, r2, constraint_residual(x, y)
 
 
 def anomalous_residuals(x, y, prob: RiccatiProblem):

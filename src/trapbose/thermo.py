@@ -226,47 +226,16 @@ def _interpolated_residual(n0, counts, n_total):
     return n_total - n0 - _interpolate(counts, n0 / n_total, *_FINE)
 
 
-def _interpolated_root(table, temperature, n_total, tol):
-    """Brent's method for f on [0, N] with the excited count interpolated
-    between the table's nodes: (n0, energy at n0, evaluations), or None when
-    the interpolant on every other node differs by more than tol*N at n0."""
-    occ = occupation(table, temperature)
-    counts = np.sum(occ, axis=1)
-    # Node 0 holds the bare levels from an eigen-solve, summed in sector
-    # order, so its count may round to N where that of levels(0.0) did not.
-    if counts[0] >= n_total:
-        return None
-    n0, result = brentq(_interpolated_residual, 0.0, n_total, args=(counts, n_total),
-                        xtol=tol * n_total, rtol=4 * np.finfo(float).eps, full_output=True)
-    t = n0 / n_total
-    estimate = _interpolate(counts, t, *_FINE) - _interpolate(counts[::2], t, *_COARSE)
-    if abs(estimate) > tol * n_total:
-        return None
-    energy = _interpolate(np.sum(table * occ, axis=1), t, *_FINE)
-    return n0, float(energy), result.function_calls
+def _direct_residual(n0, model, temperature, n_total):
+    return n_total - n0 - excited_count(model.levels(n0), temperature)
 
 
-def _condensate_residual(n0, model, temperature, n_total, nearest):
-    """f(n0) = N - n0 - N_excited(model.levels(n0)).  nearest holds
-    [|f|, n0, levels] of the evaluation with the smallest |f| so far."""
-    levels = model.levels(n0)
-    f = n_total - n0 - excited_count(levels, temperature)
-    if abs(f) < nearest[0]:
-        nearest[:] = [abs(f), n0, levels]
-    return f
-
-
-def _condensed_root(model, temperature, n_total, tol):
-    """Brent's method for f on [0, N] with direct levels:
-    (n0, energy at n0, evaluations)."""
-    # brentq returns one of the points it evaluated: usually the one of
-    # smallest |f|, and often not the last one.
-    nearest = [np.inf, None, None]
-    n0, result = brentq(_condensate_residual, 0.0, n_total,
-                        args=(model, temperature, n_total, nearest), xtol=tol * n_total,
+def _brent_root(residual, args, n_total, tol):
+    """Brent's method for residual(n0, *args) on [0, N] to within tol*N:
+    (n0, evaluations)."""
+    n0, result = brentq(residual, 0.0, n_total, args=args, xtol=tol * n_total,
                         rtol=4 * np.finfo(float).eps, full_output=True)
-    levels = nearest[2] if n0 == nearest[1] else model.levels(n0)
-    return n0, energy_excess(levels, temperature), result.function_calls
+    return n0, result.function_calls
 
 
 def _normal_phase_point(levels, temperature, n_total):
@@ -297,7 +266,8 @@ def solve_n0(model: SpectrumModel, temperature, tol=DEFAULT_TOL):
 
     With a table (model.table) the excited count and energy at each node
     are formed once, and the root is found on the barycentric interpolant
-    of the counts in t = n0/N; the point's energy is the interpolated one.
+    of the counts in t = n0/N, whose node 0 is the bare count above; the
+    point's energy is the interpolated one.
     Both are traces over the levels, analytic in lambda through level
     crossings, so the interpolant converges geometrically.  The point
     stands when the interpolant on every other node agrees with it within
@@ -314,12 +284,26 @@ def solve_n0(model: SpectrumModel, temperature, tol=DEFAULT_TOL):
     n_total = float(cfg.n_particles)
 
     ideal_levels = model.levels(0.0)
-    if excited_count(ideal_levels, temperature) >= n_total:
+    bare_count = excited_count(ideal_levels, temperature)
+    if bare_count >= n_total:
         return _normal_phase_point(ideal_levels, temperature, n_total)
 
     table = model.table
-    root = None if table is None else _interpolated_root(table, temperature, n_total, tol)
-    n0, energy, calls = root or _condensed_root(model, temperature, n_total, tol)
+    energy = None
+    if table is not None:
+        occ = occupation(table, temperature)
+        counts = np.sum(occ, axis=1)
+        # Node 0 is lambda = 0: the count that chose this phase, so f(0) > 0
+        # holds on the interpolant too.
+        counts[0] = bare_count
+        n0, calls = _brent_root(_interpolated_residual, (counts, n_total), n_total, tol)
+        t = n0 / n_total
+        estimate = _interpolate(counts, t, *_FINE) - _interpolate(counts[::2], t, *_COARSE)
+        if abs(estimate) <= tol * n_total:
+            energy = float(_interpolate(np.sum(table * occ, axis=1), t, *_FINE))
+    if energy is None:
+        n0, calls = _brent_root(_direct_residual, (model, temperature, n_total), n_total, tol)
+        energy = energy_excess(model.levels(n0), temperature)
     return ThermoPoint(temperature=temperature, n0=n0, lam=cfg.coupling_lambda(n0),
                        energy_excess=energy, iterations=calls, converged=True)
 

@@ -186,10 +186,13 @@ class TestValidate:
         "",
         "dimension = 2\nomega = 1, 1.4142135623730951\ne_cut = 24\nt_max = 3\n",
         "dimension = 3\nomega = 1, 1.3, 0.7\ne_cut = 12\nt_max = 1.5\nt_step = 0.25\n",
-    ], ids=["default", "2d-aniso", "3d-aniso"])
+        "dimension = 3\nomega = 1, 1.3, 0.7\ne_cut = 16\nt_min = 0.5\nt_max = 2\nt_step = 0.5\n",
+    ], ids=["default", "2d-aniso", "3d-aniso", "3d-aniso-ecut16"])
     def test_traps_pass(self, tmp_path, capsys, text):
         # The lambda^3 ratios tend to 8 only as lambda shrinks; at the full
         # coupling they fall below 6 on the anisotropic 2D and 3D traps.
+        # On the 3D trap at e_cut 16 the doubling shift at T = 2 = e_cut/8
+        # is 1.4e-4 > 1e-4, so the probe window must end below it.
         config = tmp_path / "trap.cfg"
         config.write_text(text)
         assert main(["--config", str(config), "--validate"]) == 0
@@ -198,12 +201,14 @@ class TestValidate:
         assert "FAIL" not in out
 
     def test_truncation_doubling_fails_without_probe(self, tmp_path, capsys):
-        # No grid temperature lies at or below e_cut/8, so nothing is probed.
+        # From T = 12 on, the ideal count of the states between e_cut and
+        # 2*e_cut is at least 4e-4*N, so nothing is probed.
         config = tmp_path / "hot.cfg"
-        config.write_text("e_cut = 40\nt_min = 6\nt_max = 9\n")
+        config.write_text("e_cut = 40\nt_min = 12\nt_max = 15\n")
         assert main(["--config", str(config), "--validate"]) == 2
         out = capsys.readouterr().out
-        assert "FAIL truncation-doubling: no grid temperature <= e_cut/8 (= 5)\n" in out
+        assert ("FAIL truncation-doubling: no grid temperature where the ideal count "
+                "above e_cut is <= 5e-05*N\n") in out
 
     def test_scaling_ratio_zero_denominator(self):
         assert _scaling_ratio_ok([0.0, 0.0, 0.0], 6.0, 10.0)[0]
@@ -251,7 +256,8 @@ class TestMainExitStatus:
         config.write_text(f"g = 0.02\ne_cut = 20\nt_min = 1\nt_max = 3\n"
                           f"solver = perturbative2\noutput = {out}\n")
         assert main(["--config", str(config)]) == 2
-        assert [row.split(",")[4] for row in out.read_text().split()[1:]] == ["0"] * 3
+        assert out.read_text() == ("T,n0_over_N,energy_excess_per_N,lambda,converged,iterations\n"
+                                   "1,nan,nan,nan,0,0\n2,nan,nan,nan,0,0\n3,nan,nan,nan,0,0\n")
         reasons = capsys.readouterr().err.splitlines()
         assert [line.split(":")[0] for line in reasons] == ["# T=1", "# T=2", "# T=3"]
         assert all(": UnstableSpectrumError: all levels must be positive" in line

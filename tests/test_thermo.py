@@ -413,12 +413,13 @@ class TestLevelTable:
         model.table = table
         self.assert_direct_solve(model, basis, 5.0, monkeypatch)
 
-    def test_node_zero_count_at_n_falls_back(self, monkeypatch):
+    def test_node_zero_takes_the_bare_count(self, monkeypatch):
         # Node 0 holds the bare levels from an eigen-solve, which may round
         # below levels(0.0).  Just under the transition its count then
-        # reaches N although that of levels(0.0) does not; brentq would find
-        # no sign change on the interpolant.  Here node 0 is lowered on
-        # purpose and T is the largest float below the transition.
+        # reaches N although that of levels(0.0) does not.  solve_n0 puts the
+        # count of levels(0.0) at node 0, so the interpolant keeps f(0) > 0.
+        # Here node 0 is lowered on purpose and T is the largest float below
+        # the transition; the point is still solved on the interpolant.
         cfg = TrapConfig(n_particles=20)
         basis = enumerate_basis(cfg, 30.0)
         model = SpectrumModel(cfg, basis, kind="riccati")
@@ -431,7 +432,21 @@ class TestLevelTable:
             mid = 0.5 * (low + high)
             low, high = (mid, high) if excited_count(bare, mid) < 20.0 else (low, mid)
         assert np.sum(occupation(table[0], low)) >= 20.0
-        self.assert_direct_solve(model, basis, low, monkeypatch)
+        direct = SpectrumModel(cfg, basis, kind="riccati")
+        direct.table = None
+        reference = solve_n0(direct, low)
+        calls = []
+        levels = SpectrumModel.levels
+
+        def counting(model, n0):
+            calls.append(n0)
+            return levels(model, n0)
+
+        monkeypatch.setattr(SpectrumModel, "levels", counting)
+        point = solve_n0(model, low)
+        assert calls == [0.0]
+        assert not point.normal_phase
+        assert abs(point.n0 - reference.n0) <= 2 * thermo.DEFAULT_TOL * 20
 
 
 class TestSweep:
@@ -493,9 +508,9 @@ class TestSweep:
 
     def test_levels_calls_per_point(self, monkeypatch):
         # One call for the ideal levels.  perturbative1 then makes one per
-        # root-solve evaluation and none after the root, whose levels are
-        # kept from the solve; perturbative2 root-solves on its count
-        # interpolant and makes no other call.
+        # root-solve evaluation and one more for the energy at the root;
+        # perturbative2 root-solves on its count interpolant and makes no
+        # other call.
         calls = []
         levels = SpectrumModel.levels
 
@@ -515,7 +530,7 @@ class TestSweep:
                 if point.normal_phase:
                     assert len(calls) == 1
                 elif kind == "perturbative1":
-                    assert len(calls) == point.iterations + 1
+                    assert len(calls) == point.iterations + 2
                 else:
                     assert len(calls) == 1
             assert phases == [False, False, False, True]
