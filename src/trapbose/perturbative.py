@@ -14,9 +14,9 @@ symmetrized.
 import numpy as np
 
 from .basis import SystemMatrices
-from .errors import ComplexSpectrumError
+from .errors import ComplexSpectrumError, ConvergenceError
 
-DEFAULT_IMAG_TOL = 1e-8
+IMAG_TOL = 1e-8
 
 
 def _einv_apply(energies, mat):
@@ -56,16 +56,19 @@ def real_eigenvalues(*stacks):
     each given alone or as a (..., m, m) stack: one (..., m) array per
     argument, sorted along its last axis.
 
-    Raises ComplexSpectrumError when max|Im| exceeds DEFAULT_IMAG_TOL *
-    max|Re|, both over all eigenvalues, which signals a coupling beyond the
-    perturbative regime.
+    Raises ComplexSpectrumError when max|Im| exceeds IMAG_TOL * max|Re|,
+    both over all eigenvalues, which signals a coupling beyond the
+    perturbative regime, and ConvergenceError when the eigen-solve fails.
     """
-    eigenvalues = [np.linalg.eigvals(np.asarray(mat, dtype=float)) for mat in stacks]
+    try:
+        eigenvalues = [np.linalg.eigvals(np.asarray(mat, dtype=float)) for mat in stacks]
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigenvalue solve failed: {exc}") from exc
     scale = max(np.max(np.abs(w.real)) for w in eigenvalues)
     max_imag = max(np.max(np.abs(w.imag)) for w in eigenvalues)
-    if max_imag > DEFAULT_IMAG_TOL * scale:
+    if max_imag > IMAG_TOL * scale:
         raise ComplexSpectrumError(
-            f"max |Im eigenvalue| = {max_imag:.3e} exceeds {DEFAULT_IMAG_TOL} * {scale:.3e}"
+            f"max |Im eigenvalue| = {max_imag:.3e} exceeds {IMAG_TOL} * {scale:.3e}"
         )
     return [np.sort(w.real, axis=-1) for w in eigenvalues]
 

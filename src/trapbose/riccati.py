@@ -41,7 +41,7 @@ from .basis import SystemMatrices
 from .errors import ConvergenceError, NoSolutionError
 from .perturbative import constraint_residual
 
-DEFAULT_TOL = 1e-10
+GENERAL_BRANCH_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -164,7 +164,8 @@ def bogoliubov_sector_levels(*problems):
     sqrt(eigvalsh(L^T Q L)) with L = cholesky(P), P = A - 2B, Q = A + 2B:
     the square roots of the eigenvalues of P Q.  Raises NoSolutionError
     when a P or Q is not positive definite, the matrix form of the
-    |2b/a| < 1 condition of the scalar problem, where tanh(2t) = -2b/a.
+    |2b/a| < 1 condition of the scalar problem, where tanh(2t) = -2b/a, and
+    ConvergenceError when the eigen-solve fails.
     """
     squares = []
     for prob in problems:
@@ -173,7 +174,10 @@ def bogoliubov_sector_levels(*problems):
         except np.linalg.LinAlgError as exc:
             raise NoSolutionError("A - 2B is not positive definite") from exc
         q_in_low = np.swapaxes(low, -1, -2) @ (prob.a + 2.0 * prob.b) @ low
-        squares.append(np.linalg.eigvalsh(q_in_low))
+        try:
+            squares.append(np.linalg.eigvalsh(q_in_low))
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError(f"eigenvalue solve failed: {exc}") from exc
     lowest = min(np.min(s) for s in squares)
     if lowest <= 0.0:
         raise NoSolutionError(f"A + 2B is not positive definite (eigenvalue {lowest:.3g})")
@@ -206,7 +210,7 @@ def solve_xy_general(prob: RiccatiProblem):
 
     One hybrid-Powell root solve over the n^2 entries of T, started from the
     first-order generator -B/E.  The solution is accepted when r1 <
-    DEFAULT_TOL, and ConvergenceError (residual r1) is raised otherwise;
+    GENERAL_BRANCH_TOL, and ConvergenceError (residual r1) is raised otherwise;
     the solver's own success flag is not used, because it can report a
     stalled step at a root that already meets the tolerance.
     """
@@ -218,11 +222,11 @@ def solve_xy_general(prob: RiccatiProblem):
 
     guess = -prob.b / prob.oscillator_energies()[:, None]
     # A step tolerance well below the default leaves r1 near rounding, far
-    # under DEFAULT_TOL, instead of within a factor of ten of it.
+    # under GENERAL_BRANCH_TOL, instead of within a factor of ten of it.
     t_mat = optimize.root(equation1_of, guess.ravel(), method="hybr",
                           options={"xtol": 1e-12}).x.reshape(n, n)
     sol = _solution(prob, t_mat, *_cosh_sinh_general(t_mat))
-    if not sol.r1 < DEFAULT_TOL:
-        raise ConvergenceError(f"general branch stopped at r1 = {sol.r1:.3g} >= {DEFAULT_TOL}",
-                               residual=sol.r1)
+    if not sol.r1 < GENERAL_BRANCH_TOL:
+        raise ConvergenceError(f"general branch stopped at r1 = {sol.r1:.3g} >= "
+                               f"{GENERAL_BRANCH_TOL}", residual=sol.r1)
     return sol

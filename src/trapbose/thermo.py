@@ -78,29 +78,25 @@ _SECTOR_KINDS = {
 }
 
 # Chebyshev points of the second kind in t = lambda/lambda_max = n0/N on
-# [0, 1], ascending, and the barycentric weights of all of them and of every
-# other one (Berrut and Trefethen, SIAM Rev. 46, 501 (2004)).
+# [0, 1], ascending, and their barycentric weights (Berrut and Trefethen,
+# SIAM Rev. 46, 501 (2004)).  Row i of _TAIL maps the values at the nodes to
+# the coefficient of T_(21+i)(2t - 1) in their interpolant: the last two.
 TABLE_NODES = 23
 _NODES = _read_only(np.sin(0.5 * np.pi * np.arange(TABLE_NODES) / (TABLE_NODES - 1)) ** 2)
+_WEIGHTS = _read_only(np.r_[0.5, np.ones(TABLE_NODES - 2), 0.5] * (-1.0) ** np.arange(TABLE_NODES))
+_TAIL = _read_only(np.linalg.inv(
+    np.polynomial.chebyshev.chebvander(2.0 * _NODES - 1.0, TABLE_NODES - 1))[-2:])
 
 
-def _chebyshev_weights(k):
-    return _read_only(np.r_[0.5, np.ones(k - 2), 0.5] * (-1.0) ** np.arange(k))
-
-
-_FINE = (_NODES, _chebyshev_weights(TABLE_NODES))
-_COARSE = (_NODES[::2], _chebyshev_weights((TABLE_NODES + 1) // 2))
-
-
-def _interpolate(values, t, nodes, weights):
-    """Barycentric interpolant of values at the given nodes, evaluated at t."""
-    gap = t - nodes
+def _interpolate(values, t):
+    """Barycentric interpolant of values at the nodes, evaluated at t."""
+    gap = t - _NODES
     nearest = np.argmin(np.abs(gap))
     if gap[nearest] == 0.0:
         return values[nearest]
     # Scaled by the smallest gap: every term is at most 1 in magnitude, so
     # none overflows however close t comes to a node.
-    terms = weights * (gap[nearest] / gap)
+    terms = _WEIGHTS * (gap[nearest] / gap)
     return (terms @ values) / np.sum(terms)
 
 
@@ -130,10 +126,11 @@ class SpectrumModel:
     cfg.coupling_lambda(N).  It is built by one batched eigen-solve per
     sector size at its first use (solve_n0 uses it at the first
     condensed-phase point, so a sweep with none never builds it) and kept.
-    solve_n0 interpolates the excited count and energy between the nodes.
-    The table is None for ideal and perturbative1, at g = 0, and when a
-    node raises a TrapBoseError or has a non-positive level; solve_n0 then
-    evaluates every level directly.  levels(n0) always evaluates directly.
+    solve_n0 interpolates the excited count and energy between the nodes
+    when the count's Chebyshev tail is within tol*N.  The table is None for
+    ideal and perturbative1, at g = 0, and when a node raises a
+    TrapBoseError or has a non-positive level; solve_n0 then evaluates
+    every level directly.  levels(n0) always evaluates directly.
 
     cfg must describe the trap of basis.config; it gives N and lambda = g*N0/2
     to the loop.  At lambda = 0 every kind returns the bare levels: sorted
@@ -197,7 +194,7 @@ class ThermoPoint:
     """One temperature point of the self-consistent loop.
 
     iterations counts the evaluations of the root solve that gave n0
-    (evaluations of the count interpolant for a dense model with a table,
+    (evaluations of the count interpolant when solve_n0 solved on it,
     direct levels calls otherwise); a point that failed has converged False
     and the exception in fail_reason.
     """
@@ -223,7 +220,7 @@ def _fugacity_excess(fugacity, levels, temperature, n_total):
 
 
 def _interpolated_residual(n0, counts, n_total):
-    return n_total - n0 - _interpolate(counts, n0 / n_total, *_FINE)
+    return n_total - n0 - _interpolate(counts, n0 / n_total)
 
 
 def _direct_residual(n0, model, temperature, n_total):
@@ -265,16 +262,15 @@ def solve_n0(model: SpectrumModel, temperature, tol=DEFAULT_TOL):
     returned instead.
 
     With a table (model.table) the excited count and energy at each node
-    are formed once, and the root is found on the barycentric interpolant
-    of the counts in t = n0/N, whose node 0 is the bare count above; the
-    point's energy is the interpolated one.
-    Both are traces over the levels, analytic in lambda through level
-    crossings, so the interpolant converges geometrically.  The point
-    stands when the interpolant on every other node agrees with it within
-    tol*N at the root, the convergence estimate of Chebfun (Battles and
-    Trefethen, SIAM J. Sci. Comput. 25, 1743 (2004)); otherwise it is
-    solved again on direct levels.  Raises UnstableSpectrumError when the
-    model returns a non-positive level.
+    are formed once.  Both are traces over the levels, analytic in lambda
+    through level crossings, so their interpolants in t = n0/N converge
+    geometrically, and the last two Chebyshev coefficients of the count
+    interpolant estimate its error (Chebfun's test: Trefethen,
+    Approximation Theory and Approximation Practice, ch. 8).  When they sum
+    to at most tol*N in magnitude, the root is found on that interpolant,
+    whose node 0 is the bare count above, and the energy is interpolated;
+    otherwise, and without a table, on direct levels.  Raises
+    UnstableSpectrumError when the model returns a non-positive level.
     """
     if temperature <= 0.0:
         raise ValueError("temperature must be positive")
@@ -289,19 +285,16 @@ def solve_n0(model: SpectrumModel, temperature, tol=DEFAULT_TOL):
         return _normal_phase_point(ideal_levels, temperature, n_total)
 
     table = model.table
-    energy = None
     if table is not None:
         occ = occupation(table, temperature)
         counts = np.sum(occ, axis=1)
         # Node 0 is lambda = 0: the count that chose this phase, so f(0) > 0
         # holds on the interpolant too.
         counts[0] = bare_count
+    if table is not None and np.sum(np.abs(_TAIL @ counts)) <= tol * n_total:
         n0, calls = _brent_root(_interpolated_residual, (counts, n_total), n_total, tol)
-        t = n0 / n_total
-        estimate = _interpolate(counts, t, *_FINE) - _interpolate(counts[::2], t, *_COARSE)
-        if abs(estimate) <= tol * n_total:
-            energy = float(_interpolate(np.sum(table * occ, axis=1), t, *_FINE))
-    if energy is None:
+        energy = float(_interpolate(np.sum(table * occ, axis=1), n0 / n_total))
+    else:
         n0, calls = _brent_root(_direct_residual, (model, temperature, n_total), n_total, tol)
         energy = energy_excess(model.levels(n0), temperature)
     return ThermoPoint(temperature=temperature, n0=n0, lam=cfg.coupling_lambda(n0),

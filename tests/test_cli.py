@@ -263,6 +263,20 @@ class TestMainExitStatus:
         assert all(": UnstableSpectrumError: all levels must be positive" in line
                    for line in reasons)
 
+    @pytest.mark.parametrize("kind", ["perturbative2", "riccati"])
+    def test_linear_algebra_failures_exit_two(self, kind, tmp_path, capsys):
+        config = tmp_path / "overflow.cfg"
+        out = tmp_path / "out.csv"
+        config.write_text(f"g = 1e200\ne_cut = 20\nt_min = 1\nt_max = 3\n"
+                          f"solver = {kind}\noutput = {out}\n")
+        with np.errstate(over="ignore"):
+            assert main(["--config", str(config)]) == 2
+        assert out.read_text().splitlines()[1:] == ["1,nan,nan,nan,0,0", "2,nan,nan,nan,0,0",
+                                                    "3,nan,nan,nan,0,0"]
+        reasons = capsys.readouterr().err.splitlines()
+        assert all(": ConvergenceError: eigenvalue solve failed" in line for line in reasons)
+        assert len(reasons) == 3
+
     def test_missing_config_file_exit_one(self, tmp_path):
         assert main(["--config", str(tmp_path / "absent.cfg")]) == 1
 

@@ -3,6 +3,7 @@ import math
 import weakref
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebval
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -375,15 +376,21 @@ class TestLevelTable:
                                        rtol=1e-12, atol=0.0)
         counts = np.sum(occupation(table, 5.0), axis=1)
         for n0 in (3.0, 333.0, 777.0):
-            count = thermo._interpolate(counts, n0 / 1000.0, *thermo._FINE)
+            count = thermo._interpolate(counts, n0 / 1000.0)
             assert count == pytest.approx(excited_count(model.levels(n0), 5.0), rel=1e-12)
 
+    def test_tail_map_gives_the_last_two_chebyshev_coefficients(self):
+        x = 2.0 * thermo._NODES - 1.0
+        coefficients = np.random.default_rng(3).standard_normal(thermo.TABLE_NODES)
+        np.testing.assert_allclose(thermo._TAIL @ chebval(x, coefficients),
+                                   coefficients[-2:], rtol=0.0, atol=1e-13)
+        np.testing.assert_allclose(thermo._TAIL @ chebval(x, coefficients[:-2]),
+                                   0.0, rtol=0.0, atol=1e-13)
+        assert not thermo._TAIL.flags.writeable
+
     @staticmethod
-    def assert_direct_solve(model, basis, temperature, monkeypatch):
-        """solve_n0 on model equals that on a model of basis with no table,
-        down to its direct levels calls."""
-        direct = SpectrumModel(model.cfg, basis, kind=model.kind)
-        direct.table = None
+    def record_levels_calls(monkeypatch):
+        """The n0 of every SpectrumModel.levels call from now on."""
         calls = []
         levels = SpectrumModel.levels
 
@@ -392,6 +399,14 @@ class TestLevelTable:
             return levels(model, n0)
 
         monkeypatch.setattr(SpectrumModel, "levels", counting)
+        return calls
+
+    def assert_direct_solve(self, model, basis, temperature, monkeypatch):
+        """solve_n0 on model equals that on a model of basis with no table,
+        down to its direct levels calls."""
+        direct = SpectrumModel(model.cfg, basis, kind=model.kind)
+        direct.table = None
+        calls = self.record_levels_calls(monkeypatch)
         reference = solve_n0(direct, temperature)
         reference_calls = calls[:]
         calls.clear()
@@ -403,15 +418,31 @@ class TestLevelTable:
         assert point.energy_excess == reference.energy_excess
 
     def test_perturbed_table_fails_certificate(self, monkeypatch):
-        # An odd node scaled by 1 + 1e-3 moves the 23-node count interpolant
-        # but not the one on every other node: the two differ by more than
-        # tol*N, and the point is solved again on direct levels.
+        # An odd node scaled by 1 + 1e-3 moves the last two Chebyshev
+        # coefficients of the count interpolant by more than tol*N, so the
+        # point is solved on direct levels.
         basis = enumerate_basis(CFG, 120.0)
         model = SpectrumModel(CFG, basis, kind="perturbative2")
         table = model.table.copy()
         table[thermo.TABLE_NODES - 2] *= 1.0 + 1e-3
         model.table = table
         self.assert_direct_solve(model, basis, 5.0, monkeypatch)
+
+    def test_tail_accepts_a_3d_point(self, monkeypatch):
+        # A 3D trap above its cutoff-converged window: the count interpolant
+        # on every other node is off by more than tol*N here, but the tail of
+        # the one on all the nodes is not, and the point is solved on it.
+        cfg = TrapConfig(dimension=3, frequencies=(1.0, 1.3, 0.7))
+        basis = enumerate_basis(cfg, 8.0)
+        direct = SpectrumModel(cfg, basis, kind="riccati")
+        direct.table = None
+        reference = solve_n0(direct, 6.4)
+        model = SpectrumModel(cfg, basis, kind="riccati")
+        calls = self.record_levels_calls(monkeypatch)
+        point = solve_n0(model, 6.4)
+        assert calls == [0.0]
+        assert not point.normal_phase
+        assert abs(point.n0 - reference.n0) <= 2 * thermo.DEFAULT_TOL * 1000
 
     def test_node_zero_takes_the_bare_count(self, monkeypatch):
         # Node 0 holds the bare levels from an eigen-solve, which may round
@@ -557,6 +588,20 @@ class TestSweep:
         assert not any(p.converged for p in curve.points)
         for point in curve.points:
             assert point.fail_reason.startswith("UnstableSpectrumError: all levels must be positive")
+
+    @pytest.mark.parametrize("kind", ["perturbative2", "riccati"])
+    def test_linear_algebra_failures_flagged(self, kind):
+        # At g = 1e200 the matrices at the table nodes and at every n0 > 0
+        # overflow, and the eigen-solve fails: the model keeps no table and
+        # each point fails on its own.
+        cfg = TrapConfig(g=1e200)
+        basis = enumerate_basis(cfg, 20.0)
+        with np.errstate(over="ignore"):
+            assert SpectrumModel(cfg, basis, kind=kind).table is None
+            curve = sweep(cfg, basis, [1.0, 2.0, 3.0], solver_kind=kind)
+        assert not any(p.converged for p in curve.points)
+        for point in curve.points:
+            assert point.fail_reason.startswith("ConvergenceError: eigenvalue solve failed")
 
     def test_riccati_large_basis_matches_perturbative2(self):
         basis = enumerate_basis(CFG, 60.0)
