@@ -8,9 +8,11 @@ as a continuous macroscopic occupation.
 
 Above the condensation region the loop has no solution with N0 > 0; those
 points are extended with an ideal-spectrum fugacity fit (normal-phase
-extension, an artifact convention).
+extension, an artifact convention): the fugacity z at which the bare levels
+hold all N particles, found by Newton's method on the log of their count.
 """
 
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -19,7 +21,7 @@ from scipy.optimize import brentq
 
 from .basis import BasisSet, diagonal_coupling, parity_sectors
 from .config import TrapConfig
-from .errors import TrapBoseError, UnstableSpectrumError
+from .errors import ConvergenceError, TrapBoseError, UnstableSpectrumError
 from .perturbative import real_eigenvalues, second_order_term
 from .riccati import RiccatiProblem, bogoliubov_sector_levels
 
@@ -128,9 +130,11 @@ class SpectrumModel:
     condensed-phase point, so a sweep with none never builds it) and kept.
     solve_n0 interpolates the excited count and energy between the nodes
     when the count's Chebyshev tail is within tol*N.  The table is None for
-    ideal and perturbative1, at g = 0, and when a node raises a
-    TrapBoseError or has a non-positive level; solve_n0 then evaluates
-    every level directly.  levels(n0) always evaluates directly.
+    ideal and perturbative1, at g = 0, when lambda_max is beyond the float
+    range, and when a node raises a TrapBoseError or has a non-positive
+    level; solve_n0 then evaluates every level directly.  levels(n0)
+    always evaluates directly.  Sector matrices that overflow raise
+    ConvergenceError.
 
     cfg must describe the trap of basis.config; it gives N and lambda = g*N0/2
     to the loop.  At lambda = 0 every kind returns the bare levels: sorted
@@ -169,18 +173,28 @@ class SpectrumModel:
             return self._energies
         if self._sector_levels is None:
             return self._energies + 4.0 * lam * self._diag_c
-        sectors = self._sector_levels(np.array([lam]), self._groups)
+        sectors = self._sectors(np.array([lam]))
         return np.sort(np.concatenate([s.ravel() for s in sectors]))
+
+    def _sectors(self, lam):
+        # A coupling beyond the float range overflows the sector matrices:
+        # that is a failed eigen-solve of the point, not a warning.
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                return self._sector_levels(lam, self._groups)
+        except FloatingPointError as exc:
+            raise ConvergenceError(f"eigenvalue solve failed: {exc}") from exc
 
     @cached_property
     def table(self):
         """The node levels of a dense model, built at first use; None when
         the model has none."""
         lam_max = self.cfg.coupling_lambda(self.cfg.n_particles)
-        if self._sector_levels is None or lam_max == 0.0:
+        # lam_max = inf (g*N beyond the float range) would make node 0 nan.
+        if self._sector_levels is None or not 0.0 < lam_max < math.inf:
             return None
         try:
-            sectors = self._sector_levels(lam_max * _NODES, self._groups)
+            sectors = self._sectors(lam_max * _NODES)
         except TrapBoseError:
             return None
         values = np.concatenate([s.reshape(TABLE_NODES, -1) for s in sectors], axis=1)
@@ -215,10 +229,6 @@ class ThermoPoint:
 # are module-level and take their data through brentq's args, so that cycle
 # holds no model, basis or levels.
 
-def _fugacity_excess(fugacity, levels, temperature, n_total):
-    return float(np.sum(occupation(levels, temperature, fugacity))) - n_total
-
-
 def _interpolated_residual(n0, counts, n_total):
     return n_total - n0 - _interpolate(counts, n0 / n_total)
 
@@ -235,16 +245,51 @@ def _brent_root(residual, args, n_total, tol):
     return n0, result.function_calls
 
 
+# The normal-phase fugacity: Newton's method on h(u) = log count(u) - log N
+# in u = log z, with q = exp(-eps/T) formed once per point.  count(u) =
+# sum z*q/(1 - z*q) is a positive sum of e^(ju), so h is increasing and
+# convex, and Newton started where h >= 0 falls monotonically to the root,
+# never overshooting.  The loop ends at a step of at most FUGACITY_STEP_TOL in
+# log z (relative in z), or at a step below zero, where rounding has crossed
+# the root; the point keeps the z and energy of that last evaluation.
+FUGACITY_STEP_TOL = 1e-15
+FUGACITY_MAX_EVALUATIONS = 50
+
+
+def _fugacity_occupations(u, q):
+    """Occupations z*q/(1 - z*q) at z = exp(u): one evaluation of the
+    normal-phase Newton solve."""
+    zq = math.exp(u) * q
+    return zq / (1.0 - zq)
+
+
 def _normal_phase_point(levels, temperature, n_total):
-    # At z = 1 the sum is the excited_count that chose the normal phase, so
-    # f(1) >= 0 holds even at the transition temperature itself.
-    fugacity = brentq(_fugacity_excess, 1e-300, 1.0,
-                      args=(levels, temperature, n_total), xtol=1e-15, rtol=1e-15)
-    return ThermoPoint(
-        temperature=temperature, n0=0.0, lam=0.0,
-        energy_excess=energy_excess(levels, temperature, fugacity), iterations=0,
-        converged=True, normal_phase=True, fugacity=fugacity,
-    )
+    q = np.exp(-levels / temperature)
+    # Start at the smallest of three z that each hold at least N particles;
+    # as none exceeds the first, z*q < 1 there, also where q rounds to 1.
+    # z*max(q) = N/(N + 1): the lowest level alone holds N.  The cap
+    # 1 - 2**-49 keeps 1 - z*q clear of rounding; above N ~ 5.6e14, where it
+    # binds, z is resolved only to rounding, as by any float root.
+    # z*mean(q) = N/(N + size): Jensen's inequality for the convex
+    # f(w) = w/(1 - w) gives count >= size*f(z*mean(q)) = N.
+    # z = 1: the excited_count that chose this phase.
+    u = min(math.log(min(n_total / (n_total + 1.0), 1.0 - 2.0**-49) / np.max(q)),
+            math.log(n_total * q.size / ((n_total + q.size) * np.sum(q))), 0.0)
+    for _ in range(FUGACITY_MAX_EVALUATIONS):
+        occ = _fugacity_occupations(u, q)
+        count = float(np.sum(occ))
+        # h'(u) = sum occ*(1 + occ) / count.
+        step = math.log(count / n_total) * count / (count + float(occ @ occ))
+        if step <= FUGACITY_STEP_TOL:
+            return ThermoPoint(
+                temperature=temperature, n0=0.0, lam=0.0,
+                energy_excess=float(levels @ occ), iterations=0,
+                converged=True, normal_phase=True, fugacity=math.exp(u),
+            )
+        u -= step
+    raise ConvergenceError(
+        f"normal-phase fugacity not converged in {FUGACITY_MAX_EVALUATIONS} Newton evaluations "
+        f"(last step {step:.3g} in log z)", residual=count - n_total)
 
 
 def energy_excess(levels, temperature, fugacity=1.0):

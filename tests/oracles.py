@@ -2,8 +2,9 @@
 
 The package evaluates each of these in a faster form: the basis arrays
 vectorize the scalar matrix elements, the level models solve each parity
-sector on its own instead of the full matrices, and the pipeline never
-needs the shift vector z or the spectrum of the solved X, Y.  The tests
+sector on its own instead of the full matrices, the normal-phase fugacity
+is a Newton solve instead of a bracketed one, and the pipeline never needs
+the shift vector z or the spectrum of the solved X, Y.  The tests
 compare the fast forms against these, so their arithmetic must stay as the
 formulas read.
 """
@@ -11,9 +12,11 @@ formulas read.
 import math
 
 import numpy as np
+from scipy.optimize import brentq
 from scipy.special import gammaln
 
-from trapbose import NoSolutionError, RiccatiSolution, SystemMatrices, TrapConfig
+from trapbose import (NoSolutionError, RiccatiSolution, SystemMatrices, ThermoPoint, TrapConfig,
+                      energy_excess, occupation)
 from trapbose.basis import _log_prefactor
 from trapbose.perturbative import real_eigenvalues, second_order_term
 from trapbose.riccati import bogoliubov_sector_levels
@@ -126,3 +129,25 @@ def exact_spectrum(sol: RiccatiSolution, sys: SystemMatrices):
         + 2.0 * lam * (x @ c_mat @ y + y @ c_mat @ x)
     )
     return quasiparticle_levels(spec)
+
+
+# The bracketed fugacity root: the reference for the normal-phase Newton
+# solve of solve_n0.
+
+def _fugacity_excess(fugacity, levels, temperature, n_total):
+    return float(np.sum(occupation(levels, temperature, fugacity))) - n_total
+
+
+def normal_phase_point(levels, temperature, n_total):
+    """Normal-phase point of the bare levels: the fugacity z in (0, 1] at
+    which sum z/(exp(eps/T) - z) = N, by Brent's method, and the energy
+    there."""
+    # At z = 1 the sum is the excited_count that chose the normal phase, so
+    # f(1) >= 0 holds even at the transition temperature itself.
+    fugacity = brentq(_fugacity_excess, 1e-300, 1.0,
+                      args=(levels, temperature, n_total), xtol=1e-15, rtol=1e-15)
+    return ThermoPoint(
+        temperature=temperature, n0=0.0, lam=0.0,
+        energy_excess=energy_excess(levels, temperature, fugacity), iterations=0,
+        converged=True, normal_phase=True, fugacity=fugacity,
+    )

@@ -269,8 +269,7 @@ class TestMainExitStatus:
         out = tmp_path / "out.csv"
         config.write_text(f"g = 1e200\ne_cut = 20\nt_min = 1\nt_max = 3\n"
                           f"solver = {kind}\noutput = {out}\n")
-        with np.errstate(over="ignore"):
-            assert main(["--config", str(config)]) == 2
+        assert main(["--config", str(config)]) == 2
         assert out.read_text().splitlines()[1:] == ["1,nan,nan,nan,0,0", "2,nan,nan,nan,0,0",
                                                     "3,nan,nan,nan,0,0"]
         reasons = capsys.readouterr().err.splitlines()

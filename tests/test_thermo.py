@@ -1,5 +1,6 @@
 import gc
 import math
+import warnings
 import weakref
 
 import numpy as np
@@ -24,7 +25,7 @@ from trapbose import (
     solve_n0,
     sweep,
 )
-from oracles import bogoliubov_levels, quasiparticle_levels, spectrum_matrix
+from oracles import bogoliubov_levels, normal_phase_point, quasiparticle_levels, spectrum_matrix
 
 CFG = TrapConfig()
 IDEAL = TrapConfig(g=0.0)
@@ -56,6 +57,15 @@ def shuffled_basis():
 def solve_at(cfg, basis, temperature, **kwargs):
     """solve_n0 with a fresh first-order level model."""
     return solve_n0(SpectrumModel(cfg, basis), temperature, **kwargs)
+
+
+def transition_temperature(bare_levels, n_total, low=1e-3, high=1e6):
+    """The smallest float T at which the bare levels hold n_total particles
+    at z = 1: the first normal-phase temperature."""
+    while np.nextafter(low, high) < high:
+        mid = 0.5 * (low + high)
+        low, high = (mid, high) if excited_count(bare_levels, mid) < n_total else (low, mid)
+    return high
 
 
 class TestOccupation:
@@ -165,11 +175,8 @@ class TestSolveN0:
         # fugacity root lies at z = 1 itself, so the bracket must include it.
         cfg = TrapConfig(n_particles=20)
         basis = enumerate_basis(cfg, 30.0)
-        bare = SpectrumModel(cfg, basis, kind=kind).levels(0.0)
-        low, high = 1.0, 30.0
-        while np.nextafter(low, high) < high:
-            mid = 0.5 * (low + high)
-            low, high = (mid, high) if excited_count(bare, mid) < 20.0 else (low, mid)
+        high = transition_temperature(SpectrumModel(cfg, basis, kind=kind).levels(0.0), 20.0,
+                                      1.0, 30.0)
         (point,) = sweep(cfg, basis, [high], solver_kind=kind).points
         assert point.converged and point.normal_phase
         config = tmp_path / "transition.cfg"
@@ -179,6 +186,75 @@ class TestSolveN0:
         assert main(["--config", str(config)]) == 0
         (row,) = out.read_text().split()[1:]
         assert row.split(",")[4] == "1"
+
+    @settings(deadline=None)
+    @given(dimension=st.sampled_from([1, 2, 3]),
+           omega=st.lists(st.floats(0.7, 2.0), min_size=3, max_size=3),
+           scale=st.floats(1.0, 50.0))
+    @example(dimension=1, omega=[1.0] * 3, scale=1.0)
+    @example(dimension=2, omega=[1.0, math.sqrt(2.0), 1.0], scale=1.0)
+    @example(dimension=3, omega=[1.0, 1.3, 0.7], scale=50.0)
+    def test_normal_phase_matches_bracketed_oracle(self, dimension, omega, scale):
+        # From the transition temperature itself (scale 1) to 50 times it.
+        cfg = TrapConfig(dimension=dimension, frequencies=omega[:dimension])
+        basis = enumerate_basis(cfg, {1: 60.0, 2: 25.0, 3: 12.0}[dimension])
+        model = SpectrumModel(cfg, basis)
+        bare = model.levels(0.0)
+        temperature = transition_temperature(bare, 1000.0) * scale
+        point = solve_n0(model, temperature)
+        expected = normal_phase_point(bare, temperature, 1000.0)
+        assert point.converged and point.normal_phase
+        assert point.fugacity == pytest.approx(expected.fugacity, rel=1e-13)
+        assert point.energy_excess == pytest.approx(expected.energy_excess, rel=1e-13)
+
+    def test_normal_phase_at_extreme_temperatures(self):
+        # At T >= 1e17 every exp(-eps/T) rounds to 1: a Newton start at
+        # z = 1 would divide by zero there.
+        basis = enumerate_basis(CFG, 20.0)
+        bare = SpectrumModel(CFG, basis).levels(0.0)
+        grid = [1e15, 1e17, 1e20, 1e300]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            curve = sweep(CFG, basis, grid)
+        for temperature, point in zip(grid, curve.points):
+            assert point.converged and point.normal_phase
+            expected = normal_phase_point(bare, temperature, 1000.0)
+            assert point.fugacity == pytest.approx(expected.fugacity, rel=1e-12)
+
+    def test_normal_phase_with_n_beyond_float_resolution(self):
+        # N = 1e17: N/(N + 1) rounds to 1, so an uncapped start would put
+        # z*max(q) at 1 where q rounds to 1 too, and divide by zero.
+        cfg = TrapConfig(n_particles=10**17)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            curve = sweep(cfg, enumerate_basis(cfg, 20.0), [1e17, 1e20, 1e300])
+        assert all(p.converged and p.normal_phase and 0.0 < p.fugacity < 1.0
+                   for p in curve.points)
+
+    def test_normal_phase_evaluations_per_point(self, monkeypatch):
+        # The trap and grid of the aniso2d-p1 benchmark.  Newton on the
+        # log-count takes 4.2 evaluations per normal-phase point there, at
+        # most 6; brentq took 7.8, and a bracketing fall back more than 8.
+        evaluations = []
+        occupations = thermo._fugacity_occupations
+
+        def counting(u, q):
+            evaluations.append(u)
+            return occupations(u, q)
+
+        monkeypatch.setattr(thermo, "_fugacity_occupations", counting)
+        cfg = TrapConfig(dimension=2, frequencies=(1.0, math.sqrt(2.0)))
+        model = SpectrumModel(cfg, enumerate_basis(cfg, 300.0))
+        normal = 0
+        for temperature in np.arange(1.0, 201.0):
+            evaluations.clear()
+            point = solve_n0(model, temperature)
+            if point.normal_phase:
+                normal += 1
+                assert 1 <= len(evaluations) <= 8
+            else:
+                assert not evaluations
+        assert normal == 172
 
     @settings(deadline=None)
     @given(kind=st.sampled_from(["ideal", "perturbative1", "perturbative2", "riccati"]),
@@ -589,19 +665,40 @@ class TestSweep:
         for point in curve.points:
             assert point.fail_reason.startswith("UnstableSpectrumError: all levels must be positive")
 
+    def test_unconverged_fugacity_flagged(self, monkeypatch):
+        # With one Newton evaluation allowed, a normal-phase point whose
+        # start is not already the root fails on its own.
+        monkeypatch.setattr(thermo, "FUGACITY_MAX_EVALUATIONS", 1)
+        curve = sweep(CFG, enumerate_basis(CFG, 400.0), [10.0, 190.0])
+        cold, hot = curve.points
+        assert cold.converged and not cold.normal_phase
+        assert not hot.converged
+        assert hot.fail_reason.startswith("ConvergenceError: normal-phase fugacity not converged")
+
     @pytest.mark.parametrize("kind", ["perturbative2", "riccati"])
     def test_linear_algebra_failures_flagged(self, kind):
         # At g = 1e200 the matrices at the table nodes and at every n0 > 0
         # overflow, and the eigen-solve fails: the model keeps no table and
-        # each point fails on its own.
+        # each point fails on its own, with no RuntimeWarning (an error
+        # under this suite's warning filter).
         cfg = TrapConfig(g=1e200)
         basis = enumerate_basis(cfg, 20.0)
-        with np.errstate(over="ignore"):
-            assert SpectrumModel(cfg, basis, kind=kind).table is None
-            curve = sweep(cfg, basis, [1.0, 2.0, 3.0], solver_kind=kind)
+        assert SpectrumModel(cfg, basis, kind=kind).table is None
+        curve = sweep(cfg, basis, [1.0, 2.0, 3.0], solver_kind=kind)
         assert not any(p.converged for p in curve.points)
         for point in curve.points:
             assert point.fail_reason.startswith("ConvergenceError: eigenvalue solve failed")
+
+    def test_coupling_beyond_float_range_flagged(self):
+        # At g = 1e308, lambda_max = g*N/2 is inf: the model keeps no table
+        # (node 0 would be inf*0) and each point fails on its own.
+        cfg = TrapConfig(g=1e308)
+        basis = enumerate_basis(cfg, 20.0)
+        for kind in ("perturbative2", "riccati"):
+            assert SpectrumModel(cfg, basis, kind=kind).table is None
+            curve = sweep(cfg, basis, [1.0, 2.0], solver_kind=kind)
+            assert all(p.fail_reason.startswith("ConvergenceError: eigenvalue solve failed")
+                       for p in curve.points)
 
     def test_riccati_large_basis_matches_perturbative2(self):
         basis = enumerate_basis(CFG, 60.0)
