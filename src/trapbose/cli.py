@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import basis as basis_mod
-from .config import TrapConfig
+from .config import TrapConfig, require_finite
 from .errors import ConfigError, TrapBoseError
 from .perturbative import constraint_residual, perturbative_xy
 from .riccati import RiccatiProblem, solve_xy, solve_xy_general
@@ -35,6 +35,8 @@ class RunConfig:
     emit_diagnostics: bool = False
 
     def __post_init__(self):
+        require_finite(("e_cut", self.e_cut), ("t_min", self.t_min), ("t_max", self.t_max),
+                        ("t_step", self.t_step), ("tol", self.tol))
         if self.e_cut <= 0.0:
             raise ConfigError("e_cut must be positive")
         if self.t_min <= 0.0:
@@ -168,6 +170,21 @@ def _scaling_ratio_ok(values, low, high):
     return all(low <= r <= high for r in ratios), ratios
 
 
+def _interpolant_gap(trap, basis, probe, tol):
+    """Largest |n0| difference, in units of tol*N, between solve_n0 on a
+    dense model's table and on a model with none, over both dense kinds
+    and the probe temperatures."""
+    worst = 0.0
+    for kind in ("perturbative2", "riccati"):
+        model = SpectrumModel(trap, basis, kind=kind)
+        direct = SpectrumModel(trap, basis, kind=kind)
+        direct.table = None
+        for t in probe:
+            gap = abs(solve_n0(model, t, tol=tol).n0 - solve_n0(direct, t, tol=tol).n0)
+            worst = max(worst, gap / (tol * trap.n_particles))
+    return worst
+
+
 def validate(config: RunConfig):
     """Cross-validation suite; returns (report_text, all_passed)."""
     lines = []
@@ -237,9 +254,19 @@ def validate(config: RunConfig):
         pa = solve_n0(model_a, t, tol=config.tol)
         pb = solve_n0(model_b, t, tol=config.tol)
         worst = max(worst, abs(pa.n0 - pb.n0) / trap.n_particles)
-    detail = (f"max shift {worst:.3e}" if probe
-              else "no grid temperature where the ideal count above e_cut is <= 5e-05*N")
+    no_probe = "no grid temperature where the ideal count above e_cut is <= 5e-05*N"
+    detail = f"max shift {worst:.3e}" if probe else no_probe
     lines.append(_check("truncation-doubling", bool(probe) and worst < 1e-4, detail))
+
+    # The dense kinds' count interpolant against direct levels, at the same
+    # probe temperatures.
+    try:
+        worst = _interpolant_gap(trap, basis, probe, config.tol)
+        ok = bool(probe) and worst <= 2.0
+        detail = f"max |delta n0| {worst:.3g} tol*N" if probe else no_probe
+    except TrapBoseError as exc:
+        ok, detail = False, f"{type(exc).__name__}: {exc}"
+    lines.append(_check("interpolant-vs-direct", ok, detail))
 
     report = "\n".join(text for text, _ in lines) + "\n"
     return report, all(passed for _, passed in lines)

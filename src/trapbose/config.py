@@ -6,6 +6,14 @@ from dataclasses import dataclass
 from .errors import ConfigError
 
 
+def require_finite(*pairs):
+    """ConfigError naming the first config key whose value is nan or
+    infinite."""
+    for key, value in pairs:
+        if not math.isfinite(value):
+            raise ConfigError(f"{key} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class TrapConfig:
     """Parameters of one model instance: D-dimensional harmonic trap with
@@ -25,6 +33,8 @@ class TrapConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "frequencies", tuple(float(w) for w in self.frequencies))
+        require_finite(("g", self.g), ("mass", self.mass), ("hbar", self.hbar),
+                        *(("omega", w) for w in self.frequencies))
         if self.dimension < 1:
             raise ConfigError(f"dimension must be >= 1, got {self.dimension}")
         if len(self.frequencies) != self.dimension:

@@ -13,6 +13,7 @@ hold all N particles, found by Newton's method on the log of their count.
 """
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -80,25 +81,34 @@ _SECTOR_KINDS = {
 }
 
 # Chebyshev points of the second kind in t = lambda/lambda_max = n0/N on
-# [0, 1], ascending, and their barycentric weights (Berrut and Trefethen,
-# SIAM Rev. 46, 501 (2004)).  Row i of _TAIL maps the values at the nodes to
-# the coefficient of T_(21+i)(2t - 1) in their interpolant: the last two.
-TABLE_NODES = 23
-_NODES = _read_only(np.sin(0.5 * np.pi * np.arange(TABLE_NODES) / (TABLE_NODES - 1)) ** 2)
-_WEIGHTS = _read_only(np.r_[0.5, np.ones(TABLE_NODES - 2), 0.5] * (-1.0) ** np.arange(TABLE_NODES))
-_TAIL = _read_only(np.linalg.inv(
-    np.polynomial.chebyshev.chebvander(2.0 * _NODES - 1.0, TABLE_NODES - 1))[-2:])
+# [0, 1], ascending, their barycentric weights (Berrut and Trefethen, SIAM
+# Rev. 46, 501 (2004)), and the tail map: row i of tail maps the values at
+# the n nodes to the coefficient of T_(n-2+i)(2t - 1) in their interpolant,
+# the last two.  Grids of 2^k + 1 points are nested: the 17 nodes of _COARSE
+# are the even rows of the 33 of _FINE, bit for bit, as k/16 = 2k/32 exactly.
+_Grid = namedtuple("_Grid", "nodes weights tail")
 
 
-def _interpolate(values, t):
-    """Barycentric interpolant of values at the nodes, evaluated at t."""
-    gap = t - _NODES
+def _chebyshev_grid(size):
+    nodes = np.sin(0.5 * np.pi * np.arange(size) / (size - 1)) ** 2
+    weights = np.r_[0.5, np.ones(size - 2), 0.5] * (-1.0) ** np.arange(size)
+    tail = np.linalg.inv(np.polynomial.chebyshev.chebvander(2.0 * nodes - 1.0, size - 1))[-2:]
+    return _Grid(*(_read_only(a) for a in (nodes, weights, tail)))
+
+
+_COARSE = _chebyshev_grid(17)
+_FINE = _chebyshev_grid(33)
+
+
+def _interpolate(grid, values, t):
+    """Barycentric interpolant of values at the grid's nodes, evaluated at t."""
+    gap = t - grid.nodes
     nearest = np.argmin(np.abs(gap))
     if gap[nearest] == 0.0:
         return values[nearest]
     # Scaled by the smallest gap: every term is at most 1 in magnitude, so
     # none overflows however close t comes to a node.
-    terms = _WEIGHTS * (gap[nearest] / gap)
+    terms = grid.weights * (gap[nearest] / gap)
     return (terms @ values) / np.sum(terms)
 
 
@@ -122,18 +132,22 @@ class SpectrumModel:
     RiccatiProblem.from_system -> quasiparticle_levels or bogoliubov_levels)
     gives the same levels and is the tests' oracle for this one.
 
-    For the dense kinds, `table` is a read-only (TABLE_NODES, size) array:
-    row j holds the sector levels, in no particular order, at the Chebyshev
-    node lambda = _NODES[j] * lambda_max, with lambda_max =
+    For the dense kinds, `table` is a read-only (17, size) array: row j
+    holds the sector levels, in no particular order, at the Chebyshev node
+    lambda = _COARSE.nodes[j] * lambda_max, with lambda_max =
     cfg.coupling_lambda(N).  It is built by one batched eigen-solve per
     sector size at its first use (solve_n0 uses it at the first
     condensed-phase point, so a sweep with none never builds it) and kept.
-    solve_n0 interpolates the excited count and energy between the nodes
-    when the count's Chebyshev tail is within tol*N.  The table is None for
-    ideal and perturbative1, at g = 0, when lambda_max is beyond the float
-    range, and when a node raises a TrapBoseError or has a non-positive
-    level; solve_n0 then evaluates every level directly.  levels(n0)
-    always evaluates directly.  Sector matrices that overflow raise
+    `midpoints` is the (16, size) array of the levels at the 16 nodes of
+    _FINE between them, built the same way at the first point whose count
+    interpolant on the 17 nodes fails its tail test, and kept; a sweep that
+    never needs it never builds it.  solve_n0 interpolates the excited
+    count and energy between the nodes when the count's Chebyshev tail is
+    within tol*N.  table and midpoints are None for ideal and
+    perturbative1, at g = 0, when lambda_max is beyond the float range, and
+    when a node raises a TrapBoseError or has a non-positive level;
+    solve_n0 then evaluates every level directly.  levels(n0) always
+    evaluates directly.  Sector matrices that overflow raise
     ConvergenceError.
 
     cfg must describe the trap of basis.config; it gives N and lambda = g*N0/2
@@ -187,17 +201,26 @@ class SpectrumModel:
 
     @cached_property
     def table(self):
-        """The node levels of a dense model, built at first use; None when
-        the model has none."""
+        """The levels of a dense model at the nodes of _COARSE, built at
+        first use; None when the model has none."""
+        return self._node_levels(_COARSE.nodes)
+
+    @cached_property
+    def midpoints(self):
+        """The levels at the odd rows of _FINE, which fall between the
+        nodes of table, built at first use; None when the model has none."""
+        return self._node_levels(_FINE.nodes[1::2])
+
+    def _node_levels(self, nodes):
         lam_max = self.cfg.coupling_lambda(self.cfg.n_particles)
         # lam_max = inf (g*N beyond the float range) would make node 0 nan.
         if self._sector_levels is None or not 0.0 < lam_max < math.inf:
             return None
         try:
-            sectors = self._sectors(lam_max * _NODES)
+            sectors = self._sectors(lam_max * nodes)
         except TrapBoseError:
             return None
-        values = np.concatenate([s.reshape(TABLE_NODES, -1) for s in sectors], axis=1)
+        values = np.concatenate([s.reshape(nodes.size, -1) for s in sectors], axis=1)
         if np.any(values <= 0.0):
             return None
         return _read_only(values)
@@ -209,8 +232,9 @@ class ThermoPoint:
 
     iterations counts the evaluations of the root solve that gave n0
     (evaluations of the count interpolant when solve_n0 solved on it,
-    direct levels calls otherwise); a point that failed has converged False
-    and the exception in fail_reason.
+    direct levels calls otherwise, 0 at g = 0 where no root solve is made);
+    a point that failed has converged False and the exception in
+    fail_reason.
     """
 
     temperature: float
@@ -229,8 +253,8 @@ class ThermoPoint:
 # are module-level and take their data through brentq's args, so that cycle
 # holds no model, basis or levels.
 
-def _interpolated_residual(n0, counts, n_total):
-    return n_total - n0 - _interpolate(counts, n0 / n_total)
+def _interpolated_residual(n0, grid, counts, n_total):
+    return n_total - n0 - _interpolate(grid, counts, n0 / n_total)
 
 
 def _direct_residual(n0, model, temperature, n_total):
@@ -297,6 +321,43 @@ def energy_excess(levels, temperature, fugacity=1.0):
     return float(np.sum(levels * occupation(levels, temperature, fugacity)))
 
 
+def _node_sums(rows, temperature):
+    """The excited count and energy at each row of node levels."""
+    occ = occupation(rows, temperature)
+    return np.sum(occ, axis=1), np.sum(rows * occ, axis=1)
+
+
+def _interleave(even, odd):
+    values = np.empty(even.size + odd.size)
+    values[::2] = even
+    values[1::2] = odd
+    return values
+
+
+def _table_sums(model, temperature, bare_count, tol):
+    """(grid, counts, energies) at the nodes of the first grid whose count
+    tail is within tol*N, _COARSE before _FINE; None when neither is, or
+    the model has no table."""
+    table = model.table
+    if table is None:
+        return None
+    limit = tol * model.cfg.n_particles
+    counts, energies = _node_sums(table, temperature)
+    # Node 0 is lambda = 0: the count that chose this phase, so f(0) > 0
+    # holds on the interpolant too.
+    counts[0] = bare_count
+    if np.sum(np.abs(_COARSE.tail @ counts)) <= limit:
+        return _COARSE, counts, energies
+    midpoints = model.midpoints
+    if midpoints is None:
+        return None
+    mid_counts, mid_energies = _node_sums(midpoints, temperature)
+    counts = _interleave(counts, mid_counts)
+    if np.sum(np.abs(_FINE.tail @ counts)) <= limit:
+        return _FINE, counts, _interleave(energies, mid_energies)
+    return None
+
+
 def solve_n0(model: SpectrumModel, temperature, tol=DEFAULT_TOL):
     """Self-consistent condensate occupation at one temperature.
 
@@ -306,16 +367,20 @@ def solve_n0(model: SpectrumModel, temperature, tol=DEFAULT_TOL):
     n0 = 0 cannot accommodate N particles) the normal-phase extension is
     returned instead.
 
-    With a table (model.table) the excited count and energy at each node
-    are formed once.  Both are traces over the levels, analytic in lambda
-    through level crossings, so their interpolants in t = n0/N converge
-    geometrically, and the last two Chebyshev coefficients of the count
-    interpolant estimate its error (Chebfun's test: Trefethen,
-    Approximation Theory and Approximation Practice, ch. 8).  When they sum
-    to at most tol*N in magnitude, the root is found on that interpolant,
-    whose node 0 is the bare count above, and the energy is interpolated;
-    otherwise, and without a table, on direct levels.  Raises
-    UnstableSpectrumError when the model returns a non-positive level.
+    At g = 0 the levels do not depend on n0, and the root is N minus that
+    bare count, found without a root solve.  With a table (model.table)
+    the excited count and energy at each node are formed once.  Both are
+    traces over the levels, analytic in lambda through level crossings, so
+    their interpolants in t = n0/N converge geometrically, and the last two
+    Chebyshev coefficients of the count interpolant estimate its error
+    (Chebfun's test: Trefethen, Approximation Theory and Approximation
+    Practice, ch. 8).  When they sum to at most tol*N in magnitude on the
+    17 nodes of the table, or else on those 17 and the 16 model.midpoints
+    between them, the root is found on that interpolant, whose node 0 is
+    the bare count above, and the energy is interpolated; otherwise, and
+    without a table, on direct levels.  Each point makes one root solve.
+    Raises UnstableSpectrumError when the model returns a non-positive
+    level.
     """
     if temperature <= 0.0:
         raise ValueError("temperature must be positive")
@@ -329,16 +394,14 @@ def solve_n0(model: SpectrumModel, temperature, tol=DEFAULT_TOL):
     if bare_count >= n_total:
         return _normal_phase_point(ideal_levels, temperature, n_total)
 
-    table = model.table
-    if table is not None:
-        occ = occupation(table, temperature)
-        counts = np.sum(occ, axis=1)
-        # Node 0 is lambda = 0: the count that chose this phase, so f(0) > 0
-        # holds on the interpolant too.
-        counts[0] = bare_count
-    if table is not None and np.sum(np.abs(_TAIL @ counts)) <= tol * n_total:
-        n0, calls = _brent_root(_interpolated_residual, (counts, n_total), n_total, tol)
-        energy = float(_interpolate(np.sum(table * occ, axis=1), n0 / n_total))
+    if cfg.g == 0.0:
+        # The levels do not depend on n0: f(n0) = N - n0 - bare_count.
+        n0, calls = n_total - bare_count, 0
+        energy = energy_excess(ideal_levels, temperature)
+    elif (sums := _table_sums(model, temperature, bare_count, tol)) is not None:
+        grid, counts, energies = sums
+        n0, calls = _brent_root(_interpolated_residual, (grid, counts, n_total), n_total, tol)
+        energy = float(_interpolate(grid, energies, n0 / n_total))
     else:
         n0, calls = _brent_root(_direct_residual, (model, temperature, n_total), n_total, tol)
         energy = energy_excess(model.levels(n0), temperature)

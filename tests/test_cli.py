@@ -5,11 +5,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import trapbose.thermo as thermo
 from trapbose.cli import RunConfig, _scaling_ratio_ok, main, parse_config, run, validate
+from trapbose.config import TrapConfig
 from trapbose.errors import ConfigError
 
 REFERENCE_CSV = Path(__file__).resolve().parents[1] / "benchmarks" / "reference" / "ref1d-p1.csv"
+
+
+FLOAT_KEYS = ("g", "mass", "hbar", "omega", "e_cut", "t_min", "t_max", "t_step", "tol")
 
 
 class TestParseConfig:
@@ -64,6 +71,19 @@ class TestParseConfig:
         for word in ("on", "ture", ""):
             with pytest.raises(ConfigError, match="line 2"):
                 parse_config(f"e_cut = 10\nemit_diagnostics = {word}")
+
+    @settings(deadline=None)
+    @given(key=st.sampled_from(FLOAT_KEYS), value=st.sampled_from(["nan", "inf", "-inf"]),
+           position=st.integers(0, 2))
+    def test_non_finite_value_rejected(self, key, value, position):
+        # omega: one of three frequencies of a 3D trap.
+        if key == "omega":
+            text = "dimension = 3\nomega = " + ", ".join(
+                value if i == position else "1.5" for i in range(3))
+        else:
+            text = f"{key} = {value}"
+        with pytest.raises(ConfigError, match=f"^{key} must be finite, got {value}$"):
+            parse_config(text)
 
     def test_negative_g_rejected(self):
         with pytest.raises(ConfigError):
@@ -170,7 +190,7 @@ class TestValidate:
         config = RunConfig(e_cut=40.0, t_min=1.0, t_max=5.0, t_step=1.0)
         report, passed = validate(config)
         assert passed
-        assert report.count("PASS") == 5
+        assert report.count("PASS") == 6
         assert "FAIL" not in report
 
     def test_zero_coupling_passes(self, tmp_path, capsys):
@@ -179,7 +199,7 @@ class TestValidate:
         config.write_text("g = 0\ne_cut = 40\nt_max = 5\n")
         assert main(["--config", str(config), "--validate"]) == 0
         out = capsys.readouterr().out
-        assert out.count("PASS") == 5
+        assert out.count("PASS") == 6
         assert "FAIL" not in out
 
     @pytest.mark.parametrize("text", [
@@ -197,7 +217,7 @@ class TestValidate:
         config.write_text(text)
         assert main(["--config", str(config), "--validate"]) == 0
         out = capsys.readouterr().out
-        assert out.count("PASS") == 5
+        assert out.count("PASS") == 6
         assert "FAIL" not in out
 
     def test_truncation_doubling_fails_without_probe(self, tmp_path, capsys):
@@ -209,6 +229,31 @@ class TestValidate:
         out = capsys.readouterr().out
         assert ("FAIL truncation-doubling: no grid temperature where the ideal count "
                 "above e_cut is <= 5e-05*N\n") in out
+
+    def test_interpolant_vs_direct_fails_on_a_shifted_interpolant(self, monkeypatch):
+        # The count interpolant raised by 1e-6*N moves every table-path root
+        # by about 1e4*tol*N; the direct roots stay where they were.
+        residual = thermo._interpolated_residual
+        monkeypatch.setattr(thermo, "_interpolated_residual",
+                            lambda n0, *args: residual(n0, *args) - 1e-3)
+        report, passed = validate(RunConfig(e_cut=40.0, t_min=1.0, t_max=5.0, t_step=1.0))
+        assert not passed
+        assert "FAIL interpolant-vs-direct: max |delta n0| " in report
+        assert report.count("PASS") == 5
+
+    def test_interpolant_vs_direct_fails_without_probe(self):
+        report, passed = validate(RunConfig(e_cut=40.0, t_min=12.0, t_max=15.0))
+        assert not passed
+        assert ("FAIL interpolant-vs-direct: no grid temperature where the ideal count "
+                "above e_cut is <= 5e-05*N\n") in report
+
+    def test_interpolant_vs_direct_reports_an_unstable_spectrum(self):
+        # At g = 0.02 the second-order levels go negative: the check fails
+        # with the error instead of ending the report.
+        config = RunConfig(trap=TrapConfig(g=0.02), e_cut=20.0, t_min=1.0, t_max=3.0)
+        report, passed = validate(config)
+        assert not passed
+        assert "FAIL interpolant-vs-direct: UnstableSpectrumError: all levels must be positive" in report
 
     def test_scaling_ratio_zero_denominator(self):
         assert _scaling_ratio_ok([0.0, 0.0, 0.0], 6.0, 10.0)[0]
@@ -275,6 +320,17 @@ class TestMainExitStatus:
         reasons = capsys.readouterr().err.splitlines()
         assert all(": ConvergenceError: eigenvalue solve failed" in line for line in reasons)
         assert len(reasons) == 3
+
+    @pytest.mark.parametrize("text", ["g = nan\n", "t_max = inf\n", "mass = inf\n"])
+    def test_non_finite_value_exit_one(self, text, tmp_path, capsys):
+        config = tmp_path / "bad.cfg"
+        out = tmp_path / "out.csv"
+        config.write_text(f"e_cut = 20\nt_min = 1\nt_step = 1\noutput = {out}\n" + text)
+        assert main(["--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        key = text.split()[0]
+        assert err.startswith(f"error: {key} must be finite")
+        assert not out.exists()
 
     def test_missing_config_file_exit_one(self, tmp_path):
         assert main(["--config", str(tmp_path / "absent.cfg")]) == 1

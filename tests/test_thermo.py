@@ -138,6 +138,21 @@ class TestSolveN0:
         assert point.n0 == pytest.approx(expected, abs=1e-6)
         assert point.lam == 0.0
 
+    @pytest.mark.parametrize("kind", thermo.SOLVER_KINDS)
+    def test_zero_coupling_closed_form(self, kind, monkeypatch):
+        # At g = 0 the levels do not depend on n0: n0 = N - N_excited(0)
+        # exactly, with no root solve and no levels call but that at 0.
+        basis = enumerate_basis(IDEAL, 120.0)
+        model = SpectrumModel(IDEAL, basis, kind=kind)
+        calls = TestLevelTable.record_levels_calls(monkeypatch)
+        for temperature in (1.0, 5.0, 15.0):
+            point = solve_n0(model, temperature)
+            bare = model.levels(0.0)
+            assert point.n0 == 1000.0 - excited_count(bare, temperature)
+            assert point.energy_excess == energy_excess(bare, temperature)
+            assert (point.iterations, point.lam) == (0, 0.0)
+        assert set(calls) == {0.0}
+
     def test_low_temperature_full_condensate(self):
         point = solve_at(CFG, enumerate_basis(CFG, 50.0), 1e-2)
         assert point.n0 == pytest.approx(1000.0, abs=1e-6)
@@ -441,28 +456,88 @@ class TestLevelTable:
         # A basis in shuffled order: every node holds the direct levels at
         # its lambda (computed there as lambda_max * t, so lambda itself
         # rounds differently), and between the nodes the interpolated count
-        # follows the direct one.
+        # follows the direct one, on the 17 nodes and on all 33.
         basis = shuffled_basis()
         model = SpectrumModel(CFG, basis, kind="riccati")
-        table = model.table
-        assert table.shape == (thermo.TABLE_NODES, basis.size)
-        assert not table.flags.writeable
-        for node, row in zip(thermo._NODES, table):
+        table, midpoints = model.table, model.midpoints
+        assert table.shape == (17, basis.size)
+        assert midpoints.shape == (16, basis.size)
+        assert not table.flags.writeable and not midpoints.flags.writeable
+        rows = np.empty((33, basis.size))
+        rows[::2], rows[1::2] = table, midpoints
+        for node, row in zip(thermo._FINE.nodes, rows):
             np.testing.assert_allclose(np.sort(row), model.levels(node * 1000.0),
                                        rtol=1e-12, atol=0.0)
-        counts = np.sum(occupation(table, 5.0), axis=1)
-        for n0 in (3.0, 333.0, 777.0):
-            count = thermo._interpolate(counts, n0 / 1000.0)
-            assert count == pytest.approx(excited_count(model.levels(n0), 5.0), rel=1e-12)
+        for grid, values in ((thermo._COARSE, table), (thermo._FINE, rows)):
+            counts = np.sum(occupation(values, 5.0), axis=1)
+            for n0 in (3.0, 333.0, 777.0):
+                count = thermo._interpolate(grid, counts, n0 / 1000.0)
+                assert count == pytest.approx(excited_count(model.levels(n0), 5.0), rel=1e-12)
+
+    def test_coarse_nodes_are_the_even_fine_nodes(self):
+        assert thermo._COARSE.nodes.size == 17 and thermo._FINE.nodes.size == 33
+        assert np.array_equal(thermo._COARSE.nodes, thermo._FINE.nodes[::2])
 
     def test_tail_map_gives_the_last_two_chebyshev_coefficients(self):
-        x = 2.0 * thermo._NODES - 1.0
-        coefficients = np.random.default_rng(3).standard_normal(thermo.TABLE_NODES)
-        np.testing.assert_allclose(thermo._TAIL @ chebval(x, coefficients),
-                                   coefficients[-2:], rtol=0.0, atol=1e-13)
-        np.testing.assert_allclose(thermo._TAIL @ chebval(x, coefficients[:-2]),
-                                   0.0, rtol=0.0, atol=1e-13)
-        assert not thermo._TAIL.flags.writeable
+        for grid in (thermo._COARSE, thermo._FINE):
+            x = 2.0 * grid.nodes - 1.0
+            coefficients = np.random.default_rng(3).standard_normal(grid.nodes.size)
+            np.testing.assert_allclose(grid.tail @ chebval(x, coefficients),
+                                       coefficients[-2:], rtol=0.0, atol=1e-13)
+            np.testing.assert_allclose(grid.tail @ chebval(x, coefficients[:-2]),
+                                       0.0, rtol=0.0, atol=1e-13)
+            assert not grid.tail.flags.writeable
+
+    @staticmethod
+    def record_table_calls(monkeypatch):
+        """The batch size of every SpectrumModel._sectors call from now on."""
+        sizes = []
+        sectors = SpectrumModel._sectors
+
+        def counting(model, lam):
+            sizes.append(lam.size)
+            return sectors(model, lam)
+
+        monkeypatch.setattr(SpectrumModel, "_sectors", counting)
+        return sizes
+
+    def test_one_dimensional_sweep_builds_only_the_coarse_nodes(self, monkeypatch):
+        # The p2-1d benchmark sweep: every condensed point passes the tail
+        # test on the 17 nodes, so the midpoints are never built, and no
+        # point needs a direct eigen-solve.
+        basis = enumerate_basis(CFG, 120.0)
+        models = []
+
+        class Recording(SpectrumModel):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                models.append(self)
+
+        monkeypatch.setattr(thermo, "SpectrumModel", Recording)
+        sizes = self.record_table_calls(monkeypatch)
+        curve = sweep(CFG, basis, np.arange(1.0, 16.0), solver_kind="perturbative2")
+        assert all(p.converged and not p.normal_phase for p in curve.points)
+        assert sizes == [17]
+        assert models[0].table.shape == (17, basis.size)
+        assert "midpoints" not in vars(models[0])
+
+    def test_three_dimensional_sweep_adds_the_midpoints_once(self, monkeypatch):
+        # A 3D riccati sweep fails the tail test on 17 nodes at about half
+        # of its points and passes it on 33: one batch of 17 nodes, then one
+        # of the 16 midpoints, and no direct eigen-solve.
+        cfg = TrapConfig(dimension=3, frequencies=(1.0, 1.3, 0.7))
+        basis = enumerate_basis(cfg, 8.0)
+        grid = np.linspace(0.2, 8.0, 40)
+        sizes = self.record_table_calls(monkeypatch)
+        curve = sweep(cfg, basis, grid, solver_kind="riccati")
+        assert sizes == [17, 16]
+        monkeypatch.undo()
+        direct = SpectrumModel(cfg, basis, kind="riccati")
+        direct.table = None
+        for temperature, point in zip(grid, curve.points):
+            reference = solve_n0(direct, temperature)
+            assert point.converged and point.normal_phase == reference.normal_phase
+            assert abs(point.n0 - reference.n0) <= 2 * thermo.DEFAULT_TOL * 1000
 
     @staticmethod
     def record_levels_calls(monkeypatch):
@@ -500,7 +575,7 @@ class TestLevelTable:
         basis = enumerate_basis(CFG, 120.0)
         model = SpectrumModel(CFG, basis, kind="perturbative2")
         table = model.table.copy()
-        table[thermo.TABLE_NODES - 2] *= 1.0 + 1e-3
+        table[-2] *= 1.0 + 1e-3
         model.table = table
         self.assert_direct_solve(model, basis, 5.0, monkeypatch)
 
