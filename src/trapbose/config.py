@@ -8,9 +8,14 @@ from .errors import ConfigError
 
 def require_finite(*pairs):
     """ConfigError naming the first config key whose value is nan or
-    infinite."""
+    infinite, or an integer beyond the float range."""
     for key, value in pairs:
-        if not math.isfinite(value):
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:
+            raise ConfigError(f"{key} must be finite as a float, got an integer "
+                              f"of {value.bit_length()} bits") from None
+        if not finite:
             raise ConfigError(f"{key} must be finite, got {value}")
 
 
@@ -34,6 +39,7 @@ class TrapConfig:
     def __post_init__(self):
         object.__setattr__(self, "frequencies", tuple(float(w) for w in self.frequencies))
         require_finite(("g", self.g), ("mass", self.mass), ("hbar", self.hbar),
+                        ("n_particles", self.n_particles),
                         *(("omega", w) for w in self.frequencies))
         if self.dimension < 1:
             raise ConfigError(f"dimension must be >= 1, got {self.dimension}")

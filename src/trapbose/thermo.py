@@ -1,10 +1,12 @@
 """Self-consistent condensate occupation and thermodynamic curves.
 
 Solves N0 = N - sum_n 1/(exp(eps_n(lambda(N0))/T) - 1) with
-lambda = g*N0/2 by Brent's method on the bracket [0, N], and evaluates the
-condensate fraction and the energy above the reference E0 on a temperature
-grid.  Temperatures are in units of hbar*omega with k_B = 1.  N0 is treated
-as a continuous macroscopic occupation.
+lambda = g*N0/2 on [0, N], and evaluates the condensate fraction and the
+energy above the reference E0 on a temperature grid.  The first-order levels
+(perturbative1) are affine in N0, so the residual is concave in N0 and
+Newton's method falls monotonically to its root; the dense kinds root-solve
+by Brent's method.  Temperatures are in units of hbar*omega with k_B = 1.
+N0 is treated as a continuous macroscopic occupation.
 
 Above the condensation region the loop has no solution with N0 > 0; those
 points are extended with an ideal-spectrum fugacity fit (normal-phase
@@ -155,6 +157,10 @@ class SpectrumModel:
     ascending for the dense kinds, in basis order for ideal and
     perturbative1, whose levels at any lambda are in basis order.  Every
     array the model keeps is read-only, as its levels may be returned as is.
+
+    coupling_diagonal is the c_nn of perturbative1, whose levels
+    eps_n + 4*lambda*c_nn are affine in n0, and None for every other kind:
+    solve_n0 takes its Newton path on the models that hold it.
     """
 
     def __init__(self, cfg: TrapConfig, basis: BasisSet, kind="perturbative1"):
@@ -166,11 +172,11 @@ class SpectrumModel:
         self.cfg = replace(cfg, g=0.0) if kind == "ideal" else cfg
         self.kind = kind
         energies = basis.energies()
-        self._diag_c = None
+        self.coupling_diagonal = None
         self._groups = None
         extra_terms, self._sector_levels = _SECTOR_KINDS.get(kind, (None, None))
         if kind == "perturbative1":
-            self._diag_c = _read_only(diagonal_coupling(basis))
+            self.coupling_diagonal = _read_only(diagonal_coupling(basis))
         elif extra_terms is not None:
             self._groups = []
             for index, coupling in parity_sectors(basis):
@@ -186,7 +192,7 @@ class SpectrumModel:
         if lam == 0.0:
             return self._energies
         if self._sector_levels is None:
-            return self._energies + 4.0 * lam * self._diag_c
+            return self._energies + 4.0 * lam * self.coupling_diagonal
         sectors = self._sectors(np.array([lam]))
         return np.sort(np.concatenate([s.ravel() for s in sectors]))
 
@@ -231,8 +237,9 @@ class ThermoPoint:
     """One temperature point of the self-consistent loop.
 
     iterations counts the evaluations of the root solve that gave n0
-    (evaluations of the count interpolant when solve_n0 solved on it,
-    direct levels calls otherwise, 0 at g = 0 where no root solve is made);
+    (Newton evaluations for perturbative1, evaluations of the count
+    interpolant when solve_n0 solved on it, direct levels calls otherwise,
+    0 at g = 0 where no root solve is made);
     a point that failed has converged False and the exception in
     fail_reason.
     """
@@ -267,6 +274,51 @@ def _brent_root(residual, args, n_total, tol):
     n0, result = brentq(residual, 0.0, n_total, args=args, xtol=tol * n_total,
                         rtol=4 * np.finfo(float).eps, full_output=True)
     return n0, result.function_calls
+
+
+# The condensed points of perturbative1: Newton's method on f(n0) = N - n0 -
+# sum occ.  The levels eps_n + 2*g*n0*c_nn are affine in n0 with c_nn > 0, and
+# the Bose occupation is convex and decreasing in the level, so f is concave.
+# With f(0) > 0 >= f(N), its one root n* lies in (0, N] and f' < 0 from n* on.
+# The loop starts at the g = 0 root x_a = N - bare_count, where the levels are
+# at least the bare ones and f(x_a) >= 0; the tangent there lands where
+# f <= 0 (clipped at N), and every step after that falls monotonically to
+# n*.  Where f'(x_a) >= 0 (just below the transition) it starts at N instead.
+# It ends at a fall of at most tol*N, or at a rise, where rounding has
+# crossed the root; the point keeps the n0 and energy of that last evaluation.
+N0_MAX_EVALUATIONS = 50
+
+
+def _affine_root(model, temperature, n_total, bare_count, tol):
+    """Newton's method for f(n0) on the affine levels of model to within
+    tol*N: (n0, energy, evaluations)."""
+    g = model.cfg.g
+    n0, fall = n_total - bare_count, math.nan
+    for evaluations in range(1, N0_MAX_EVALUATIONS + 1):
+        levels = model.levels(n0)
+        occ = occupation(levels, temperature)
+        residual = n_total - n0 - float(np.sum(occ))
+        # f'(n0) = -1 + (2g/T) sum c*occ*(1 + occ); g multiplies last, so
+        # frozen levels (occ = 0) give -1 at any finite g, not inf*0.
+        slope = -1.0 + g * (2.0 * float((occ * (1.0 + occ)) @ model.coupling_diagonal)
+                            / temperature)
+        if not slope < 0.0:
+            if evaluations > 1:
+                raise ConvergenceError(f"condensed-phase Newton slope {slope:.3g} is not "
+                                       f"negative at n0 = {n0:.6g}", residual=residual)
+            n0 = n_total
+            continue
+        fall = residual / slope
+        # The step from x_a rises; every later step falls.
+        if (abs(fall) if evaluations == 1 else fall) <= tol * n_total:
+            if not np.isfinite(levels).all():
+                raise ConvergenceError(f"levels beyond the float range at lambda = "
+                                       f"{model.cfg.coupling_lambda(n0):.3g}", residual=residual)
+            return n0, float(levels @ occ), evaluations
+        n0 = min(n0 - fall, n_total)
+    raise ConvergenceError(
+        f"condensed-phase n0 not converged in {N0_MAX_EVALUATIONS} Newton evaluations "
+        f"(last step {fall:.3g})", residual=residual)
 
 
 # The normal-phase fugacity: Newton's method on h(u) = log count(u) - log N
@@ -361,14 +413,21 @@ def _table_sums(model, temperature, bare_count, tol):
 def solve_n0(model: SpectrumModel, temperature, tol=DEFAULT_TOL):
     """Self-consistent condensate occupation at one temperature.
 
-    Finds the root of f(n0) = N - n0 - N_excited(lambda(n0)) with Brent's
-    method on [0, N] to within tol*N; N and lambda come from model.cfg.
-    The bracket holds: f(N) = -N_excited <= 0, and when f(0) <= 0 (even
-    n0 = 0 cannot accommodate N particles) the normal-phase extension is
-    returned instead.
+    Finds the root of f(n0) = N - n0 - N_excited(lambda(n0)) on [0, N] to
+    within tol*N; N and lambda come from model.cfg.  f(N) = -N_excited
+    <= 0, and when f(0) <= 0 (even n0 = 0 cannot accommodate N particles)
+    the normal-phase extension is returned instead.
 
     At g = 0 the levels do not depend on n0, and the root is N minus that
-    bare count, found without a root solve.  With a table (model.table)
+    bare count, found without a root solve.  The levels of perturbative1
+    (model.coupling_diagonal) are affine in n0, so f is concave: Newton's
+    method with f'(n0) = -1 + (2g/T) sum c_nn*occ*(1 + occ), started at the
+    g = 0 root (or at N where f' >= 0 there), falls monotonically to the
+    root after its first step, and the energy is that of its last
+    evaluation.  A slope that is not negative after the start (nan
+    included) or a non-finite level at the root raises ConvergenceError.
+
+    The dense kinds use Brent's method.  With a table (model.table)
     the excited count and energy at each node are formed once.  Both are
     traces over the levels, analytic in lambda through level crossings, so
     their interpolants in t = n0/N converge geometrically, and the last two
@@ -398,6 +457,8 @@ def solve_n0(model: SpectrumModel, temperature, tol=DEFAULT_TOL):
         # The levels do not depend on n0: f(n0) = N - n0 - bare_count.
         n0, calls = n_total - bare_count, 0
         energy = energy_excess(ideal_levels, temperature)
+    elif model.coupling_diagonal is not None:
+        n0, energy, calls = _affine_root(model, temperature, n_total, bare_count, tol)
     elif (sums := _table_sums(model, temperature, bare_count, tol)) is not None:
         grid, counts, energies = sums
         n0, calls = _brent_root(_interpolated_residual, (grid, counts, n_total), n_total, tol)

@@ -3,10 +3,10 @@
 The package evaluates each of these in a faster form: the basis arrays
 vectorize the scalar matrix elements, the level models solve each parity
 sector on its own instead of the full matrices, the normal-phase fugacity
-is a Newton solve instead of a bracketed one, and the pipeline never needs
-the shift vector z or the spectrum of the solved X, Y.  The tests
-compare the fast forms against these, so their arithmetic must stay as the
-formulas read.
+and the first-order condensed root are Newton solves instead of bracketed
+ones, and the pipeline never needs the shift vector z or the spectrum of
+the solved X, Y.  The tests compare the fast forms against these, so their
+arithmetic must stay as the formulas read.
 """
 
 import math
@@ -150,4 +150,25 @@ def normal_phase_point(levels, temperature, n_total):
         temperature=temperature, n0=0.0, lam=0.0,
         energy_excess=energy_excess(levels, temperature, fugacity), iterations=0,
         converged=True, normal_phase=True, fugacity=fugacity,
+    )
+
+
+# The bracketed condensed-phase root on direct levels: the reference for the
+# Newton solve of solve_n0 on the affine first-order levels.
+
+def _count_excess(n0, model, temperature, n_total):
+    return n_total - n0 - float(np.sum(occupation(model.levels(n0), temperature)))
+
+
+def condensed_point(model, temperature, tol):
+    """Condensed-phase point of the model: the root of N - n0 - sum occ on
+    [0, N] by Brent's method to within tol*N, and the energy of a direct
+    levels call there; iterations counts the root's evaluations."""
+    n_total = float(model.cfg.n_particles)
+    n0, result = brentq(_count_excess, 0.0, n_total, args=(model, temperature, n_total),
+                        xtol=tol * n_total, rtol=4 * np.finfo(float).eps, full_output=True)
+    return ThermoPoint(
+        temperature=temperature, n0=n0, lam=model.cfg.coupling_lambda(n0),
+        energy_excess=energy_excess(model.levels(n0), temperature),
+        iterations=result.function_calls, converged=True,
     )

@@ -332,6 +332,28 @@ class TestMainExitStatus:
         assert err.startswith(f"error: {key} must be finite")
         assert not out.exists()
 
+    def test_n_particles_beyond_float_range_exit_one(self, tmp_path, capsys):
+        config = tmp_path / "bad.cfg"
+        out = tmp_path / "out.csv"
+        config.write_text(f"n_particles = {10**399}\ne_cut = 20\nt_min = 1\nt_max = 3\n"
+                          f"output = {out}\n")
+        assert main(["--config", str(config)]) == 1
+        assert capsys.readouterr().err.startswith("error: n_particles must be finite as a float")
+        assert not out.exists()
+
+    def test_perturbative1_coupling_beyond_float_range_exit_two(self, tmp_path, capsys):
+        # At g = 1e308, lambda = g*n0/2 and every first-order level are inf.
+        config = tmp_path / "overflow.cfg"
+        out = tmp_path / "out.csv"
+        config.write_text(f"g = 1e308\ne_cut = 20\nt_min = 1\nt_max = 3\n"
+                          f"solver = perturbative1\noutput = {out}\n")
+        assert main(["--config", str(config)]) == 2
+        assert out.read_text().splitlines()[1:] == ["1,nan,nan,nan,0,0", "2,nan,nan,nan,0,0",
+                                                    "3,nan,nan,nan,0,0"]
+        reasons = capsys.readouterr().err.splitlines()
+        assert [line.split(":")[0] for line in reasons] == ["# T=1", "# T=2", "# T=3"]
+        assert all(": ConvergenceError: levels beyond the float range" in line for line in reasons)
+
     def test_missing_config_file_exit_one(self, tmp_path):
         assert main(["--config", str(tmp_path / "absent.cfg")]) == 1
 

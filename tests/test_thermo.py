@@ -25,7 +25,8 @@ from trapbose import (
     solve_n0,
     sweep,
 )
-from oracles import bogoliubov_levels, normal_phase_point, quasiparticle_levels, spectrum_matrix
+from oracles import (bogoliubov_levels, condensed_point, normal_phase_point, quasiparticle_levels,
+                     spectrum_matrix)
 
 CFG = TrapConfig()
 IDEAL = TrapConfig(g=0.0)
@@ -270,6 +271,83 @@ class TestSolveN0:
             else:
                 assert not evaluations
         assert normal == 172
+
+    @staticmethod
+    def affine_model(dimension, omega, g):
+        cfg = TrapConfig(dimension=dimension, frequencies=omega[:dimension], g=g)
+        return SpectrumModel(cfg, enumerate_basis(cfg, {1: 60.0, 2: 25.0, 3: 12.0}[dimension]))
+
+    @staticmethod
+    def start_slope(model, temperature):
+        """f'(n0) of f = N - n0 - sum occ at the Newton start, the g = 0
+        root n0 = N - bare count; the levels rise by 2*g*c_nn per unit n0."""
+        start = model.cfg.n_particles - excited_count(model.levels(0.0), temperature)
+        occ = occupation(model.levels(start), temperature)
+        return -1.0 + np.sum(2.0 * model.cfg.g * model.coupling_diagonal * occ * (1.0 + occ)
+                             / temperature)
+
+    @settings(deadline=None)
+    @given(dimension=st.sampled_from([1, 2, 3]),
+           omega=st.lists(st.floats(0.7, 2.0), min_size=3, max_size=3),
+           g=st.floats(0.0, 10.0), scale=st.floats(0.01, 1.0 - 1e-12))
+    @example(dimension=1, omega=[1.0] * 3, g=5e-324, scale=0.5)
+    @example(dimension=1, omega=[1.0] * 3, g=1e-3, scale=1.0 - 1e-7)
+    # Within 1e-4 of the transition at g = 3e-3, f'(x_a) >= 0: the solve
+    # starts at N (test_affine_newton_start_at_n).
+    @example(dimension=1, omega=[1.0] * 3, g=3e-3, scale=1.0 - 1e-4)
+    @example(dimension=2, omega=[1.0, math.sqrt(2.0), 1.0], g=3e-3, scale=1.0 - 1e-4)
+    @example(dimension=3, omega=[1.0, 1.3, 0.7], g=3e-3, scale=1.0 - 1e-4)
+    @example(dimension=3, omega=[1.0, 1.3, 0.7], g=10.0, scale=0.01)
+    @example(dimension=2, omega=[1.0, 2.0, 1.0], g=1.875, scale=0.46875)
+    def test_affine_newton_matches_brent_oracle(self, dimension, omega, g, scale):
+        # From well inside the condensed phase up to the bare transition.
+        # Both roots are within tol*N of the true one.  The energy must be
+        # that of direct levels at the point's own n0.  It is not held to
+        # 1e-9 of Brent's energy: at large g and low T the energy moves by
+        # more than that within tol*N of n0 (1.6e-9 relative at the last
+        # example, where Newton stops at N, 9.4e-8 above the root).
+        model = self.affine_model(dimension, omega, g)
+        temperature = transition_temperature(model.levels(0.0), 1000.0) * scale
+        point = solve_n0(model, temperature)
+        expected = condensed_point(model, temperature, thermo.DEFAULT_TOL)
+        assert point.converged and not point.normal_phase
+        assert abs(point.n0 - expected.n0) <= 2.0 * thermo.DEFAULT_TOL * 1000.0
+        own = energy_excess(model.levels(point.n0), temperature)
+        assert point.energy_excess == pytest.approx(own, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("dimension, omega", [(1, [1.0]), (2, [1.0, math.sqrt(2.0)]),
+                                                  (3, [1.0, 1.3, 0.7])])
+    def test_affine_newton_start_at_n(self, dimension, omega, monkeypatch):
+        # Where the tangent at x_a = N - bare count does not fall, the
+        # second Newton evaluation is at N, and the root is still the oracle's.
+        model = self.affine_model(dimension, omega, 3e-3)
+        temperature = transition_temperature(model.levels(0.0), 1000.0) * (1.0 - 1e-4)
+        assert self.start_slope(model, temperature) >= 0.0
+        calls = TestLevelTable.record_levels_calls(monkeypatch)
+        point = solve_n0(model, temperature)
+        assert calls[2] == 1000.0
+        assert len(calls) == point.iterations + 1
+        expected = condensed_point(model, temperature, thermo.DEFAULT_TOL)
+        assert abs(point.n0 - expected.n0) <= 2.0 * thermo.DEFAULT_TOL * 1000.0
+
+    def test_affine_newton_evaluations_per_point(self):
+        # The trap and grid of the ref1d-p1 benchmark (seed 0): at most 4
+        # Newton evaluations per condensed point; Brent took 6.1 on average.
+        model = SpectrumModel(CFG, enumerate_basis(CFG, 400.0))
+        points = [solve_n0(model, temperature) for temperature in np.arange(1.0, 201.0)]
+        condensed = [p.iterations for p in points if not p.normal_phase]
+        assert len(condensed) == 177
+        assert all(1 <= n <= 4 for n in condensed)
+
+    def test_unconverged_affine_newton_flagged(self, monkeypatch):
+        # With one Newton evaluation allowed, a condensed point whose start
+        # is not already its root fails on its own.
+        monkeypatch.setattr(thermo, "N0_MAX_EVALUATIONS", 1)
+        curve = sweep(CFG, enumerate_basis(CFG, 400.0), [10.0, 190.0])
+        cold, hot = curve.points
+        assert not cold.converged
+        assert cold.fail_reason.startswith("ConvergenceError: condensed-phase n0 not converged")
+        assert hot.converged and hot.normal_phase
 
     @settings(deadline=None)
     @given(kind=st.sampled_from(["ideal", "perturbative1", "perturbative2", "riccati"]),
@@ -690,7 +768,7 @@ class TestSweep:
 
     def test_levels_calls_per_point(self, monkeypatch):
         # One call for the ideal levels.  perturbative1 then makes one per
-        # root-solve evaluation and one more for the energy at the root;
+        # Newton evaluation, and its energy is that of the last one;
         # perturbative2 root-solves on its count interpolant and makes no
         # other call.
         calls = []
@@ -712,7 +790,7 @@ class TestSweep:
                 if point.normal_phase:
                     assert len(calls) == 1
                 elif kind == "perturbative1":
-                    assert len(calls) == point.iterations + 2
+                    assert len(calls) == point.iterations + 1
                 else:
                     assert len(calls) == 1
             assert phases == [False, False, False, True]
@@ -774,6 +852,13 @@ class TestSweep:
             curve = sweep(cfg, basis, [1.0, 2.0], solver_kind=kind)
             assert all(p.fail_reason.startswith("ConvergenceError: eigenvalue solve failed")
                        for p in curve.points)
+        # The first-order levels are inf there too, and under this suite's
+        # RuntimeWarning filter their energy would raise; the ideal kind
+        # ignores g.
+        curve = sweep(cfg, basis, [1.0, 2.0], solver_kind="perturbative1")
+        assert all(p.fail_reason.startswith("ConvergenceError: levels beyond the float range")
+                   for p in curve.points)
+        assert all(p.converged for p in sweep(cfg, basis, [1.0, 2.0], solver_kind="ideal").points)
 
     def test_riccati_large_basis_matches_perturbative2(self):
         basis = enumerate_basis(CFG, 60.0)
