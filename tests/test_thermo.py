@@ -8,6 +8,7 @@ from numpy.polynomial.chebyshev import chebval
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 import trapbose.thermo as thermo
 from trapbose.cli import main
@@ -361,20 +362,28 @@ class TestSolveN0:
             excited = excited_count(model.levels(point.n0), temperature)
             assert abs(1000.0 - point.n0 - excited) <= 1e-9 * 1000.0
 
-    def test_model_freed_without_garbage_collection(self):
+    def test_model_freed_without_garbage_collection(self, monkeypatch):
         # brentq's function wrapper is a reference cycle; a model it held
         # would stay alive until the garbage collector found that cycle.
+        # Without a table the dense kinds root-solve on direct levels, by
+        # brentq; perturbative1 takes the Newton path and makes no call.
         basis = enumerate_basis(CFG, 400.0)
-        model = SpectrumModel(CFG, basis)
-        freed = weakref.ref(model)
-        gc.disable()
-        try:
-            assert not solve_n0(model, 20.0).normal_phase
-            assert solve_n0(model, 190.0).normal_phase
-            del model
-            assert freed() is None
-        finally:
-            gc.enable()
+        for kind, brent_calls in (("perturbative1", 0), ("riccati", 1)):
+            calls = []
+            monkeypatch.setattr(thermo, "brentq",
+                                lambda *a, **k: calls.append(1) or brentq(*a, **k))
+            model = SpectrumModel(CFG, basis, kind=kind)
+            model.table = None
+            freed = weakref.ref(model)
+            gc.disable()
+            try:
+                assert not solve_n0(model, 10.0).normal_phase
+                assert solve_n0(model, 190.0).normal_phase
+                del model
+                assert freed() is None, kind
+            finally:
+                gc.enable()
+            assert len(calls) == brent_calls
 
     def test_rejects_bad_arguments(self):
         basis = enumerate_basis(CFG, 10.0)
