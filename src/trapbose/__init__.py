@@ -16,6 +16,7 @@ from .basis import (
 )
 from .config import TrapConfig
 from .errors import (
+    BasisTooLargeError,
     ComplexSpectrumError,
     ConfigError,
     ConvergenceError,

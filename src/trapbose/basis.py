@@ -14,10 +14,17 @@ import numpy as np
 from scipy.special import gammaln
 
 from .config import TrapConfig
-from .errors import EmptyBasisError, IndexTooLargeError
+from .errors import BasisTooLargeError, EmptyBasisError, IndexTooLargeError
 
 # Largest quantum number per dimension accepted by the quadrature oracle.
 ORACLE_MAX_INDEX = 40
+
+# Most quantum numbers that enumerate_basis holds in one array: the
+# unfiltered product of the rows kept so far with the next dimension's
+# quanta, rows x j int64 entries at dimension j (2**26 of them is 512 MiB;
+# with its filtered copy and the partial energies, the enumeration peaks at
+# a few times that).
+MAX_ENUMERATION_ENTRIES = 2**26
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,19 +61,31 @@ def enumerate_basis(cfg: TrapConfig, e_cut):
 
     The states grow one dimension at a time; a row whose partial energy
     already exceeds e_cut is dropped, since later terms only add to it.
-    Raises EmptyBasisError when not even the first excited state fits.
+    Raises EmptyBasisError when not even the first excited state fits, and
+    BasisTooLargeError, before allocating it, when a product of rows and
+    quanta holds more than MAX_ENUMERATION_ENTRIES quantum numbers.
     """
     quanta = np.zeros((1, 0), dtype=np.int64)
     partial = np.zeros(1)
-    for w in cfg.frequencies:
-        k = np.arange(int(math.floor(e_cut / (cfg.hbar * w) + 1e-12)) + 1)
+    for j, w in enumerate(cfg.frequencies, start=1):
+        count = int(math.floor(e_cut / (cfg.hbar * w) + 1e-12)) + 1
+        rows = len(quanta) * count
+        if rows * j > MAX_ENUMERATION_ENTRIES:
+            raise BasisTooLargeError(
+                f"the basis under e_cut={e_cut} in dimension {cfg.dimension} needs {rows} "
+                f"rows of {j} quantum numbers, above the limit of {MAX_ENUMERATION_ENTRIES} "
+                f"(basis.MAX_ENUMERATION_ENTRIES)")
+        k = np.arange(count)
         partial = (partial[:, None] + w * k).ravel()
-        quanta = np.column_stack((np.repeat(quanta, k.size, axis=0),
-                                  np.tile(k, len(quanta))))
+        # Each kept row followed by each quantum of dimension j, in order.
+        product = np.empty((len(quanta), count, j), dtype=np.int64)
+        product[..., :-1] = quanta[:, None, :]
+        product[..., -1] = k
         keep = cfg.hbar * partial <= e_cut
-        partial, quanta = partial[keep], quanta[keep]
-    excited = quanta.any(axis=1)
-    quanta, energies = quanta[excited], cfg.hbar * partial[excited]
+        partial, quanta = partial[keep], product.reshape(rows, j)[keep]
+    # Row 0 is the ground state, first in the product and kept by any
+    # e_cut >= 0; every other row is excited.
+    quanta, energies = quanta[1:], cfg.hbar * partial[1:]
     if not quanta.size:
         raise EmptyBasisError(
             f"no excited state below e_cut={e_cut} "

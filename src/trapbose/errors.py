@@ -13,6 +13,10 @@ class EmptyBasisError(TrapBoseError):
     """No excited state lies below the requested energy cutoff."""
 
 
+class BasisTooLargeError(TrapBoseError):
+    """The states under the energy cutoff are too many to enumerate."""
+
+
 class IndexTooLargeError(TrapBoseError):
     """Quantum number beyond the quadrature-order guard."""
 

@@ -33,24 +33,43 @@ SOLVER_KINDS = ("ideal", "perturbative1", "perturbative2", "riccati")
 DEFAULT_TOL = 1e-10
 
 
+def _require_positive(levels):
+    """Raise UnstableSpectrumError unless every level is positive."""
+    if np.any(levels <= 0.0):
+        raise UnstableSpectrumError(
+            f"all levels must be positive, lowest is {np.min(levels):.6g}")
+
+
+def _bose(x):
+    """Bose occupations 1/(exp(x) - 1) at x = eps/T - log z, written over x.
+
+    x is a float array that no caller reads again.  A level that freezes
+    out (x beyond the float range of exp) overflows expm1 to inf and gets
+    exactly 0, so the caller holds np.errstate(over="ignore").  The levels
+    are not checked: the caller knows them to be positive.
+    """
+    np.expm1(x, out=x)
+    return np.reciprocal(x, out=x)
+
+
 def occupation(levels, temperature, fugacity=1.0):
-    """Bose-Einstein occupations z/(exp(eps/T) - z) of the given levels.
+    """Bose-Einstein occupations z/(exp(eps/T) - z) of the given levels,
+    a scalar for scalar or 0-d levels.
 
     Levels that freeze out (eps/T - log z beyond the float range of exp)
     get exactly 0.  Raises UnstableSpectrumError for a non-positive level.
     """
     levels = np.asarray(levels, dtype=float)
-    if np.any(levels <= 0.0):
-        raise UnstableSpectrumError(
-            f"all levels must be positive, lowest is {np.min(levels):.6g}")
+    _require_positive(levels)
     if temperature <= 0.0:
         raise ValueError(f"temperature must be positive, got {temperature}")
     with np.errstate(over="ignore"):
-        return 1.0 / np.expm1(levels / temperature - np.log(fugacity))
+        return _bose(np.asarray(levels / temperature - np.log(fugacity)))[()]
 
 
 def excited_count(levels, temperature):
-    """Total occupation of the excited levels at temperature T."""
+    """Total occupation of the excited levels at temperature T.  Raises
+    UnstableSpectrumError for a non-positive level."""
     return float(np.sum(occupation(levels, temperature)))
 
 
@@ -277,8 +296,9 @@ def _brent_root(residual, args, n_total, tol):
 
 
 # The condensed points of perturbative1: Newton's method on f(n0) = N - n0 -
-# sum occ.  The levels eps_n + 2*g*n0*c_nn are affine in n0 with c_nn > 0, and
-# the Bose occupation is convex and decreasing in the level, so f is concave.
+# sum occ.  The levels eps_n + 2*g*n0*c_nn are affine in n0 with c_nn > 0 (so
+# at least the bare levels, which solve_n0 has checked positive), and the
+# Bose occupation is convex and decreasing in the level, so f is concave.
 # With f(0) > 0 >= f(N), its one root n* lies in (0, N] and f' < 0 from n* on.
 # The loop starts at the g = 0 root x_a = N - bare_count, where the levels are
 # at least the bare ones and f(x_a) >= 0; the tangent there lands where
@@ -296,12 +316,13 @@ def _affine_root(model, temperature, n_total, bare_count, tol):
     n0, fall = n_total - bare_count, math.nan
     for evaluations in range(1, N0_MAX_EVALUATIONS + 1):
         levels = model.levels(n0)
-        occ = occupation(levels, temperature)
+        occ = _bose(levels / temperature)
         residual = n_total - n0 - float(np.sum(occ))
         # f'(n0) = -1 + (2g/T) sum c*occ*(1 + occ); g multiplies last, so
         # frozen levels (occ = 0) give -1 at any finite g, not inf*0.
-        slope = -1.0 + g * (2.0 * float((occ * (1.0 + occ)) @ model.coupling_diagonal)
-                            / temperature)
+        weight = occ + 1.0
+        weight *= occ
+        slope = -1.0 + g * (2.0 * float(weight @ model.coupling_diagonal) / temperature)
         if not slope < 0.0:
             if evaluations > 1:
                 raise ConvergenceError(f"condensed-phase Newton slope {slope:.3g} is not "
@@ -336,11 +357,13 @@ def _fugacity_occupations(u, q):
     """Occupations z*q/(1 - z*q) at z = exp(u): one evaluation of the
     normal-phase Newton solve."""
     zq = math.exp(u) * q
-    return zq / (1.0 - zq)
+    return np.divide(zq, 1.0 - zq, out=zq)
 
 
 def _normal_phase_point(levels, temperature, n_total):
-    q = np.exp(-levels / temperature)
+    # levels/(-T) is -levels/T exactly.
+    q = levels / -temperature
+    np.exp(q, out=q)
     # Start at the smallest of three z that each hold at least N particles;
     # as none exceeds the first, z*q < 1 there, also where q rounds to 1.
     # z*max(q) = N/(N + 1): the lowest level alone holds N.  The cap
@@ -374,9 +397,12 @@ def energy_excess(levels, temperature, fugacity=1.0):
 
 
 def _node_sums(rows, temperature):
-    """The excited count and energy at each row of node levels."""
-    occ = occupation(rows, temperature)
-    return np.sum(occ, axis=1), np.sum(rows * occ, axis=1)
+    """The excited count and energy at each row of node levels, which
+    _node_levels has checked positive."""
+    occ = _bose(rows / temperature)
+    counts = np.sum(occ, axis=1)
+    occ *= rows
+    return counts, np.sum(occ, axis=1)
 
 
 def _interleave(even, odd):
@@ -438,8 +464,13 @@ def solve_n0(model: SpectrumModel, temperature, tol=DEFAULT_TOL):
     between them, the root is found on that interpolant, whose node 0 is
     the bare count above, and the energy is interpolated; otherwise, and
     without a table, on direct levels.  Each point makes one root solve.
-    Raises UnstableSpectrumError when the model returns a non-positive
-    level.
+
+    Every Bose sum goes through the in-place kernel _bose under one
+    np.errstate(over="ignore") for the point.  Raises UnstableSpectrumError
+    when a level it sums is not positive: the bare levels are checked once
+    per point, the direct levels of the dense kinds by excited_count, and
+    nothing else, as the perturbative1 levels are at least the bare ones
+    and the table rows were checked when built.
     """
     if temperature <= 0.0:
         raise ValueError("temperature must be positive")
@@ -449,23 +480,28 @@ def solve_n0(model: SpectrumModel, temperature, tol=DEFAULT_TOL):
     n_total = float(cfg.n_particles)
 
     ideal_levels = model.levels(0.0)
-    bare_count = excited_count(ideal_levels, temperature)
-    if bare_count >= n_total:
-        return _normal_phase_point(ideal_levels, temperature, n_total)
+    _require_positive(ideal_levels)
+    with np.errstate(over="ignore"):
+        occ = _bose(ideal_levels / temperature)
+        bare_count = float(np.sum(occ))
+        if bare_count >= n_total:
+            return _normal_phase_point(ideal_levels, temperature, n_total)
 
-    if cfg.g == 0.0:
-        # The levels do not depend on n0: f(n0) = N - n0 - bare_count.
-        n0, calls = n_total - bare_count, 0
-        energy = energy_excess(ideal_levels, temperature)
-    elif model.coupling_diagonal is not None:
-        n0, energy, calls = _affine_root(model, temperature, n_total, bare_count, tol)
-    elif (sums := _table_sums(model, temperature, bare_count, tol)) is not None:
-        grid, counts, energies = sums
-        n0, calls = _brent_root(_interpolated_residual, (grid, counts, n_total), n_total, tol)
-        energy = float(_interpolate(grid, energies, n0 / n_total))
-    else:
-        n0, calls = _brent_root(_direct_residual, (model, temperature, n_total), n_total, tol)
-        energy = energy_excess(model.levels(n0), temperature)
+        if cfg.g == 0.0:
+            # The levels do not depend on n0: f(n0) = N - n0 - bare_count.
+            n0, calls = n_total - bare_count, 0
+            energy = float(np.sum(ideal_levels * occ))
+        elif model.coupling_diagonal is not None:
+            n0, energy, calls = _affine_root(model, temperature, n_total, bare_count, tol)
+        elif (sums := _table_sums(model, temperature, bare_count, tol)) is not None:
+            grid, counts, energies = sums
+            n0, calls = _brent_root(_interpolated_residual, (grid, counts, n_total),
+                                    n_total, tol)
+            energy = float(_interpolate(grid, energies, n0 / n_total))
+        else:
+            n0, calls = _brent_root(_direct_residual, (model, temperature, n_total),
+                                    n_total, tol)
+            energy = energy_excess(model.levels(n0), temperature)
     return ThermoPoint(temperature=temperature, n0=n0, lam=cfg.coupling_lambda(n0),
                        energy_excess=energy, iterations=calls, converged=True)
 

@@ -2,11 +2,12 @@
 
 The package evaluates each of these in a faster form: the basis arrays
 vectorize the scalar matrix elements, the level models solve each parity
-sector on its own instead of the full matrices, the normal-phase fugacity
-and the first-order condensed root are Newton solves instead of bracketed
-ones, and the pipeline never needs the shift vector z or the spectrum of
-the solved X, Y.  The tests compare the fast forms against these, so their
-arithmetic must stay as the formulas read.
+sector on its own instead of the full matrices, the Bose occupations are
+formed in place, the normal-phase fugacity and the first-order condensed
+root are Newton solves instead of bracketed ones, and the pipeline never
+needs the shift vector z or the spectrum of the solved X, Y.  The tests
+compare the fast forms against these, so their arithmetic must stay as the
+formulas read.
 """
 
 import math
@@ -129,6 +130,17 @@ def exact_spectrum(sol: RiccatiSolution, sys: SystemMatrices):
         + 2.0 * lam * (x @ c_mat @ y + y @ c_mat @ x)
     )
     return quasiparticle_levels(spec)
+
+
+# The Bose occupation as the formula reads: the reference for the in-place
+# kernel of thermo (thermo._bose), which is bit-identical to it.
+
+def bose_occupation(levels, temperature, fugacity=1.0):
+    """z/(exp(eps/T) - z) as 1/expm1(eps/T - log z), over any positive levels;
+    levels that freeze out (eps/T - log z beyond the float range of exp)
+    get exactly 0."""
+    with np.errstate(over="ignore"):
+        return 1.0 / np.expm1(np.asarray(levels, dtype=float) / temperature - np.log(fugacity))
 
 
 # The bracketed fugacity root: the reference for the normal-phase Newton

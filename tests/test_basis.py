@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import trapbose.basis as basis_mod
 from trapbose import (
     BasisSet,
+    BasisTooLargeError,
     EmptyBasisError,
     IndexTooLargeError,
     TrapConfig,
@@ -103,6 +105,23 @@ class TestEnumerateBasis:
     def test_empty_basis_error(self):
         with pytest.raises(EmptyBasisError):
             enumerate_basis(PAPER_1D, 0.5)
+
+    def test_size_guard(self):
+        # 10001 quanta per dimension: the 2D product would be 10001**2 rows
+        # of 2, above MAX_ENUMERATION_ENTRIES, and is never allocated.
+        cfg = TrapConfig(dimension=3, frequencies=(1.0, 1.0, 1.0))
+        with pytest.raises(BasisTooLargeError,
+                           match=r"e_cut=10000.0 in dimension 3 needs 100020001 rows of 2"):
+            enumerate_basis(cfg, 1e4)
+
+    def test_size_guard_bound_is_inclusive(self, monkeypatch):
+        # The 2D (1, sqrt 2) product under e_cut 2.5 is 3 rows of 1, then
+        # 3 x 2 rows of 2: 12 quantum numbers at most.
+        monkeypatch.setattr(basis_mod, "MAX_ENUMERATION_ENTRIES", 12)
+        assert enumerate_basis(PAPER_2D, 2.5).size == 4
+        monkeypatch.setattr(basis_mod, "MAX_ENUMERATION_ENTRIES", 11)
+        with pytest.raises(BasisTooLargeError, match="needs 6 rows of 2"):
+            enumerate_basis(PAPER_2D, 2.5)
 
     def test_deterministic(self):
         a = enumerate_basis(PAPER_2D, 6.0)

@@ -295,6 +295,15 @@ class TestMainExitStatus:
         config.write_text("e_cut = 0.5\n")
         assert main(["--config", str(config)]) == 1
 
+    def test_basis_too_large_exit_one(self, tmp_path, capsys):
+        config = tmp_path / "big.cfg"
+        out = tmp_path / "out.csv"
+        config.write_text(f"dimension = 2\ne_cut = 1e5\nt_min = 1\nt_max = 2\noutput = {out}\n")
+        assert main(["--config", str(config)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: the basis under e_cut=100000.0 in dimension 2 needs 10000200001 rows of 2")
+        assert not out.exists()
+
     def test_failed_points_exit_two(self, tmp_path, capsys):
         config = tmp_path / "strong.cfg"
         out = tmp_path / "out.csv"

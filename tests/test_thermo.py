@@ -26,8 +26,8 @@ from trapbose import (
     solve_n0,
     sweep,
 )
-from oracles import (bogoliubov_levels, condensed_point, normal_phase_point, quasiparticle_levels,
-                     spectrum_matrix)
+from oracles import (bogoliubov_levels, bose_occupation, condensed_point, normal_phase_point,
+                     quasiparticle_levels, spectrum_matrix)
 
 CFG = TrapConfig()
 IDEAL = TrapConfig(g=0.0)
@@ -130,6 +130,77 @@ class TestEnergyExcess:
         point = solve_n0(model, 20.0)
         recomputed = energy_excess(model.levels(point.n0), 20.0, point.fugacity)
         assert recomputed == pytest.approx(point.energy_excess, rel=1e-14)
+
+
+class TestBoseKernel:
+    """The in-place Bose sums against the formula of tests/oracles.py, bit
+    for bit: every expression keeps its arithmetic order."""
+
+    @given(levels=st.lists(st.floats(1e-300, 1e300), min_size=1, max_size=40),
+           temperature=st.floats(1e-3, 1e4), fugacity=st.floats(1e-300, 1.0))
+    # Frozen levels (eps/T > 709: exactly 0), eps/T near 1e-9, and both.
+    @example(levels=[710.0, 1e4, 1e300], temperature=1.0, fugacity=1.0)
+    @example(levels=[1e-9, 2e-9], temperature=1.0, fugacity=1.0)
+    @example(levels=[1e-9, 800.0], temperature=1.0, fugacity=0.5)
+    def test_public_helpers_match_formula(self, levels, temperature, fugacity):
+        expected = bose_occupation(levels, temperature, fugacity)
+        assert np.array_equal(occupation(levels, temperature, fugacity), expected)
+        with np.errstate(over="ignore"):
+            kernel = thermo._bose(np.array(levels) / temperature)
+        assert np.array_equal(kernel, bose_occupation(levels, temperature))
+        assert excited_count(levels, temperature) == float(
+            np.sum(bose_occupation(levels, temperature)))
+        assert energy_excess(levels, temperature, fugacity) == float(
+            np.sum(np.array(levels) * expected))
+
+    def test_frozen_and_small_ratios(self):
+        occ = occupation([709.0, 710.0, 1e300], 1.0)
+        assert occ[0] > 0.0 and occ[1] == 0.0 and occ[2] == 0.0
+        assert occupation(1e-9, 1.0) == bose_occupation(1e-9, 1.0)
+
+    @pytest.mark.parametrize("levels", [2.0, np.float64(2.0), np.array(2.0)])
+    def test_scalar_and_zero_d_input(self, levels):
+        # Scalar and 0-d levels give a scalar, as the formula does.
+        occ = occupation(levels, 1.5, 0.25)
+        assert not isinstance(occ, np.ndarray)
+        assert occ == bose_occupation(levels, 1.5, 0.25)
+
+    @settings(deadline=None, max_examples=60)
+    @given(kind=st.sampled_from(["ideal", "perturbative1"]), g=st.floats(0.0, 5e-3),
+           temperature=st.floats(0.05, 300.0))
+    @example(kind="perturbative1", g=2e-4, temperature=0.05)
+    @example(kind="perturbative1", g=0.0, temperature=5.0)
+    @example(kind="perturbative1", g=2e-4, temperature=150.0)
+    def test_solve_n0_sums_match_formula(self, kind, g, temperature):
+        # The phase test, the g = 0 root and energy, the energy of the last
+        # Newton evaluation and the normal-phase energy.  At T = 0.05 most
+        # of the levels below e_cut 60 freeze out.
+        cfg = TrapConfig(g=g)
+        model = SpectrumModel(cfg, enumerate_basis(cfg, 60.0), kind=kind)
+        point = solve_n0(model, temperature)
+        bare = model.levels(0.0)
+        bare_occ = bose_occupation(bare, temperature)
+        assert point.normal_phase == (float(np.sum(bare_occ)) >= 1000.0)
+        if point.normal_phase:
+            zq = point.fugacity * np.exp(-bare / temperature)
+            assert point.energy_excess == float(bare @ (zq / (1.0 - zq)))
+        elif model.cfg.g == 0.0:
+            assert point.n0 == 1000.0 - float(np.sum(bare_occ))
+            assert point.energy_excess == float(np.sum(bare * bare_occ))
+        else:
+            levels = model.levels(point.n0)
+            assert point.energy_excess == float(levels @ bose_occupation(levels, temperature))
+
+    @pytest.mark.parametrize("kind", ["perturbative2", "riccati"])
+    def test_node_sums_match_formula(self, kind):
+        model = SpectrumModel(CFG, enumerate_basis(CFG, 60.0), kind=kind)
+        for rows in (model.table, model.midpoints):
+            for temperature in (0.05, 1.0, 7.5, 300.0):
+                with np.errstate(over="ignore"):
+                    counts, energies = thermo._node_sums(rows, temperature)
+                occ = bose_occupation(rows, temperature)
+                assert np.array_equal(counts, np.sum(occ, axis=1))
+                assert np.array_equal(energies, np.sum(rows * occ, axis=1))
 
 
 class TestSolveN0:
@@ -384,6 +455,31 @@ class TestSolveN0:
             finally:
                 gc.enable()
             assert len(calls) == brent_calls
+
+    @pytest.mark.parametrize("kind", thermo.SOLVER_KINDS)
+    def test_vanishing_bare_level_fails_each_point(self, kind):
+        # hbar*omega underflows to 0, so every bare level is 0.  solve_n0
+        # checks the bare levels once per point; perturbative2's
+        # second-order term divides by them when the model is built.
+        cfg = TrapConfig(hbar=1e-10, frequencies=(5e-324,))
+        basis = BasisSet(np.arange(1, 5)[:, None], cfg)
+        assert not np.any(basis.energies())
+        with np.errstate(divide="ignore", invalid="ignore"):
+            model = SpectrumModel(cfg, basis, kind=kind)
+        for temperature in (1.0, 2.0):
+            with pytest.raises(UnstableSpectrumError, match="all levels must be positive"):
+                solve_n0(model, temperature)
+
+    @pytest.mark.parametrize("kind", ["perturbative2", "riccati"])
+    def test_nonpositive_direct_level_fails_the_point(self, kind):
+        # Without a table the dense kinds root-solve on direct levels, which
+        # excited_count checks: here the lowest level is 0 at every n0 > 0.
+        model = SpectrumModel(CFG, enumerate_basis(CFG, 20.0), kind=kind)
+        model.table = None
+        direct = model.levels
+        model.levels = lambda n0: direct(n0) if n0 == 0.0 else direct(n0) - direct(n0)[0]
+        with pytest.raises(UnstableSpectrumError, match="all levels must be positive"):
+            solve_n0(model, 1.0)
 
     def test_rejects_bad_arguments(self):
         basis = enumerate_basis(CFG, 10.0)
@@ -803,6 +899,16 @@ class TestSweep:
                 else:
                     assert len(calls) == 1
             assert phases == [False, False, False, True]
+
+    def test_frozen_out_sweep_warns_nothing(self):
+        # At T = 0.25 every level above about 177 overflows exp: each point
+        # sets np.errstate(over="ignore") once for all its Bose sums.
+        basis = enumerate_basis(CFG, 400.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for kind in thermo.SOLVER_KINDS:
+                (point,) = sweep(CFG, basis, [0.25], solver_kind=kind).points
+                assert point.converged and not point.normal_phase, kind
 
     def test_monotone_diagnostic(self):
         basis = enumerate_basis(CFG, 400.0)
