@@ -68,13 +68,15 @@ def enumerate_basis(cfg: TrapConfig, e_cut):
     quanta = np.zeros((1, 0), dtype=np.int64)
     partial = np.zeros(1)
     for j, w in enumerate(cfg.frequencies, start=1):
-        count = int(math.floor(e_cut / (cfg.hbar * w) + 1e-12)) + 1
+        # A float until it passes the guard: e_cut/(hbar*w) may be inf.
+        count = np.floor(e_cut / (cfg.hbar * w) + 1e-12) + 1.0
         rows = len(quanta) * count
         if rows * j > MAX_ENUMERATION_ENTRIES:
             raise BasisTooLargeError(
-                f"the basis under e_cut={e_cut} in dimension {cfg.dimension} needs {rows} "
+                f"the basis under e_cut={e_cut} in dimension {cfg.dimension} needs {rows:.12g} "
                 f"rows of {j} quantum numbers, above the limit of {MAX_ENUMERATION_ENTRIES} "
                 f"(basis.MAX_ENUMERATION_ENTRIES)")
+        count, rows = int(count), int(rows)
         k = np.arange(count)
         partial = (partial[:, None] + w * k).ravel()
         # Each kept row followed by each quantum of dimension j, in order.

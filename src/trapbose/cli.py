@@ -21,8 +21,12 @@ from .thermo import DEFAULT_TOL, SOLVER_KINDS, SpectrumModel, excited_count, sol
 
 CSV_HEADER = "T,n0_over_N,energy_excess_per_N,lambda,converged,iterations"
 
+# Most temperatures one run sweeps: the grid is held as a list of floats,
+# and each of its points is one solve.
+MAX_TEMPERATURES = 10**6
 
-@dataclass
+
+@dataclass(frozen=True)
 class RunConfig:
     trap: TrapConfig = field(default_factory=TrapConfig)
     e_cut: float = 400.0
@@ -32,7 +36,6 @@ class RunConfig:
     solver: str = "perturbative1"
     tol: float = DEFAULT_TOL
     output_path: str = "thermo.csv"
-    emit_diagnostics: bool = False
 
     def __post_init__(self):
         require_finite(("e_cut", self.e_cut), ("t_min", self.t_min), ("t_max", self.t_max),
@@ -49,21 +52,20 @@ class RunConfig:
             raise ConfigError("tol must be positive")
         if self.solver not in SOLVER_KINDS:
             raise ConfigError(f"unknown solver {self.solver!r}; choose from {SOLVER_KINDS}")
+        # A float until it passes the limit: inf when t_step is subnormal.
+        count = np.floor((self.t_max - self.t_min) / self.t_step + 1e-9) + 1.0
+        if count > MAX_TEMPERATURES:
+            raise ConfigError(f"t_step = {self.t_step} gives {count:.12g} temperatures "
+                              f"from t_min to t_max, above the limit of {MAX_TEMPERATURES} "
+                              f"(cli.MAX_TEMPERATURES)")
+        object.__setattr__(self, "_grid_size", int(count))
 
     def temperature_grid(self):
-        count = int(math.floor((self.t_max - self.t_min) / self.t_step + 1e-9)) + 1
-        return [self.t_min + k * self.t_step for k in range(count)]
+        return [self.t_min + k * self.t_step for k in range(self._grid_size)]
 
 
 def _floats(value):
     return tuple(float(part) for part in value.split(","))
-
-
-def _flag(value):
-    word = value.lower()
-    if word not in ("1", "true", "yes", "0", "false", "no"):
-        raise ValueError(f"expected 1/true/yes or 0/false/no, got {value!r}")
-    return word in ("1", "true", "yes")
 
 
 # config key -> (TrapConfig or RunConfig keyword set, field name, value parser)
@@ -81,7 +83,6 @@ _KEYS = {
     "tol": ("run", "tol", float),
     "solver": ("run", "solver", str),
     "output": ("run", "output_path", str),
-    "emit_diagnostics": ("run", "emit_diagnostics", _flag),
 }
 
 
@@ -147,10 +148,6 @@ def run(config: RunConfig, stream=None):
     else:
         with open(config.output_path, "w") as handle:
             handle.write(text)
-    if config.emit_diagnostics:
-        print(f"# monotone_n0: {curve.monotone_within()}", file=sys.stderr)
-        normal = sum(1 for p in curve.points if p.normal_phase)
-        print(f"# normal_phase_points: {normal}/{len(curve.points)}", file=sys.stderr)
     return 0 if all(p.converged for p in curve.points) else 2
 
 
@@ -185,57 +182,70 @@ def _interpolant_gap(trap, basis, probe, tol):
     return worst
 
 
+def _guarded(name, check):
+    """The report line of check() -> (passed, detail), run with numpy's
+    overflow, invalid operations and division by zero raised (not underflow:
+    the Bose sums and exp(-eps/T) underflow by design).  A package error, an
+    arithmetic error or a failed linear-algebra routine fails the check with
+    its type and message."""
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"):
+            passed, detail = check()
+    except (TrapBoseError, ArithmeticError, np.linalg.LinAlgError) as exc:
+        passed, detail = False, f"{type(exc).__name__}: {exc}"
+    return _check(name, passed, detail)
+
+
 def validate(config: RunConfig):
     """Cross-validation suite; returns (report_text, all_passed)."""
-    lines = []
     trap = config.trap
     basis = basis_mod.enumerate_basis(trap, config.e_cut)
 
     # The assembled C and d on an index grid against the quadrature oracle.
-    top = 8 if trap.dimension == 1 else 4
-    states = list(np.ndindex(*(top + 1,) * trap.dimension))
-    grid_sys = basis_mod.build_matrices(basis_mod.BasisSet(np.array(states[1:]), trap), 0.0)
-    quad = basis_mod.quadrature_oracle_element
-    oracle = np.array([[quad(m, n, trap) for n in states] for m in states])
-    # Row 0 of the oracle is d (m = 0); the rest is C.
-    worst = max(np.max(np.abs(grid_sys.coupling - oracle[1:, 1:])),
-                np.max(np.abs(grid_sys.source - oracle[0, 1:])))
-    lines.append(_check("matrix-element-oracle", worst < 1e-10, f"max delta {worst:.3e}"))
+    def matrix_element_oracle():
+        top = 8 if trap.dimension == 1 else 4
+        states = list(np.ndindex(*(top + 1,) * trap.dimension))
+        grid_sys = basis_mod.build_matrices(basis_mod.BasisSet(np.array(states[1:]), trap), 0.0)
+        quad = basis_mod.quadrature_oracle_element
+        oracle = np.array([[quad(m, n, trap) for n in states] for m in states])
+        # Row 0 of the oracle is d (m = 0); the rest is C.
+        worst = max(np.max(np.abs(grid_sys.coupling - oracle[1:, 1:])),
+                    np.max(np.abs(grid_sys.source - oracle[0, 1:])))
+        return worst < 1e-10, f"max delta {worst:.3e}"
 
     # The next three checks share the lowest (at most) 10 states.  The two
     # lambda^3 checks probe a quarter, an eighth and a sixteenth of the full
     # coupling: their ratios tend to 8 only as lambda shrinks, and at the
     # full coupling of an anisotropic or 3D trap they fall below 6.
     sub_basis = basis_mod.BasisSet(quanta=basis.quanta[:10], config=trap)
-    sub_sys = basis_mod.build_matrices(sub_basis, trap.n_particles)
-    scaled = [replace(sub_sys, lam=sub_sys.lam * scale) for scale in (0.25, 0.125, 0.0625)]
-    pairs = [perturbative_xy(sys_m)[:2] for sys_m in scaled]
+
+    def scaled_pairs():
+        sub_sys = basis_mod.build_matrices(sub_basis, trap.n_particles)
+        scaled = [replace(sub_sys, lam=sub_sys.lam * scale) for scale in (0.25, 0.125, 0.0625)]
+        return scaled, [perturbative_xy(sys_m)[:2] for sys_m in scaled]
 
     # Perturbative X, Y against the general-generator Riccati branch.
-    try:
+    def riccati_scaling():
         diffs = []
-        for sys_m, (x_p, y_p) in zip(scaled, pairs):
+        for sys_m, (x_p, y_p) in zip(*scaled_pairs()):
             sol = solve_xy_general(RiccatiProblem.from_system(sys_m))
             diffs.append(max(np.max(np.abs(sol.x - x_p)), np.max(np.abs(sol.y - y_p))))
         ok, ratios = _scaling_ratio_ok(diffs, 6.0, 10.0)
-        lines.append(_check("perturbative-riccati-lambda3-scaling", ok,
-                            f"ratios {ratios}"))
-    except TrapBoseError as exc:
-        lines.append(_check("perturbative-riccati-lambda3-scaling", False, str(exc)))
+        return ok, f"ratios {ratios}"
 
     # Constraint residual of the perturbative pair scales as lambda^3.
-    ok, ratios = _scaling_ratio_ok([constraint_residual(x_p, y_p) for x_p, y_p in pairs],
-                                   6.0, 10.0)
-    lines.append(_check("perturbative-constraint-lambda3-scaling", ok, f"ratios {ratios}"))
+    def constraint_scaling():
+        _, pairs = scaled_pairs()
+        ok, ratios = _scaling_ratio_ok([constraint_residual(x_p, y_p) for x_p, y_p in pairs],
+                                       6.0, 10.0)
+        return ok, f"ratios {ratios}"
 
     # Symmetric Riccati branch: exact constraint, anomalous terms eliminated.
-    try:
-        sol = solve_xy(RiccatiProblem.from_system(sub_sys))
-        ok = sol.r3 < 1e-13 and sol.anomalous_r1 < 1e-10
-        lines.append(_check("riccati-constraint-residuals", ok,
-                            f"r3 {sol.r3:.3e}, anomalous {sol.anomalous_r1:.3e}"))
-    except TrapBoseError as exc:
-        lines.append(_check("riccati-constraint-residuals", False, str(exc)))
+    def riccati_residuals():
+        sol = solve_xy(RiccatiProblem.from_system(
+            basis_mod.build_matrices(sub_basis, trap.n_particles)))
+        return (sol.r3 < 1e-13 and sol.anomalous_r1 < 1e-10,
+                f"r3 {sol.r3:.3e}, anomalous {sol.anomalous_r1:.3e}")
 
     # Condensate fraction stable under cutoff doubling (first-order levels).
     # The shift is 0.93 to 1.03 times the ideal count of the states the
@@ -247,27 +257,34 @@ def validate(config: RunConfig):
     grid = [t for t in config.temperature_grid()
             if excited_count(added, t) <= 0.5e-4 * trap.n_particles]
     probe = [grid[0], grid[len(grid) // 2], grid[-1]] if grid else []
-    worst = 0.0
-    model_a = SpectrumModel(trap, basis, kind="perturbative1")
-    model_b = SpectrumModel(trap, doubled, kind="perturbative1")
-    for t in probe:
-        pa = solve_n0(model_a, t, tol=config.tol)
-        pb = solve_n0(model_b, t, tol=config.tol)
-        worst = max(worst, abs(pa.n0 - pb.n0) / trap.n_particles)
     no_probe = "no grid temperature where the ideal count above e_cut is <= 5e-05*N"
-    detail = f"max shift {worst:.3e}" if probe else no_probe
-    lines.append(_check("truncation-doubling", bool(probe) and worst < 1e-4, detail))
+
+    def truncation_doubling():
+        worst = 0.0
+        model_a = SpectrumModel(trap, basis, kind="perturbative1")
+        model_b = SpectrumModel(trap, doubled, kind="perturbative1")
+        for t in probe:
+            pa = solve_n0(model_a, t, tol=config.tol)
+            pb = solve_n0(model_b, t, tol=config.tol)
+            worst = max(worst, abs(pa.n0 - pb.n0) / trap.n_particles)
+        detail = f"max shift {worst:.3e}" if probe else no_probe
+        return bool(probe) and worst < 1e-4, detail
 
     # The dense kinds' count interpolant against direct levels, at the same
     # probe temperatures.
-    try:
+    def interpolant_vs_direct():
         worst = _interpolant_gap(trap, basis, probe, config.tol)
-        ok = bool(probe) and worst <= 2.0
         detail = f"max |delta n0| {worst:.3g} tol*N" if probe else no_probe
-    except TrapBoseError as exc:
-        ok, detail = False, f"{type(exc).__name__}: {exc}"
-    lines.append(_check("interpolant-vs-direct", ok, detail))
+        return bool(probe) and worst <= 2.0, detail
 
+    lines = [_guarded(name, check) for name, check in (
+        ("matrix-element-oracle", matrix_element_oracle),
+        ("perturbative-riccati-lambda3-scaling", riccati_scaling),
+        ("perturbative-constraint-lambda3-scaling", constraint_scaling),
+        ("riccati-constraint-residuals", riccati_residuals),
+        ("truncation-doubling", truncation_doubling),
+        ("interpolant-vs-direct", interpolant_vs_direct),
+    )]
     report = "\n".join(text for text, _ in lines) + "\n"
     return report, all(passed for _, passed in lines)
 

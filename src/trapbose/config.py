@@ -53,6 +53,10 @@ class TrapConfig:
             raise ConfigError("mass must be positive")
         if self.hbar <= 0.0:
             raise ConfigError("hbar must be positive")
+        for w in self.frequencies:
+            if self.hbar * w == 0.0:
+                raise ConfigError(f"omega = {w} with hbar = {self.hbar} gives a level "
+                                  f"spacing hbar*omega that underflows to 0")
         if self.g < 0.0:
             raise ConfigError("interaction strength g must be >= 0")
         if self.n_particles < 1:

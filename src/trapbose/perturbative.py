@@ -41,14 +41,17 @@ def second_order_term(energies, coupling):
     """The lambda-independent coefficient K of lambda^2 in the spectrum matrix.
 
     energies (..., m) and coupling (..., m, m) are one basis or a stack of
-    blocks of one; K has the shape of coupling.
+    blocks of one; K has the shape of coupling.  A zero energy, which only a
+    hand-built basis holding the ground state has, gives non-finite entries
+    without a warning: solve_n0 rejects such levels at every point.
     """
-    einv_c = _einv_apply(energies, coupling)
-    return 0.5 * (
-        (einv_c @ einv_c) * energies[..., None, :]
-        - 3.0 * coupling @ einv_c
-        - 2.0 * _einv_apply(energies, coupling @ coupling)
-    )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        einv_c = _einv_apply(energies, coupling)
+        return 0.5 * (
+            (einv_c @ einv_c) * energies[..., None, :]
+            - 3.0 * coupling @ einv_c
+            - 2.0 * _einv_apply(energies, coupling @ coupling)
+        )
 
 
 def real_eigenvalues(*stacks):

@@ -517,11 +517,6 @@ class ThermoCurve:
         n = self.config.n_particles
         return np.array([p.n0 / n for p in self.points])
 
-    def monotone_within(self, slack=1e-6):
-        """Diagnostic: condensate fraction non-increasing in T up to slack."""
-        frac = self.condensate_fractions()
-        return bool(np.all(np.diff(frac) <= slack))
-
 
 def _failed_point(temperature, exc):
     return ThermoPoint(
@@ -542,8 +537,6 @@ def sweep(cfg: TrapConfig, basis: BasisSet, t_grid, solver_kind="perturbative1",
     t_grid = [float(t) for t in t_grid]
     if any(t <= 0.0 for t in t_grid):
         raise ValueError("all temperatures must be positive")
-    if any(b <= a for a, b in zip(t_grid, t_grid[1:])):
-        raise ValueError("temperature grid must be strictly increasing")
 
     model = SpectrumModel(cfg, basis, kind=solver_kind)
     points = []

@@ -1,6 +1,5 @@
 import io
 import math
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trapbose.thermo as thermo
+import trapbose.cli as cli
 from trapbose.cli import RunConfig, _scaling_ratio_ok, main, parse_config, run, validate
 from trapbose.config import TrapConfig
 from trapbose.errors import ConfigError
@@ -46,7 +46,6 @@ class TestParseConfig:
         tol = 1e-9
         solver = ideal
         output = result.csv
-        emit_diagnostics = yes
         """
         config = parse_config(text)
         assert config.trap.dimension == 2
@@ -60,17 +59,6 @@ class TestParseConfig:
         assert config.tol == 1e-9
         assert config.solver == "ideal"
         assert config.output_path == "result.csv"
-        assert config.emit_diagnostics is True
-        assert parse_config("emit_diagnostics = 0").emit_diagnostics is False
-
-    def test_emit_diagnostics_values(self):
-        for word in ("1", "TRUE", "Yes"):
-            assert parse_config(f"emit_diagnostics = {word}").emit_diagnostics is True
-        for word in ("0", "False", "NO"):
-            assert parse_config(f"emit_diagnostics = {word}").emit_diagnostics is False
-        for word in ("on", "ture", ""):
-            with pytest.raises(ConfigError, match="line 2"):
-                parse_config(f"e_cut = 10\nemit_diagnostics = {word}")
 
     @settings(deadline=None)
     @given(key=st.sampled_from(FLOAT_KEYS), value=st.sampled_from(["nan", "inf", "-inf"]),
@@ -102,8 +90,9 @@ class TestParseConfig:
             parse_config("e_cut = 10\nnot a key value pair")
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigError, match="unknown key"):
-            parse_config("ecut = 10")
+        for key in ("ecut", "emit_diagnostics"):
+            with pytest.raises(ConfigError, match=f"^line 1: unknown key '{key}'$"):
+                parse_config(f"{key} = 1")
 
     def test_repeated_key_rejected(self):
         with pytest.raises(ConfigError, match="line 3: key 'e_cut' repeats line 1"):
@@ -112,6 +101,15 @@ class TestParseConfig:
     def test_zero_step_rejected(self):
         with pytest.raises(ConfigError):
             parse_config("t_step = 0")
+
+    def test_grid_size_bounded(self, monkeypatch):
+        # t_step = 1e-12 would make a list of 2e14 temperatures.
+        with pytest.raises(ConfigError, match=r"^t_step = 1e-12 gives 1.99e\+14 temperatures"):
+            parse_config("t_max = 200\nt_step = 1e-12")
+        monkeypatch.setattr(cli, "MAX_TEMPERATURES", 5)
+        assert parse_config("t_max = 5").temperature_grid() == [1.0, 2.0, 3.0, 4.0, 5.0]
+        with pytest.raises(ConfigError, match="gives 6 temperatures .* above the limit of 5 "):
+            parse_config("t_max = 6")
 
 
 class TestRun:
@@ -152,21 +150,6 @@ class TestRun:
         run(self.small_config(solver="perturbative1"), stream=a)
         run(self.small_config(solver="perturbative1"), stream=b)
         assert a.getvalue() == b.getvalue()
-
-    def test_emit_diagnostics(self, capsys):
-        # T = 200..300 lies above the transition of this 200-level basis.
-        config = self.small_config(e_cut=200.0, t_min=100.0, t_max=300.0, t_step=50.0,
-                                   solver="perturbative1")
-        plain, diagnosed = io.StringIO(), io.StringIO()
-        assert run(config, stream=plain) == 0
-        assert capsys.readouterr().err == ""
-        assert run(replace(config, emit_diagnostics=True), stream=diagnosed) == 0
-        rows = plain.getvalue().strip().split("\n")[1:]
-        normal = sum(1 for row in rows if row.split(",")[1] == "0")
-        assert 0 < normal < len(rows)
-        assert capsys.readouterr().err.splitlines() == [
-            "# monotone_n0: True", f"# normal_phase_points: {normal}/{len(rows)}"]
-        assert diagnosed.getvalue() == plain.getvalue()
 
     def test_ideal_solver_forces_lambda_zero(self):
         stream = io.StringIO()
@@ -341,6 +324,22 @@ class TestMainExitStatus:
         assert err.startswith(f"error: {key} must be finite")
         assert not out.exists()
 
+    @pytest.mark.parametrize("text, message", [
+        ("hbar = 1e-10\nomega = 5e-324\ne_cut = 60\n",
+         "error: omega = 5e-324 with hbar = 1e-10 gives a level spacing hbar*omega that "
+         "underflows to 0\n"),
+        ("hbar = 1e-10\nomega = 1e-300\ne_cut = 60\n",
+         "error: the basis under e_cut=60.0 in dimension 1 needs inf rows"),
+        ("e_cut = 20\nt_step = 5e-324\n", "error: t_step = 5e-324 gives inf temperatures"),
+    ], ids=["hbar-omega-zero", "hbar-omega-subnormal", "t-step-subnormal"])
+    def test_underflowing_step_exit_one(self, text, message, tmp_path, capsys):
+        config = tmp_path / "bad.cfg"
+        out = tmp_path / "out.csv"
+        config.write_text(f"t_min = 1\nt_max = 2\noutput = {out}\n" + text)
+        assert main(["--config", str(config)]) == 1
+        assert capsys.readouterr().err.startswith(message)
+        assert not out.exists()
+
     def test_n_particles_beyond_float_range_exit_one(self, tmp_path, capsys):
         config = tmp_path / "bad.cfg"
         out = tmp_path / "out.csv"
@@ -365,6 +364,21 @@ class TestMainExitStatus:
 
     def test_missing_config_file_exit_one(self, tmp_path):
         assert main(["--config", str(tmp_path / "absent.cfg")]) == 1
+
+    @pytest.mark.parametrize("g", ["0.2", "1e200", "1e308"])
+    def test_validate_failures_exit_two(self, g, tmp_path, capsys):
+        # At g = 1e200 lambda**2 overflows in perturbative_xy, at 1e308 the
+        # couplings are inf, and at 0.2 scipy's expm overflows: each check
+        # that meets an error fails with its type, and the report goes on,
+        # with no RuntimeWarning (an error under this suite's warning filter).
+        config = tmp_path / "strong.cfg"
+        config.write_text(f"g = {g}\ne_cut = 20\nt_min = 1\nt_max = 3\n")
+        assert main(["--config", str(config), "--validate"]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 6
+        assert lines[0] == "PASS matrix-element-oracle"
+        assert lines[1].startswith("FAIL perturbative-riccati-lambda3-scaling: ")
+        assert lines[1].split(": ")[1] in ("OverflowError", "FloatingPointError")
 
     def test_validate_exit_zero(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"
