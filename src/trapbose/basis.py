@@ -93,8 +93,9 @@ def enumerate_basis(cfg: TrapConfig, e_cut):
             f"no excited state below e_cut={e_cut} "
             f"(first level at {cfg.hbar * min(cfg.frequencies)})"
         )
-    # lexsort's last key is the primary one: energy, then n_1, ..., n_D.
-    quanta = quanta[np.lexsort((*quanta.T[::-1], energies))]
+    # The product keeps its rows in lexicographic order, so a stable sort by
+    # energy orders them by (energy, n_1, ..., n_D), ties included.
+    quanta = quanta[np.argsort(energies, kind="stable")]
     quanta.flags.writeable = False
     return BasisSet(quanta=quanta, config=cfg)
 

@@ -11,7 +11,9 @@ N0 is treated as a continuous macroscopic occupation.
 Above the condensation region the loop has no solution with N0 > 0; those
 points are extended with an ideal-spectrum fugacity fit (normal-phase
 extension, an artifact convention): the fugacity z at which the bare levels
-hold all N particles, found by Newton's method on the log of their count.
+hold all N particles, found by Newton's method on the log of their count in
+log z.  The fit sums z/(r + 1 - z) over the r = expm1(eps/T) of the bare
+count, so 1 - z is resolved even where z itself rounds to 1.
 """
 
 import math
@@ -46,7 +48,8 @@ def _bose(x):
     x is a float array that no caller reads again.  A level that freezes
     out (x beyond the float range of exp) overflows expm1 to inf and gets
     exactly 0, so the caller holds np.errstate(over="ignore").  The levels
-    are not checked: the caller knows them to be positive.
+    are not checked: the caller knows them to be positive.  solve_n0 forms
+    the bare count the same way, keeping expm1(x) for the normal phase.
     """
     np.expm1(x, out=x)
     return np.reciprocal(x, out=x)
@@ -205,6 +208,9 @@ class SpectrumModel:
                 self._groups.append(tuple(_read_only(a) for a in group))
             energies = np.sort(energies)
         self._energies = _read_only(energies)
+        # levels(0.0) is this array at every point, so it is tested once;
+        # solve_n0 raises UnstableSpectrumError at each point when it fails.
+        self._bare_positive = not (energies <= 0.0).any()
 
     def levels(self, n0):
         lam = self.cfg.coupling_lambda(n0)
@@ -317,7 +323,7 @@ def _affine_root(model, temperature, n_total, bare_count, tol):
     for evaluations in range(1, N0_MAX_EVALUATIONS + 1):
         levels = model.levels(n0)
         occ = _bose(levels / temperature)
-        residual = n_total - n0 - float(np.sum(occ))
+        residual = n_total - n0 - float(occ.sum())
         # f'(n0) = -1 + (2g/T) sum c*occ*(1 + occ); g multiplies last, so
         # frozen levels (occ = 0) give -1 at any finite g, not inf*0.
         weight = occ + 1.0
@@ -343,43 +349,57 @@ def _affine_root(model, temperature, n_total, bare_count, tol):
 
 
 # The normal-phase fugacity: Newton's method on h(u) = log count(u) - log N
-# in u = log z, with q = exp(-eps/T) formed once per point.  count(u) =
-# sum z*q/(1 - z*q) is a positive sum of e^(ju), so h is increasing and
-# convex, and Newton started where h >= 0 falls monotonically to the root,
-# never overshooting.  The loop ends at a step of at most FUGACITY_STEP_TOL in
-# log z (relative in z), or at a step below zero, where rounding has crossed
-# the root; the point keeps the z and energy of that last evaluation.
-FUGACITY_STEP_TOL = 1e-15
+# in u = log z, over r = expm1(eps/T), which solve_n0 has formed for the
+# bare count.  exp(eps/T) - z = r + (1 - z) with 1 - z = -expm1(u), so
+# count(u) = sum z/(r - expm1(u)), whose denominators add two non-negative
+# terms for u <= 0 and cancel nothing, however close z comes to 1.  count(u)
+# is a positive sum of e^(ju), so h is increasing and convex, and Newton
+# started where h >= 0 falls monotonically to the root, never overshooting.
+# The loop ends when the count is resolved (h at most FUGACITY_TOL: a step
+# below zero, where rounding has crossed the root, included) or u is (a step
+# of at most FUGACITY_TOL*|u|, which resolves 1 - z ~ -u near z = 1 and is
+# never finer than the float spacing of u); the point keeps the z and
+# energy of that last evaluation.
+FUGACITY_TOL = 1e-15
 FUGACITY_MAX_EVALUATIONS = 50
 
 
-def _fugacity_occupations(u, q):
-    """Occupations z*q/(1 - z*q) at z = exp(u): one evaluation of the
+def _fugacity_occupations(u, r):
+    """Occupations z/(r + 1 - z) at z = exp(u): one evaluation of the
     normal-phase Newton solve."""
-    zq = math.exp(u) * q
-    return np.divide(zq, 1.0 - zq, out=zq)
+    occ = r - math.expm1(u)
+    return np.divide(math.exp(u), occ, out=occ)
 
 
-def _normal_phase_point(levels, temperature, n_total):
-    # levels/(-T) is -levels/T exactly.
-    q = levels / -temperature
-    np.exp(q, out=q)
-    # Start at the smallest of three z that each hold at least N particles;
-    # as none exceeds the first, z*q < 1 there, also where q rounds to 1.
-    # z*max(q) = N/(N + 1): the lowest level alone holds N.  The cap
-    # 1 - 2**-49 keeps 1 - z*q clear of rounding; above N ~ 5.6e14, where it
-    # binds, z is resolved only to rounding, as by any float root.
-    # z*mean(q) = N/(N + size): Jensen's inequality for the convex
-    # f(w) = w/(1 - w) gives count >= size*f(z*mean(q)) = N.
-    # z = 1: the excited_count that chose this phase.
-    u = min(math.log(min(n_total / (n_total + 1.0), 1.0 - 2.0**-49) / np.max(q)),
-            math.log(n_total * q.size / ((n_total + q.size) * np.sum(q))), 0.0)
+def _fugacity_start(r, occ, n_total):
+    """log z where h >= 0: the smallest of three z that each hold at least
+    N particles.  occ is the bare 1/r, which this overwrites.
+
+    Each bound is formed in log space, as an N/(N + 1) or a 1/(1 + r) that
+    rounds to 1 would put z beyond the root:
+    z = N(1 + min r)/(N + 1): the lowest level alone holds N.
+    z = N/((N + size)*mean q) with q = 1/(1 + r): Jensen's inequality for
+    the convex f(w) = w/(1 - w) gives count >= size*f(z*mean q) = N.  Its
+    log is -log1p(-mean(1 - q)), and 1 - q = 1/(1 + occ) is exact where q
+    rounds to 1.
+    z = 1: the bare count that chose this phase.
+    """
+    size = r.size
+    occ += 1.0
+    spread = np.reciprocal(occ, out=occ).sum() / size
+    return min(math.log1p(r.min()) - math.log1p(1.0 / n_total),
+               -math.log1p(-spread) - math.log1p(size / n_total), 0.0)
+
+
+def _normal_phase_point(levels, r, occ, temperature, n_total):
+    u = _fugacity_start(r, occ, n_total)
     for _ in range(FUGACITY_MAX_EVALUATIONS):
-        occ = _fugacity_occupations(u, q)
-        count = float(np.sum(occ))
+        occ = _fugacity_occupations(u, r)
+        count = float(occ.sum())
+        h = math.log(count / n_total)
         # h'(u) = sum occ*(1 + occ) / count.
-        step = math.log(count / n_total) * count / (count + float(occ @ occ))
-        if step <= FUGACITY_STEP_TOL:
+        step = h * count / (count + float(occ @ occ))
+        if h <= FUGACITY_TOL or step <= FUGACITY_TOL * -u:
             return ThermoPoint(
                 temperature=temperature, n0=0.0, lam=0.0,
                 energy_excess=float(levels @ occ), iterations=0,
@@ -436,6 +456,13 @@ def _table_sums(model, temperature, bare_count, tol):
     return None
 
 
+def _check_arguments(temperatures, tol):
+    if not all(0.0 < t < math.inf for t in temperatures):
+        raise ValueError("all temperatures must be positive and finite")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+
+
 def solve_n0(model: SpectrumModel, temperature, tol=DEFAULT_TOL):
     """Self-consistent condensate occupation at one temperature.
 
@@ -465,32 +492,38 @@ def solve_n0(model: SpectrumModel, temperature, tol=DEFAULT_TOL):
     the bare count above, and the energy is interpolated; otherwise, and
     without a table, on direct levels.  Each point makes one root solve.
 
-    Every Bose sum goes through the in-place kernel _bose under one
-    np.errstate(over="ignore") for the point.  Raises UnstableSpectrumError
-    when a level it sums is not positive: the bare levels are checked once
-    per point, the direct levels of the dense kinds by excited_count, and
-    nothing else, as the perturbative1 levels are at least the bare ones
-    and the table rows were checked when built.
+    The bare count is sum 1/r over r = expm1(eps/T), bit for bit the
+    in-place kernel _bose, through which every other Bose sum goes; the
+    normal phase solves on that r (see _normal_phase_point).  All of them
+    run under one np.errstate(over="ignore") for the point.  Raises
+    UnstableSpectrumError when a level it sums is not positive: the bare
+    levels (tested once per model, raised at each point), the direct levels
+    of the dense kinds by excited_count, and nothing else, as the
+    perturbative1 levels are at least the bare ones and the table rows were
+    checked when built.  Raises ValueError for a temperature or tol that
+    is not positive and finite.
     """
-    if temperature <= 0.0:
-        raise ValueError("temperature must be positive")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    _check_arguments([temperature], tol)
     cfg = model.cfg
     n_total = float(cfg.n_particles)
 
     ideal_levels = model.levels(0.0)
-    _require_positive(ideal_levels)
+    if not model._bare_positive:
+        _require_positive(ideal_levels)
     with np.errstate(over="ignore"):
-        occ = _bose(ideal_levels / temperature)
-        bare_count = float(np.sum(occ))
+        # r = expm1(eps/T): the bare count is sum 1/r, as _bose forms it,
+        # and the normal phase solves on r itself.
+        r = ideal_levels / temperature
+        np.expm1(r, out=r)
+        occ = np.reciprocal(r)
+        bare_count = float(occ.sum())
         if bare_count >= n_total:
-            return _normal_phase_point(ideal_levels, temperature, n_total)
+            return _normal_phase_point(ideal_levels, r, occ, temperature, n_total)
 
         if cfg.g == 0.0:
             # The levels do not depend on n0: f(n0) = N - n0 - bare_count.
             n0, calls = n_total - bare_count, 0
-            energy = float(np.sum(ideal_levels * occ))
+            energy = float((ideal_levels * occ).sum())
         elif model.coupling_diagonal is not None:
             n0, energy, calls = _affine_root(model, temperature, n_total, bare_count, tol)
         elif (sums := _table_sums(model, temperature, bare_count, tol)) is not None:
@@ -535,8 +568,7 @@ def sweep(cfg: TrapConfig, basis: BasisSet, t_grid, solver_kind="perturbative1",
     cfg and basis.config describe different traps.
     """
     t_grid = [float(t) for t in t_grid]
-    if any(t <= 0.0 for t in t_grid):
-        raise ValueError("all temperatures must be positive")
+    _check_arguments(t_grid, tol)
 
     model = SpectrumModel(cfg, basis, kind=solver_kind)
     points = []

@@ -1,11 +1,12 @@
 """The paper's printed formulas, kept as independent oracles for the tests.
 
 The package evaluates each of these in a faster form: the basis arrays
-vectorize the scalar matrix elements, the level models solve each parity
-sector on its own instead of the full matrices, the Bose occupations are
-formed in place, the normal-phase fugacity and the first-order condensed
-root are Newton solves instead of bracketed ones, and the pipeline never
-needs the shift vector z or the spectrum of the solved X, Y.  The tests
+vectorize the scalar matrix elements, the basis is sorted by one stable
+argsort instead of a lexsort, the level models solve each parity sector on
+its own instead of the full matrices, the Bose occupations are formed in
+place, the normal-phase fugacity and the first-order condensed root are
+Newton solves instead of bracketed ones, and the pipeline never needs the
+shift vector z or the spectrum of the solved X, Y.  The tests
 compare the fast forms against these, so their arithmetic must stay as the
 formulas read.
 """
@@ -143,6 +144,23 @@ def bose_occupation(levels, temperature, fugacity=1.0):
         return 1.0 / np.expm1(np.asarray(levels, dtype=float) / temperature - np.log(fugacity))
 
 
+# The normal-phase occupations z/(exp(eps/T) - z) in two forms.  The r form
+# is the arithmetic of thermo._fugacity_occupations, bit for bit: r =
+# expm1(eps/T) and 1 - z = -expm1(u) at u = log z.  The q form, with q =
+# exp(-eps/T), is the one the solve used before, and agrees to rounding.
+
+def fugacity_occupation_r(levels, temperature, log_fugacity):
+    """z/(r + 1 - z) with r = expm1(eps/T) and z = exp(u), u = log_fugacity."""
+    r = np.expm1(np.asarray(levels, dtype=float) / temperature)
+    return math.exp(log_fugacity) / (r - math.expm1(log_fugacity))
+
+
+def fugacity_occupation_q(levels, temperature, fugacity):
+    """z*q/(1 - z*q) with q = exp(-eps/T)."""
+    zq = fugacity * np.exp(-np.asarray(levels, dtype=float) / temperature)
+    return zq / (1.0 - zq)
+
+
 # The bracketed fugacity root: the reference for the normal-phase Newton
 # solve of solve_n0.
 
@@ -184,3 +202,24 @@ def condensed_point(model, temperature, tol):
         energy_excess=energy_excess(model.levels(n0), temperature),
         iterations=result.function_calls, converged=True,
     )
+
+
+# The enumeration's sort by lexsort on (energy, n_1, ..., n_D): the reference
+# for the one stable argsort of enumerate_basis, which relies on the rows of
+# its product being in lexicographic order already.
+
+def lexsort_enumeration(cfg: TrapConfig, e_cut, seed=0):
+    """The excited multi-indices with energy <= e_cut, taken from their
+    bounding box in a shuffled row order and sorted by lexsort; the energies
+    are summed as enumerate_basis sums them."""
+    boxes = [np.arange(math.floor(e_cut / (cfg.hbar * w) + 1e-12) + 1) for w in cfg.frequencies]
+    quanta = np.stack(np.meshgrid(*boxes, indexing="ij"), axis=-1).reshape(-1, cfg.dimension)
+    quanta = quanta[np.random.default_rng(seed).permutation(len(quanta))]
+    total = 0.0
+    for j, w in enumerate(cfg.frequencies):
+        total = total + w * quanta[:, j]
+    energies = cfg.hbar * total
+    keep = quanta.any(axis=1) & (energies <= e_cut)
+    quanta, energies = quanta[keep], energies[keep]
+    # lexsort's last key is the primary one: energy, then n_1, ..., n_D.
+    return quanta[np.lexsort((*quanta.T[::-1], energies))]

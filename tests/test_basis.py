@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import trapbose.basis as basis_mod
@@ -19,7 +19,7 @@ from trapbose import (
     parity_sectors,
     quadrature_oracle_element,
 )
-from oracles import coupling_coefficient, oscillator_energy, source_coefficient
+from oracles import coupling_coefficient, lexsort_enumeration, oscillator_energy, source_coefficient
 
 PAPER_1D = TrapConfig()
 SQRT2 = math.sqrt(2.0)
@@ -162,6 +162,30 @@ class TestEnumerateBasis:
         assert basis.quanta.tolist() == [list(n) for n in states]
         expected = np.array([oscillator_energy(n, cfg) for n in states])
         assert np.array_equal(basis.energies(), expected)
+
+    @settings(deadline=None)
+    @given(frequencies=st.lists(st.sampled_from([0.25, 0.5, 0.7, 1.0, 1.3, SQRT2, 2.0])
+                                | st.floats(0.5, 3.0), min_size=1, max_size=4),
+           e_cut=st.floats(0.25, 6.0), seed=st.integers(0, 2**32 - 1))
+    # The 1D reference run, the aniso2d-p1 trap, isotropic 2D and 3D traps
+    # (many exact ties), an anisotropic 3D trap and a 4D trap with 2:1 ratios.
+    @example(frequencies=[1.0], e_cut=400.0, seed=0)
+    @example(frequencies=[1.0, SQRT2], e_cut=300.0, seed=0)
+    @example(frequencies=[1.0, 1.0], e_cut=40.0, seed=0)
+    @example(frequencies=[1.0, 1.0, 1.0], e_cut=30.0, seed=0)
+    @example(frequencies=[1.0, 1.3, 0.7], e_cut=12.0, seed=0)
+    @example(frequencies=[1.0, 1.0, 0.5, 0.25], e_cut=8.0, seed=0)
+    def test_stable_sort_matches_lexsort(self, frequencies, e_cut, seed):
+        # The product's rows come in lexicographic order, so the stable
+        # argsort by energy gives the (energy, n_1, ..., n_D) order of a
+        # lexsort over the same rows in any order.
+        cfg = TrapConfig(dimension=len(frequencies), frequencies=tuple(frequencies))
+        expected = lexsort_enumeration(cfg, e_cut, seed)
+        if not expected.size:
+            with pytest.raises(EmptyBasisError):
+                enumerate_basis(cfg, e_cut)
+            return
+        assert np.array_equal(enumerate_basis(cfg, e_cut).quanta, expected)
 
     def test_hand_built_subset(self):
         basis = enumerate_basis(PAPER_2D, 12.0)

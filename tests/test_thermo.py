@@ -26,8 +26,9 @@ from trapbose import (
     solve_n0,
     sweep,
 )
-from oracles import (bogoliubov_levels, bose_occupation, condensed_point, normal_phase_point,
-                     quasiparticle_levels, spectrum_matrix)
+from oracles import (bogoliubov_levels, bose_occupation, condensed_point, fugacity_occupation_q,
+                     fugacity_occupation_r, normal_phase_point, quasiparticle_levels,
+                     spectrum_matrix)
 
 CFG = TrapConfig()
 IDEAL = TrapConfig(g=0.0)
@@ -59,6 +60,20 @@ def shuffled_basis():
 def solve_at(cfg, basis, temperature, **kwargs):
     """solve_n0 with a fresh first-order level model."""
     return solve_n0(SpectrumModel(cfg, basis), temperature, **kwargs)
+
+
+def record_fugacity_evaluations(monkeypatch):
+    """Patch the normal-phase evaluation to record its log z: the list of
+    values, one per Newton evaluation."""
+    evaluations = []
+    occupations = thermo._fugacity_occupations
+
+    def recording(u, r):
+        evaluations.append(u)
+        return occupations(u, r)
+
+    monkeypatch.setattr(thermo, "_fugacity_occupations", recording)
+    return evaluations
 
 
 def transition_temperature(bare_levels, n_total, low=1e-3, high=1e6):
@@ -174,16 +189,23 @@ class TestBoseKernel:
     def test_solve_n0_sums_match_formula(self, kind, g, temperature):
         # The phase test, the g = 0 root and energy, the energy of the last
         # Newton evaluation and the normal-phase energy.  At T = 0.05 most
-        # of the levels below e_cut 60 freeze out.
+        # of the levels below e_cut 60 freeze out.  The normal phase sums
+        # z/(r + 1 - z) at the log z of its last evaluation, bit for bit;
+        # the q form z*q/(1 - z*q) rounds differently.
         cfg = TrapConfig(g=g)
         model = SpectrumModel(cfg, enumerate_basis(cfg, 60.0), kind=kind)
-        point = solve_n0(model, temperature)
+        with pytest.MonkeyPatch.context() as patch:
+            log_fugacity = record_fugacity_evaluations(patch)
+            point = solve_n0(model, temperature)
         bare = model.levels(0.0)
         bare_occ = bose_occupation(bare, temperature)
         assert point.normal_phase == (float(np.sum(bare_occ)) >= 1000.0)
         if point.normal_phase:
-            zq = point.fugacity * np.exp(-bare / temperature)
-            assert point.energy_excess == float(bare @ (zq / (1.0 - zq)))
+            u = log_fugacity[-1]
+            assert point.fugacity == math.exp(u)
+            assert point.energy_excess == float(bare @ fugacity_occupation_r(bare, temperature, u))
+            q_form = float(bare @ fugacity_occupation_q(bare, temperature, point.fugacity))
+            assert point.energy_excess == pytest.approx(q_form, rel=1e-13)
         elif model.cfg.g == 0.0:
             assert point.n0 == 1000.0 - float(np.sum(bare_occ))
             assert point.energy_excess == float(np.sum(bare * bare_occ))
@@ -309,40 +331,73 @@ class TestSolveN0:
             expected = normal_phase_point(bare, temperature, 1000.0)
             assert point.fugacity == pytest.approx(expected.fugacity, rel=1e-12)
 
-    def test_normal_phase_with_n_beyond_float_resolution(self):
-        # N = 1e17: N/(N + 1) rounds to 1, so an uncapped start would put
-        # z*max(q) at 1 where q rounds to 1 too, and divide by zero.
+    def test_normal_phase_with_n_beyond_float_resolution(self, monkeypatch):
+        # N = 1e17: N/(N + 1) rounds to 1, and so do z and every
+        # exp(-eps/T) at these T.  1 - z is about 1e-16, so the solve must
+        # resolve it, not z: the point holds N particles, and its energy is
+        # that of a 60-digit bisection in 1 - z (mpmath).
         cfg = TrapConfig(n_particles=10**17)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            curve = sweep(cfg, enumerate_basis(cfg, 20.0), [1e17, 1e20, 1e300])
-        assert all(p.converged and p.normal_phase and 0.0 < p.fugacity < 1.0
-                   for p in curve.points)
+        basis = enumerate_basis(cfg, 20.0)
+        bare = basis.energies()
+        grid = [1e17, 2e17, 1e20, 1e300]
+        log_fugacity = record_fugacity_evaluations(monkeypatch)
+        last = []
+        for temperature in grid:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                (point,) = sweep(cfg, basis, [temperature], solver_kind="ideal").points
+            assert point.converged and point.normal_phase and 0.0 < point.fugacity <= 1.0
+            count = float(np.sum(fugacity_occupation_r(bare, temperature, log_fugacity[-1])))
+            assert abs(count - 1e17) <= 1e-12 * 1e17, temperature
+            last.append(point)
+        assert last[0].energy_excess / 1e17 == pytest.approx(8.8653584889562139803, rel=1e-10)
+        assert last[1].energy_excess / 1e17 == pytest.approx(9.6722892860927827084, rel=1e-10)
+
+    @settings(deadline=None)
+    @given(dimension=st.sampled_from([1, 2, 3]),
+           omega=st.lists(st.floats(0.7, 2.0), min_size=3, max_size=3),
+           n_total=st.integers(1, 10**17) | st.sampled_from([10**k for k in range(18)]),
+           scale=st.floats(0.0, 1.0))
+    @example(dimension=1, omega=[1.0] * 3, n_total=10**17, scale=0.0)
+    @example(dimension=1, omega=[1.0] * 3, n_total=10**17, scale=1.0)
+    @example(dimension=3, omega=[1.0, 1.3, 0.7], n_total=1, scale=0.0)
+    @example(dimension=2, omega=[1.0, math.sqrt(2.0), 1.0], n_total=1000, scale=0.0)
+    def test_fugacity_start_holds_n(self, dimension, omega, n_total, scale):
+        # The Newton start has h(u0) >= 0: the bare levels hold at least N
+        # there, from the transition temperature (scale 0) up to T = 1e300.
+        # As T grows, every r = expm1(eps/T) falls far below 1 - z and
+        # Jensen's bound turns tight, so h(u0) is 0 there to rounding.
+        cfg = TrapConfig(dimension=dimension, frequencies=omega[:dimension])
+        bare = enumerate_basis(cfg, {1: 60.0, 2: 25.0, 3: 12.0}[dimension]).energies()
+        lowest = transition_temperature(bare, n_total, 1e-3, 1e300)
+        temperature = min(lowest * (1e300 / lowest) ** scale, 1e300)
+        with np.errstate(over="ignore"):
+            r = np.expm1(bare / temperature)
+            u0 = thermo._fugacity_start(r, 1.0 / r, float(n_total))
+            count = float(np.sum(thermo._fugacity_occupations(u0, r)))
+        assert u0 <= 0.0
+        assert count >= n_total * (1.0 - 1e-14)
 
     def test_normal_phase_evaluations_per_point(self, monkeypatch):
         # The trap and grid of the aniso2d-p1 benchmark.  Newton on the
         # log-count takes 4.2 evaluations per normal-phase point there, at
-        # most 6; brentq took 7.8, and a bracketing fall back more than 8.
-        evaluations = []
-        occupations = thermo._fugacity_occupations
-
-        def counting(u, q):
-            evaluations.append(u)
-            return occupations(u, q)
-
-        monkeypatch.setattr(thermo, "_fugacity_occupations", counting)
+        # most 6, and 723 on the grid; brentq took 7.8, and a bracketing
+        # fall back more than 8.
+        evaluations = record_fugacity_evaluations(monkeypatch)
         cfg = TrapConfig(dimension=2, frequencies=(1.0, math.sqrt(2.0)))
         model = SpectrumModel(cfg, enumerate_basis(cfg, 300.0))
-        normal = 0
+        normal = total = 0
         for temperature in np.arange(1.0, 201.0):
             evaluations.clear()
             point = solve_n0(model, temperature)
             if point.normal_phase:
                 normal += 1
+                total += len(evaluations)
                 assert 1 <= len(evaluations) <= 8
             else:
                 assert not evaluations
         assert normal == 172
+        assert total <= 723
 
     @staticmethod
     def affine_model(dimension, omega, g):
@@ -490,6 +545,22 @@ class TestSolveN0:
             solve_at(CFG, basis, -1.0)
         with pytest.raises(ValueError):
             solve_at(CFG, basis, 1.0, tol=0.0)
+
+    @pytest.mark.parametrize("kind", thermo.SOLVER_KINDS)
+    def test_rejects_non_finite_arguments(self, kind):
+        # A nan temperature once gave a converged point with n0 = nan (ideal)
+        # or aborted the sweep from brentq (the dense kinds).
+        basis = enumerate_basis(CFG, 10.0)
+        model = SpectrumModel(CFG, basis, kind=kind)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="temperatures must be positive and finite"):
+                solve_n0(model, bad)
+            with pytest.raises(ValueError, match="temperatures must be positive and finite"):
+                sweep(CFG, basis, [1.0, bad, 2.0], solver_kind=kind)
+            with pytest.raises(ValueError, match="tol must be positive and finite"):
+                solve_n0(model, 1.0, tol=bad)
+            with pytest.raises(ValueError, match="tol must be positive and finite"):
+                sweep(CFG, basis, [1.0, 2.0], solver_kind=kind, tol=bad)
 
 
 class TestSpectrumModel:
