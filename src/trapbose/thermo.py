@@ -373,7 +373,8 @@ def _fugacity_occupations(u, r):
 
 def _fugacity_start(r, occ, n_total):
     """log z where h >= 0: the smallest of three z that each hold at least
-    N particles.  occ is the bare 1/r, which this overwrites.
+    N particles, moved 16 ulps of |log z| toward 0.  occ is the bare 1/r,
+    which this overwrites.
 
     Each bound is formed in log space, as an N/(N + 1) or a 1/(1 + r) that
     rounds to 1 would put z beyond the root:
@@ -383,12 +384,16 @@ def _fugacity_start(r, occ, n_total):
     log is -log1p(-mean(1 - q)), and 1 - q = 1/(1 + occ) is exact where q
     rounds to 1.
     z = 1: the bare count that chose this phase.
+    Where Jensen's bound is tight (as T grows), rounding in r, the mean and
+    the logs leaves the count at that log z up to 4 ulps short of N; the
+    move toward 0 raises it by at least as many.
     """
     size = r.size
     occ += 1.0
     spread = np.reciprocal(occ, out=occ).sum() / size
-    return min(math.log1p(r.min()) - math.log1p(1.0 / n_total),
-               -math.log1p(-spread) - math.log1p(size / n_total), 0.0)
+    u0 = min(math.log1p(r.min()) - math.log1p(1.0 / n_total),
+             -math.log1p(-spread) - math.log1p(size / n_total), 0.0)
+    return u0 - u0 * 2.0**-48
 
 
 def _normal_phase_point(levels, r, occ, temperature, n_total):
@@ -456,9 +461,10 @@ def _table_sums(model, temperature, bare_count, tol):
     return None
 
 
-def _check_arguments(temperatures, tol):
-    if not all(0.0 < t < math.inf for t in temperatures):
-        raise ValueError("all temperatures must be positive and finite")
+def _check_arguments(temperatures, tol, subject):
+    for t in temperatures:
+        if not 0.0 < t < math.inf:
+            raise ValueError(f"{subject} must be positive and finite, got {t}")
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
 
@@ -503,7 +509,7 @@ def solve_n0(model: SpectrumModel, temperature, tol=DEFAULT_TOL):
     checked when built.  Raises ValueError for a temperature or tol that
     is not positive and finite.
     """
-    _check_arguments([temperature], tol)
+    _check_arguments([temperature], tol, "temperature")
     cfg = model.cfg
     n_total = float(cfg.n_particles)
 
@@ -568,7 +574,7 @@ def sweep(cfg: TrapConfig, basis: BasisSet, t_grid, solver_kind="perturbative1",
     cfg and basis.config describe different traps.
     """
     t_grid = [float(t) for t in t_grid]
-    _check_arguments(t_grid, tol)
+    _check_arguments(t_grid, tol, "all temperatures")
 
     model = SpectrumModel(cfg, basis, kind=solver_kind)
     points = []
