@@ -138,14 +138,14 @@ def _coupling_array(m, n, cfg: TrapConfig):
     Gamma/factorial magnitudes are accumulated in log space with the sign
     tracked separately, so large quantum numbers do not overflow.  The
     arithmetic is that of the scalar coupling_coefficient in tests/oracles.py
-    in the same order, with gammaln read from tables over 0..max quantum
-    number instead of evaluated per element.  The log-magnitude and the sign
-    are symmetric in m and n operation by operation, so swapping m and n
-    gives bit-identical values.
+    in the same order, with gammaln read from one table instead of evaluated
+    per element.  The log-magnitude and the sign are symmetric in m and n
+    operation by operation, so swapping m and n gives bit-identical values.
     """
     top = int(max(m.max(initial=0), n.max(initial=0)))
-    half_gamma = gammaln((np.arange(2 * top + 1) + 1) / 2.0)
-    log_factorial = gammaln(np.arange(top + 1) + 1.0)
+    # log k! = gammaln((2k + 2)/2), bit for bit: (2k + 2)/2 is k + 1 exactly.
+    half_gamma = gammaln((np.arange(2 * top + 2) + 1) / 2.0)
+    log_factorial = half_gamma[1::2]
     log_mag = _log_prefactor(cfg)
     even = True
     negative = False

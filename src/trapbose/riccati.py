@@ -125,28 +125,25 @@ def _cosh_sinh_general(t_mat):
 class RiccatiSolution:
     """Solution of the Riccati system on one branch.
 
-    r1, r2, r3 are the full-matrix residuals of the printed equations;
-    anomalous_r1/anomalous_r2 their symmetric (operator-coefficient)
-    parts.  solve_xy zeroes the anomalous parts and solve_xy_general the
-    full first equation; the skew part of the printed equations is
-    O(lambda) on the symmetric branch and is not an error.
+    r1, r3 are the full-matrix residuals of the first and third printed
+    equations; anomalous_r1/anomalous_r2 the symmetric (operator-coefficient)
+    parts of the first two.  solve_xy zeroes the anomalous parts and
+    solve_xy_general the full first equation; the skew part of the printed
+    equations is O(lambda) on the symmetric branch and is not an error.
     """
 
     x: np.ndarray
     y: np.ndarray
-    generator: np.ndarray
     r1: float
-    r2: float
     r3: float
     anomalous_r1: float
     anomalous_r2: float
 
 
-def _solution(prob, t_mat, x, y):
-    r1, r2, r3 = residuals(x, y, prob)
+def _solution(prob, x, y):
+    r1, _, r3 = residuals(x, y, prob)
     an1, an2 = anomalous_residuals(x, y, prob)
-    return RiccatiSolution(x=x, y=y, generator=t_mat, r1=r1, r2=r2, r3=r3,
-                           anomalous_r1=an1, anomalous_r2=an2)
+    return RiccatiSolution(x=x, y=y, r1=r1, r3=r3, anomalous_r1=an1, anomalous_r2=an2)
 
 
 def _positive_eigh(mat, name):
@@ -202,7 +199,7 @@ def solve_xy(prob: RiccatiProblem):
     Raises NoSolutionError when A - 2B or A + 2B is not positive definite.
     """
     t_mat = _canonical_generator(prob)
-    return _solution(prob, t_mat, *_cosh_sinh_symmetric(t_mat))
+    return _solution(prob, *_cosh_sinh_symmetric(t_mat))
 
 
 def solve_xy_general(prob: RiccatiProblem):
@@ -225,7 +222,7 @@ def solve_xy_general(prob: RiccatiProblem):
     # under GENERAL_BRANCH_TOL, instead of within a factor of ten of it.
     t_mat = optimize.root(equation1_of, guess.ravel(), method="hybr",
                           options={"xtol": 1e-12}).x.reshape(n, n)
-    sol = _solution(prob, t_mat, *_cosh_sinh_general(t_mat))
+    sol = _solution(prob, *_cosh_sinh_general(t_mat))
     if not sol.r1 < GENERAL_BRANCH_TOL:
         raise ConvergenceError(f"general branch stopped at r1 = {sol.r1:.3g} >= "
                                f"{GENERAL_BRANCH_TOL}", residual=sol.r1)

@@ -33,6 +33,7 @@ from .riccati import RiccatiProblem, bogoliubov_sector_levels
 SOLVER_KINDS = ("ideal", "perturbative1", "perturbative2", "riccati")
 
 DEFAULT_TOL = 1e-10
+TOL_FLOOR = 4 * np.finfo(float).eps  # the finest tol of a root in n0
 
 
 def _require_positive(levels):
@@ -55,19 +56,24 @@ def _bose(x):
     return np.reciprocal(x, out=x)
 
 
-def occupation(levels, temperature, fugacity=1.0):
-    """Bose-Einstein occupations z/(exp(eps/T) - z) of the given levels,
+def _check_positive(value, subject):
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{subject} must be positive and finite, got {value}")
+
+
+def occupation(levels, temperature):
+    """Bose-Einstein occupations 1/(exp(eps/T) - 1) of the given levels,
     a scalar for scalar or 0-d levels.
 
-    Levels that freeze out (eps/T - log z beyond the float range of exp)
-    get exactly 0.  Raises UnstableSpectrumError for a non-positive level.
+    Levels that freeze out (eps/T beyond the float range of exp) get
+    exactly 0.  Raises UnstableSpectrumError for a non-positive level and
+    ValueError for a temperature that is not positive and finite.
     """
     levels = np.asarray(levels, dtype=float)
     _require_positive(levels)
-    if temperature <= 0.0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
+    _check_positive(temperature, "temperature")
     with np.errstate(over="ignore"):
-        return _bose(np.asarray(levels / temperature - np.log(fugacity)))[()]
+        return _bose(np.asarray(levels / temperature))[()]
 
 
 def excited_count(levels, temperature):
@@ -105,23 +111,25 @@ _SECTOR_KINDS = {
 }
 
 # Chebyshev points of the second kind in t = lambda/lambda_max = n0/N on
-# [0, 1], ascending, their barycentric weights (Berrut and Trefethen, SIAM
-# Rev. 46, 501 (2004)), and the tail map: row i of tail maps the values at
-# the n nodes to the coefficient of T_(n-2+i)(2t - 1) in their interpolant,
-# the last two.  Grids of 2^k + 1 points are nested: the 17 nodes of _COARSE
-# are the even rows of the 33 of _FINE, bit for bit, as k/16 = 2k/32 exactly.
+# [0, 1], node k at sin(pi*k/(2n))^2 in the order of k, their barycentric
+# weights (Berrut and Trefethen, SIAM Rev. 46, 501 (2004)), and the tail map:
+# row i of tail maps the values at the n + 1 nodes to the coefficient of
+# T_(n-1+i)(2t - 1) in their interpolant, the last two.  _FINE is in
+# refinement order: its first 17 nodes (even k) are those of _COARSE, bit for
+# bit, as k/32 = (k/2)/16 exactly, and the other 16 lie between them.
 _Grid = namedtuple("_Grid", "nodes weights tail")
 
 
-def _chebyshev_grid(size):
-    nodes = np.sin(0.5 * np.pi * np.arange(size) / (size - 1)) ** 2
-    weights = np.r_[0.5, np.ones(size - 2), 0.5] * (-1.0) ** np.arange(size)
-    tail = np.linalg.inv(np.polynomial.chebyshev.chebvander(2.0 * nodes - 1.0, size - 1))[-2:]
+def _chebyshev_grid(k):
+    n = k.size - 1
+    nodes = np.sin(0.5 * np.pi * k / n) ** 2
+    weights = np.where(k % n == 0, 0.5, 1.0) * (-1.0) ** k
+    tail = np.linalg.inv(np.polynomial.chebyshev.chebvander(2.0 * nodes - 1.0, n))[-2:]
     return _Grid(*(_read_only(a) for a in (nodes, weights, tail)))
 
 
-_COARSE = _chebyshev_grid(17)
-_FINE = _chebyshev_grid(33)
+_COARSE = _chebyshev_grid(np.arange(17))
+_FINE = _chebyshev_grid(np.r_[0:33:2, 1:33:2])
 
 
 def _interpolate(grid, values, t):
@@ -162,8 +170,8 @@ class SpectrumModel:
     cfg.coupling_lambda(N).  It is built by one batched eigen-solve per
     sector size at its first use (solve_n0 uses it at the first
     condensed-phase point, so a sweep with none never builds it) and kept.
-    `midpoints` is the (16, size) array of the levels at the 16 nodes of
-    _FINE between them, built the same way at the first point whose count
+    `midpoints` is the (16, size) array of the levels at the last 16 nodes
+    of _FINE, between them, built the same way at the first point whose count
     interpolant on the 17 nodes fails its tail test, and kept; a sweep that
     never needs it never builds it.  solve_n0 interpolates the excited
     count and energy between the nodes when the count's Chebyshev tail is
@@ -238,9 +246,9 @@ class SpectrumModel:
 
     @cached_property
     def midpoints(self):
-        """The levels at the odd rows of _FINE, which fall between the
-        nodes of table, built at first use; None when the model has none."""
-        return self._node_levels(_FINE.nodes[1::2])
+        """The levels at the last 16 nodes of _FINE, between those of table,
+        built at first use; None when the model has none."""
+        return self._node_levels(_FINE.nodes[17:])
 
     def _node_levels(self, nodes):
         lam_max = self.cfg.coupling_lambda(self.cfg.n_particles)
@@ -294,10 +302,10 @@ def _direct_residual(n0, model, temperature, n_total):
 
 
 def _brent_root(residual, args, n_total, tol):
-    """Brent's method for residual(n0, *args) on [0, N] to within tol*N:
-    (n0, evaluations)."""
+    """Brent's method for residual(n0, *args) on [0, N] to within tol*N,
+    or TOL_FLOOR relative to n0: (n0, evaluations)."""
     n0, result = brentq(residual, 0.0, n_total, args=args, xtol=tol * n_total,
-                        rtol=4 * np.finfo(float).eps, full_output=True)
+                        rtol=TOL_FLOOR, full_output=True)
     return n0, result.function_calls
 
 
@@ -310,15 +318,17 @@ def _brent_root(residual, args, n_total, tol):
 # at least the bare ones and f(x_a) >= 0; the tangent there lands where
 # f <= 0 (clipped at N), and every step after that falls monotonically to
 # n*.  Where f'(x_a) >= 0 (just below the transition) it starts at N instead.
-# It ends at a fall of at most tol*N, or at a rise, where rounding has
-# crossed the root; the point keeps the n0 and energy of that last evaluation.
+# It ends at a fall of at most max(tol, TOL_FLOOR)*N (a finer fall is below
+# the float spacing of n0 and may never come), or at a rise, where rounding
+# has crossed the root; the point keeps the n0 and energy of that evaluation.
 N0_MAX_EVALUATIONS = 50
 
 
 def _affine_root(model, temperature, n_total, bare_count, tol):
-    """Newton's method for f(n0) on the affine levels of model to within
-    tol*N: (n0, energy, evaluations)."""
+    """Newton's method for f(n0) on the affine levels of model:
+    (n0, energy, evaluations)."""
     g = model.cfg.g
+    limit = max(tol, TOL_FLOOR) * n_total
     n0, fall = n_total - bare_count, math.nan
     for evaluations in range(1, N0_MAX_EVALUATIONS + 1):
         levels = model.levels(n0)
@@ -337,7 +347,7 @@ def _affine_root(model, temperature, n_total, bare_count, tol):
             continue
         fall = residual / slope
         # The step from x_a rises; every later step falls.
-        if (abs(fall) if evaluations == 1 else fall) <= tol * n_total:
+        if (abs(fall) if evaluations == 1 else fall) <= limit:
             if not np.isfinite(levels).all():
                 raise ConvergenceError(f"levels beyond the float range at lambda = "
                                        f"{model.cfg.coupling_lambda(n0):.3g}", residual=residual)
@@ -372,28 +382,26 @@ def _fugacity_occupations(u, r):
 
 
 def _fugacity_start(r, occ, n_total):
-    """log z where h >= 0: the smallest of three z that each hold at least
-    N particles, moved 16 ulps of |log z| toward 0.  occ is the bare 1/r,
-    which this overwrites.
+    """log z where h >= 0: the smaller of two z that each hold at least N
+    particles, the first moved 16 ulps of log1p(size/N) toward 0.  occ is
+    the bare 1/r, which this overwrites.
 
-    Each bound is formed in log space, as an N/(N + 1) or a 1/(1 + r) that
-    rounds to 1 would put z beyond the root:
-    z = N(1 + min r)/(N + 1): the lowest level alone holds N.
     z = N/((N + size)*mean q) with q = 1/(1 + r): Jensen's inequality for
     the convex f(w) = w/(1 - w) gives count >= size*f(z*mean q) = N.  Its
-    log is -log1p(-mean(1 - q)), and 1 - q = 1/(1 + occ) is exact where q
-    rounds to 1.
+    log, -log1p(-mean(1 - q)) - log1p(size/N), is formed so that neither
+    q nor N/(N + size) rounds to 1: 1 - q = 1/(1 + occ).
     z = 1: the bare count that chose this phase.
-    Where Jensen's bound is tight (as T grows), rounding in r, the mean and
-    the logs leaves the count at that log z up to 4 ulps short of N; the
-    move toward 0 raises it by at least as many.
+    Jensen's bound is tight where the q are alike (as T grows, or on one
+    level or degenerate ones at any T).  There rounding leaves the count at
+    that log z a few ulps short of N: a few ulps of the larger log, which
+    near the transition cancel to a far smaller log z.  The move covers that.
+    The lowest level alone holding N bounds z more tightly only on sparse
+    spectra such as levels 1 and 1000 (on one level it is this bound).
     """
     size = r.size
     occ += 1.0
     spread = np.reciprocal(occ, out=occ).sum() / size
-    u0 = min(math.log1p(r.min()) - math.log1p(1.0 / n_total),
-             -math.log1p(-spread) - math.log1p(size / n_total), 0.0)
-    return u0 - u0 * 2.0**-48
+    return min(-math.log1p(-spread) - math.log1p(size / n_total) * (1.0 - 2.0**-48), 0.0)
 
 
 def _normal_phase_point(levels, r, occ, temperature, n_total):
@@ -416,9 +424,9 @@ def _normal_phase_point(levels, r, occ, temperature, n_total):
         f"(last step {step:.3g} in log z)", residual=count - n_total)
 
 
-def energy_excess(levels, temperature, fugacity=1.0):
-    """E - E0 = sum_n eps_n z/(exp(eps_n/T) - z) at the given levels."""
-    return float(np.sum(levels * occupation(levels, temperature, fugacity)))
+def energy_excess(levels, temperature):
+    """E - E0 = sum_n eps_n/(exp(eps_n/T) - 1) at the given levels."""
+    return float(np.sum(levels * occupation(levels, temperature)))
 
 
 def _node_sums(rows, temperature):
@@ -428,13 +436,6 @@ def _node_sums(rows, temperature):
     counts = np.sum(occ, axis=1)
     occ *= rows
     return counts, np.sum(occ, axis=1)
-
-
-def _interleave(even, odd):
-    values = np.empty(even.size + odd.size)
-    values[::2] = even
-    values[1::2] = odd
-    return values
 
 
 def _table_sums(model, temperature, bare_count, tol):
@@ -455,25 +456,18 @@ def _table_sums(model, temperature, bare_count, tol):
     if midpoints is None:
         return None
     mid_counts, mid_energies = _node_sums(midpoints, temperature)
-    counts = _interleave(counts, mid_counts)
+    counts = np.concatenate([counts, mid_counts])
     if np.sum(np.abs(_FINE.tail @ counts)) <= limit:
-        return _FINE, counts, _interleave(energies, mid_energies)
+        return _FINE, counts, np.concatenate([energies, mid_energies])
     return None
-
-
-def _check_arguments(temperatures, tol, subject):
-    for t in temperatures:
-        if not 0.0 < t < math.inf:
-            raise ValueError(f"{subject} must be positive and finite, got {t}")
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol}")
 
 
 def solve_n0(model: SpectrumModel, temperature, tol=DEFAULT_TOL):
     """Self-consistent condensate occupation at one temperature.
 
     Finds the root of f(n0) = N - n0 - N_excited(lambda(n0)) on [0, N] to
-    within tol*N; N and lambda come from model.cfg.  f(N) = -N_excited
+    within tol*N, or TOL_FLOOR*N for a finer tol; N and lambda come from
+    model.cfg.  f(N) = -N_excited
     <= 0, and when f(0) <= 0 (even n0 = 0 cannot accommodate N particles)
     the normal-phase extension is returned instead.
 
@@ -509,7 +503,8 @@ def solve_n0(model: SpectrumModel, temperature, tol=DEFAULT_TOL):
     checked when built.  Raises ValueError for a temperature or tol that
     is not positive and finite.
     """
-    _check_arguments([temperature], tol, "temperature")
+    _check_positive(temperature, "temperature")
+    _check_positive(tol, "tol")
     cfg = model.cfg
     n_total = float(cfg.n_particles)
 
@@ -574,7 +569,9 @@ def sweep(cfg: TrapConfig, basis: BasisSet, t_grid, solver_kind="perturbative1",
     cfg and basis.config describe different traps.
     """
     t_grid = [float(t) for t in t_grid]
-    _check_arguments(t_grid, tol, "all temperatures")
+    for temperature in t_grid:
+        _check_positive(temperature, "all temperatures")
+    _check_positive(tol, "tol")
 
     model = SpectrumModel(cfg, basis, kind=solver_kind)
     points = []

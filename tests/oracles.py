@@ -134,7 +134,8 @@ def exact_spectrum(sol: RiccatiSolution, sys: SystemMatrices):
 
 
 # The Bose occupation as the formula reads: the reference for the in-place
-# kernel of thermo (thermo._bose), which is bit-identical to it.
+# kernel of thermo (thermo._bose), which is bit-identical to it at z = 1,
+# and the occupation at fugacity z of the bracketed normal-phase root below.
 
 def bose_occupation(levels, temperature, fugacity=1.0):
     """z/(exp(eps/T) - z) as 1/expm1(eps/T - log z), over any positive levels;
@@ -165,7 +166,7 @@ def fugacity_occupation_q(levels, temperature, fugacity):
 # solve of solve_n0.
 
 def _fugacity_excess(fugacity, levels, temperature, n_total):
-    return float(np.sum(occupation(levels, temperature, fugacity))) - n_total
+    return float(np.sum(bose_occupation(levels, temperature, fugacity))) - n_total
 
 
 def normal_phase_point(levels, temperature, n_total):
@@ -176,9 +177,9 @@ def normal_phase_point(levels, temperature, n_total):
     # f(1) >= 0 holds even at the transition temperature itself.
     fugacity = brentq(_fugacity_excess, 1e-300, 1.0,
                       args=(levels, temperature, n_total), xtol=1e-15, rtol=1e-15)
+    energy = float(np.sum(levels * bose_occupation(levels, temperature, fugacity)))
     return ThermoPoint(
-        temperature=temperature, n0=0.0, lam=0.0,
-        energy_excess=energy_excess(levels, temperature, fugacity), iterations=0,
+        temperature=temperature, n0=0.0, lam=0.0, energy_excess=energy, iterations=0,
         converged=True, normal_phase=True, fugacity=fugacity,
     )
 

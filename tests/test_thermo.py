@@ -99,17 +99,18 @@ class TestOccupation:
         # 1/(exp(x) - 1) = 1/x - 1/2 + x/12 - ...
         assert occupation(1e-9, 1.0) == pytest.approx(1e9 - 0.5, rel=1e-12)
 
-    @given(eps=st.floats(0.05, 50.0), temperature=st.floats(0.5, 50.0),
-           fugacity=st.floats(1e-6, 1.0))
-    def test_fugacity_oracle(self, eps, temperature, fugacity):
-        expected = fugacity / (math.exp(eps / temperature) - fugacity)
-        assert occupation(eps, temperature, fugacity) == pytest.approx(expected, rel=1e-12)
-
     def test_domain_errors(self):
         with pytest.raises(UnstableSpectrumError):
             occupation(-1.0, 1.0)
         with pytest.raises(ValueError):
             occupation(1.0, 0.0)
+        # A non-finite temperature is rejected as the sweep rejects it, not
+        # summed to nan or divided by zero (under error::RuntimeWarning).
+        for helper in (occupation, excited_count, energy_excess):
+            for temperature in (math.nan, math.inf, -math.inf):
+                with pytest.raises(ValueError, match="^temperature must be positive and finite, "
+                                                     f"got {temperature}$"):
+                    helper([1.0, 2.0], temperature)
 
 
 class TestExcitedCount:
@@ -143,7 +144,8 @@ class TestEnergyExcess:
     def test_recompute_matches_stored(self):
         model = SpectrumModel(CFG, enumerate_basis(CFG, 100.0))
         point = solve_n0(model, 20.0)
-        recomputed = energy_excess(model.levels(point.n0), 20.0, point.fugacity)
+        # A condensed point: z = 1.
+        recomputed = energy_excess(model.levels(point.n0), 20.0)
         assert recomputed == pytest.approx(point.energy_excess, rel=1e-14)
 
 
@@ -152,21 +154,19 @@ class TestBoseKernel:
     for bit: every expression keeps its arithmetic order."""
 
     @given(levels=st.lists(st.floats(1e-300, 1e300), min_size=1, max_size=40),
-           temperature=st.floats(1e-3, 1e4), fugacity=st.floats(1e-300, 1.0))
+           temperature=st.floats(1e-3, 1e4))
     # Frozen levels (eps/T > 709: exactly 0), eps/T near 1e-9, and both.
-    @example(levels=[710.0, 1e4, 1e300], temperature=1.0, fugacity=1.0)
-    @example(levels=[1e-9, 2e-9], temperature=1.0, fugacity=1.0)
-    @example(levels=[1e-9, 800.0], temperature=1.0, fugacity=0.5)
-    def test_public_helpers_match_formula(self, levels, temperature, fugacity):
-        expected = bose_occupation(levels, temperature, fugacity)
-        assert np.array_equal(occupation(levels, temperature, fugacity), expected)
+    @example(levels=[710.0, 1e4, 1e300], temperature=1.0)
+    @example(levels=[1e-9, 2e-9], temperature=1.0)
+    @example(levels=[1e-9, 800.0], temperature=1.0)
+    def test_public_helpers_match_formula(self, levels, temperature):
+        expected = bose_occupation(levels, temperature)
+        assert np.array_equal(occupation(levels, temperature), expected)
         with np.errstate(over="ignore"):
             kernel = thermo._bose(np.array(levels) / temperature)
-        assert np.array_equal(kernel, bose_occupation(levels, temperature))
-        assert excited_count(levels, temperature) == float(
-            np.sum(bose_occupation(levels, temperature)))
-        assert energy_excess(levels, temperature, fugacity) == float(
-            np.sum(np.array(levels) * expected))
+        assert np.array_equal(kernel, expected)
+        assert excited_count(levels, temperature) == float(np.sum(expected))
+        assert energy_excess(levels, temperature) == float(np.sum(np.array(levels) * expected))
 
     def test_frozen_and_small_ratios(self):
         occ = occupation([709.0, 710.0, 1e300], 1.0)
@@ -176,9 +176,9 @@ class TestBoseKernel:
     @pytest.mark.parametrize("levels", [2.0, np.float64(2.0), np.array(2.0)])
     def test_scalar_and_zero_d_input(self, levels):
         # Scalar and 0-d levels give a scalar, as the formula does.
-        occ = occupation(levels, 1.5, 0.25)
+        occ = occupation(levels, 1.5)
         assert not isinstance(occ, np.ndarray)
-        assert occ == bose_occupation(levels, 1.5, 0.25)
+        assert occ == bose_occupation(levels, 1.5)
 
     @settings(deadline=None, max_examples=60)
     @given(kind=st.sampled_from(["ideal", "perturbative1"]), g=st.floats(0.0, 5e-3),
@@ -357,19 +357,31 @@ class TestSolveN0:
     @given(dimension=st.sampled_from([1, 2, 3]),
            omega=st.lists(st.floats(0.7, 2.0), min_size=3, max_size=3),
            n_total=st.integers(1, 10**17) | st.sampled_from([10**k for k in range(18)]),
-           scale=st.floats(0.0, 1.0))
-    @example(dimension=1, omega=[1.0] * 3, n_total=10**17, scale=0.0)
-    @example(dimension=1, omega=[1.0] * 3, n_total=10**17, scale=1.0)
-    @example(dimension=3, omega=[1.0, 1.3, 0.7], n_total=1, scale=0.0)
-    @example(dimension=2, omega=[1.0, math.sqrt(2.0), 1.0], n_total=1000, scale=0.0)
-    def test_fugacity_start_holds_n(self, dimension, omega, n_total, scale):
+           scale=st.floats(0.0, 1.0), single=st.booleans())
+    @example(dimension=1, omega=[1.0] * 3, n_total=10**17, scale=0.0, single=False)
+    @example(dimension=1, omega=[1.0] * 3, n_total=10**17, scale=1.0, single=False)
+    @example(dimension=3, omega=[1.0, 1.3, 0.7], n_total=1, scale=0.0, single=False)
+    @example(dimension=2, omega=[1.0, math.sqrt(2.0), 1.0], n_total=1000, scale=0.0, single=False)
+    # One state: Jensen's bound is that level's own z, exactly tight.  At
+    # N = 1e5 on the transition and at N = 1000 just above it, its two logs
+    # cancel, and 16 ulps of log z itself left the count 1 ulp short of N.
+    @example(dimension=1, omega=[1.0] * 3, n_total=1, scale=0.0, single=True)
+    @example(dimension=1, omega=[1.0] * 3, n_total=10**5, scale=0.0, single=True)
+    @example(dimension=1, omega=[1.0] * 3, n_total=1000, scale=1e-6, single=True)
+    @example(dimension=1, omega=[1.0] * 3, n_total=10**17, scale=0.0, single=True)
+    @example(dimension=1, omega=[1.0] * 3, n_total=10**17, scale=1.0, single=True)
+    @example(dimension=3, omega=[1.0, 1.3, 0.7], n_total=7, scale=0.25, single=True)
+    def test_fugacity_start_holds_n(self, dimension, omega, n_total, scale, single):
         # The Newton start has h(u0) >= 0: the bare levels hold at least N
         # there, from the transition temperature (scale 0) up to T = 1e300.
         # As T grows, every r = expm1(eps/T) falls far below 1 - z and
         # Jensen's bound turns tight; unmoved, its count fell up to 4 ulps
-        # short of N there.
+        # short of N there.  On one state (e_cut just above the lowest
+        # hbar*omega) it is tight at every T, and only the move holds N.
         cfg = TrapConfig(dimension=dimension, frequencies=omega[:dimension])
-        bare = enumerate_basis(cfg, {1: 60.0, 2: 25.0, 3: 12.0}[dimension]).energies()
+        e_cut = (1.0001 * min(cfg.frequencies) if single
+                 else {1: 60.0, 2: 25.0, 3: 12.0}[dimension])
+        bare = enumerate_basis(cfg, e_cut).energies()
         lowest = transition_temperature(bare, n_total, 1e-3, 1e300)
         temperature = min(lowest * (1e300 / lowest) ** scale, 1e300)
         with np.errstate(over="ignore"):
@@ -378,6 +390,34 @@ class TestSolveN0:
             count = float(np.sum(thermo._fugacity_occupations(u0, r)))
         assert u0 <= 0.0
         assert count >= n_total
+
+    @pytest.mark.parametrize("n_total", [1, 1000, 10**17])
+    @pytest.mark.parametrize("scale", [1.0, 1.5, 1e3, 1e300])
+    def test_fugacity_start_on_a_sparse_basis(self, n_total, scale, monkeypatch):
+        # Levels 1 and 1000: near the transition the lowest level alone
+        # holds nearly all N and bounds z more tightly than Jensen, whose z
+        # is above 1 there, so the start is z = 1.  The start still holds N,
+        # and the solve holds N at its last evaluation.  Its z is the bracketed oracle's where that resolves
+        # 1 - z; at N = 1e17, 1 - z is below the float spacing of z.
+        cfg = TrapConfig(n_particles=n_total)
+        basis = BasisSet(np.array([[1], [1000]]), cfg)
+        bare = basis.energies().astype(float)
+        temperature = min(transition_temperature(bare, n_total, 1e-3, 1e300) * scale, 1e300)
+        with np.errstate(over="ignore"):
+            r = np.expm1(bare / temperature)
+            u0 = thermo._fugacity_start(r, 1.0 / r, float(n_total))
+            count = float(np.sum(thermo._fugacity_occupations(u0, r)))
+        assert u0 <= 0.0
+        assert count >= n_total
+        log_fugacity = record_fugacity_evaluations(monkeypatch)
+        (point,) = sweep(cfg, basis, [temperature]).points
+        assert point.converged and point.normal_phase
+        count = float(np.sum(fugacity_occupation_r(bare, temperature, log_fugacity[-1])))
+        assert abs(count - n_total) <= 1e-12 * n_total
+        if n_total < 10**17:
+            expected = normal_phase_point(bare, temperature, float(n_total))
+            assert point.fugacity == pytest.approx(expected.fugacity, rel=1e-13)
+            assert point.energy_excess == pytest.approx(expected.energy_excess, rel=1e-12)
 
     def test_normal_phase_evaluations_per_point(self, monkeypatch):
         # The trap and grid of the aniso2d-p1 benchmark.  Newton on the
@@ -466,6 +506,22 @@ class TestSolveN0:
         condensed = [p.iterations for p in points if not p.normal_phase]
         assert len(condensed) == 177
         assert all(1 <= n <= 4 for n in condensed)
+
+    @pytest.mark.parametrize("tol", [1e-17, 1e-300])
+    def test_affine_newton_with_tol_below_float_resolution(self, tol):
+        # The ref1d-p1 grid: near n0 = 500 the float spacing of n0 is
+        # 5.7e-14, so a fall of at most 1e-17*N need never come.  tol is
+        # floored at TOL_FLOOR, and every point converges within twice the
+        # floored tol of Brent's root.
+        basis = enumerate_basis(CFG, 400.0)
+        model = SpectrumModel(CFG, basis)
+        curve = sweep(CFG, basis, np.arange(1.0, 201.0), tol=tol)
+        limit = 2.0 * max(tol, thermo.TOL_FLOOR) * 1000.0
+        assert all(p.converged for p in curve.points)
+        for point in curve.points:
+            if not point.normal_phase:
+                expected = condensed_point(model, point.temperature, tol)
+                assert abs(point.n0 - expected.n0) <= limit, point.temperature
 
     def test_unconverged_affine_newton_flagged(self, monkeypatch):
         # With one Newton evaluation allowed, a condensed point whose start
@@ -723,8 +779,7 @@ class TestLevelTable:
         assert table.shape == (17, basis.size)
         assert midpoints.shape == (16, basis.size)
         assert not table.flags.writeable and not midpoints.flags.writeable
-        rows = np.empty((33, basis.size))
-        rows[::2], rows[1::2] = table, midpoints
+        rows = np.concatenate([table, midpoints])
         for node, row in zip(thermo._FINE.nodes, rows):
             np.testing.assert_allclose(np.sort(row), model.levels(node * 1000.0),
                                        rtol=1e-12, atol=0.0)
@@ -734,9 +789,13 @@ class TestLevelTable:
                 count = thermo._interpolate(grid, counts, n0 / 1000.0)
                 assert count == pytest.approx(excited_count(model.levels(n0), 5.0), rel=1e-12)
 
-    def test_coarse_nodes_are_the_even_fine_nodes(self):
-        assert thermo._COARSE.nodes.size == 17 and thermo._FINE.nodes.size == 33
-        assert np.array_equal(thermo._COARSE.nodes, thermo._FINE.nodes[::2])
+    def test_coarse_nodes_are_the_first_fine_nodes(self):
+        # _FINE is in refinement order: the 17 nodes of _COARSE, bit for
+        # bit, then one between each two of them.
+        coarse, fine = thermo._COARSE.nodes, thermo._FINE.nodes
+        assert coarse.size == 17 and fine.size == 33
+        assert np.array_equal(coarse, fine[:17])
+        assert np.all(coarse[:-1] < fine[17:]) and np.all(fine[17:] < coarse[1:])
 
     def test_tail_map_gives_the_last_two_chebyshev_coefficients(self):
         for grid in (thermo._COARSE, thermo._FINE):
