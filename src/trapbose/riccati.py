@@ -39,7 +39,7 @@ from scipy.linalg import expm
 
 from .basis import SystemMatrices
 from .errors import ConvergenceError, NoSolutionError
-from .perturbative import constraint_residual
+from .perturbative import _on_node_chunks, constraint_residual
 
 GENERAL_BRANCH_TOL = 1e-10
 
@@ -153,28 +153,38 @@ def _positive_eigh(mat, name):
     return w, v
 
 
+def _sector_squares(*matrices):
+    # matrices: A, B of each problem in turn; the eigenvalues of P Q of each.
+    squares = []
+    for a, b in zip(matrices[::2], matrices[1::2]):
+        try:
+            low = np.linalg.cholesky(a - 2.0 * b)
+        except np.linalg.LinAlgError as exc:
+            raise NoSolutionError("A - 2B is not positive definite") from exc
+        q_in_low = np.swapaxes(low, -1, -2) @ (a + 2.0 * b) @ low
+        try:
+            squares.append(np.linalg.eigvalsh(q_in_low))
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError(f"eigenvalue solve failed: {exc}") from exc
+    return squares
+
+
 def bogoliubov_sector_levels(*problems):
     """Quasiparticle levels of the symmetric branch of one or more problems,
     each one alone or a (..., n, n) stack: one (..., n) array per problem,
     sorted along its last axis.
 
     sqrt(eigvalsh(L^T Q L)) with L = cholesky(P), P = A - 2B, Q = A + 2B:
-    the square roots of the eigenvalues of P Q.  Raises NoSolutionError
-    when a P or Q is not positive definite, the matrix form of the
-    |2b/a| < 1 condition of the scalar problem, where tanh(2t) = -2b/a, and
-    ConvergenceError when the eigen-solve fails.
+    the square roots of the eigenvalues of P Q.  Stacks that share a
+    leading (node) axis and hold enough work are solved in node chunks on
+    the process's CPUs (perturbative._on_node_chunks), bit for bit as in one
+    call.  Raises NoSolutionError when a P or Q is not positive definite
+    (for Q, on the lowest eigenvalue of all problems), the matrix form of
+    the |2b/a| < 1 condition of the scalar problem, where tanh(2t) = -2b/a,
+    and ConvergenceError when the eigen-solve fails.
     """
-    squares = []
-    for prob in problems:
-        try:
-            low = np.linalg.cholesky(prob.a - 2.0 * prob.b)
-        except np.linalg.LinAlgError as exc:
-            raise NoSolutionError("A - 2B is not positive definite") from exc
-        q_in_low = np.swapaxes(low, -1, -2) @ (prob.a + 2.0 * prob.b) @ low
-        try:
-            squares.append(np.linalg.eigvalsh(q_in_low))
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceError(f"eigenvalue solve failed: {exc}") from exc
+    squares = _on_node_chunks(_sector_squares,
+                              *(m for prob in problems for m in (prob.a, prob.b)))
     lowest = min(np.min(s) for s in squares)
     if lowest <= 0.0:
         raise NoSolutionError(f"A + 2B is not positive definite (eigenvalue {lowest:.3g})")

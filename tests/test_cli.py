@@ -313,6 +313,11 @@ class TestMainExitStatus:
         assert all(": ConvergenceError: eigenvalue solve failed" in line for line in reasons)
         assert len(reasons) == 3
 
+    @pytest.mark.parametrize("kind", ["perturbative2", "riccati"])
+    def test_linear_algebra_failures_exit_two_in_node_chunks(self, kind, tmp_path, capsys,
+                                                            node_chunks):
+        self.test_linear_algebra_failures_exit_two(kind, tmp_path, capsys)
+
     @pytest.mark.parametrize("text", ["g = nan\n", "t_max = inf\n", "mass = inf\n"])
     def test_non_finite_value_exit_one(self, text, tmp_path, capsys):
         config = tmp_path / "bad.cfg"

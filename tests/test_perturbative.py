@@ -4,14 +4,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import trapbose.perturbative as perturbative
 from trapbose import (
     ComplexSpectrumError,
+    ConvergenceError,
     SpectrumModel,
     TrapConfig,
     build_matrices,
     constraint_residual,
     enumerate_basis,
     perturbative_xy,
+    real_eigenvalues,
 )
 from oracles import quasiparticle_levels, shift_vector, spectrum_matrix
 
@@ -132,6 +135,97 @@ class TestQuasiparticleLevels:
             errors.append(abs(levels[0] - (1.0 + 4.0 * lam * C11)))
         for big, small in zip(errors, errors[1:]):
             assert 3.5 <= big / small <= 4.5
+
+
+class TestNodeChunks:
+    @pytest.mark.parametrize("cpus, gate, sizes", [
+        (1, 1, [17]),
+        (2, 1, [9, 8]),
+        (3, 1, [6, 6, 5]),
+        (17, 1, [1] * 17),
+        (64, 1, [1] * 17),
+        (64, 34, [5, 4, 4, 4]),  # work 17 * 2^3 = 4 * 34
+        (64, 69, [17]),
+    ])
+    def test_chunk_count(self, cpus, gate, sizes, monkeypatch, pools):
+        # min(CPUs, nodes, work // MIN_CHUNK_WORK) contiguous chunks, the
+        # first ones the larger; one pool for all but the first chunk.
+        monkeypatch.setattr(perturbative, "MIN_CHUNK_WORK", gate)
+        monkeypatch.setattr(perturbative, "_cpu_count", lambda: cpus)
+        seen = []
+
+        def diagonals(stack):
+            seen.append(stack[:, 0, 0, 0].tolist())
+            return [np.diagonal(stack, axis1=-2, axis2=-1).copy()]
+
+        stack = np.arange(17 * 4.0).reshape(17, 1, 2, 2)
+        (got,) = perturbative._on_node_chunks(diagonals, stack)
+        assert np.array_equal(got, np.diagonal(stack, axis1=-2, axis2=-1))
+        nodes = np.split(4.0 * np.arange(17), np.cumsum(sizes)[:-1])
+        assert sorted(seen) == [chunk.tolist() for chunk in nodes]
+        assert pools == ([len(sizes) - 1] if len(sizes) > 1 else [])
+
+    @pytest.mark.parametrize("env, cpus", [
+        ({}, 1),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 8),
+        ({"OMP_NUM_THREADS": "3"}, 2),
+        ({"MKL_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 4),
+        ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 8),
+        ({"OPENBLAS_NUM_THREADS": "16"}, 1),
+        ({"OPENBLAS_NUM_THREADS": "many"}, 1),
+    ])
+    def test_cpus_per_blas_thread(self, env, cpus, monkeypatch):
+        # 8 CPUs in the affinity mask; a BLAS with no thread count set takes
+        # them all.
+        monkeypatch.setattr(perturbative.os, "sched_getaffinity", lambda pid: set(range(8)),
+                            raising=False)
+        for name in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(name, raising=False)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        assert perturbative._cpu_count() == cpus
+
+    def test_cpu_count_without_an_affinity_mask(self, monkeypatch):
+        monkeypatch.delattr(perturbative.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(perturbative.os, "cpu_count", lambda: 6)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        assert perturbative._cpu_count() == 3
+
+    def test_stacks_without_a_shared_node_axis_are_not_split(self, node_chunks, pools,
+                                                              chunk_sizes):
+        real_eigenvalues(np.diag([3.0, 1.0]), np.eye(3))
+        real_eigenvalues(np.eye(2)[None], np.eye(3)[None])
+        real_eigenvalues(np.stack([np.eye(2)] * 3), np.stack([np.eye(2)] * 4))
+        # One solve per call, of the whole first stack.
+        assert chunk_sizes == [2, 1, 3] and pools == []
+
+    def test_imaginary_parts_checked_over_all_nodes(self, node_chunks, chunk_sizes):
+        # Node 0 alone fails the check, 1e-7 > 1e-8 * 1; with node 1 it
+        # passes, 1e-7 <= 1e-8 * 100, split into one chunk per node or not.
+        tilted = np.array([[1.0, -1e-7], [1e-7, 1.0]])
+        with pytest.raises(ComplexSpectrumError):
+            real_eigenvalues(tilted[None])
+        (levels,) = real_eigenvalues(np.stack([tilted, 100.0 * np.eye(2)]))
+        assert chunk_sizes == [1, 1, 1]
+        assert np.array_equal(levels, [[1.0, 1.0], [100.0, 100.0]])
+
+    def test_failed_node_raises_as_in_one_call(self, request):
+        stack = np.stack([np.eye(2), np.full((2, 2), np.inf)])
+        with pytest.raises(ConvergenceError) as whole:
+            real_eigenvalues(stack)
+        request.getfixturevalue("node_chunks")
+        with pytest.raises(ConvergenceError) as split:
+            real_eigenvalues(stack)
+        assert str(split.value) == str(whole.value)
+        assert str(split.value).startswith("eigenvalue solve failed")
+
+    def test_chunks_keep_the_callers_error_state(self, node_chunks):
+        # A worker thread starts at numpy's default error state; node 1,
+        # which overflows, is solved on one.
+        stack = np.stack([np.eye(2), 1e300 * np.eye(2)])
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError):
+                perturbative._on_node_chunks(lambda s: [s * 1e10], stack)
 
 
 class TestConstraintResidual:

@@ -14,6 +14,7 @@ from trapbose import (
     SystemMatrices,
     TrapConfig,
     anomalous_residuals,
+    bogoliubov_sector_levels,
     build_matrices,
     enumerate_basis,
     perturbative_xy,
@@ -157,6 +158,27 @@ class TestSymmetricBranch:
         assert sol.r3 <= 1e-13
         np.testing.assert_allclose(exact_spectrum(sol, sysm), bogoliubov_levels(prob),
                                    rtol=1e-10, atol=0.0)
+
+
+class TestNodeChunks:
+    @pytest.mark.parametrize("b_node1, message", [
+        (np.eye(2), "A - 2B is not positive definite"),
+        (-np.eye(2), "A + 2B is not positive definite (eigenvalue -3)"),
+    ], ids=["cholesky", "lowest-square"])
+    def test_no_solution_in_the_second_chunk(self, b_node1, message, request):
+        # Node 0 has a solution and node 1 none: its P = I - 2B fails the
+        # cholesky in a worker's chunk, or its P Q = -3 I the check of the
+        # lowest square over all nodes after the chunks are joined.
+        prob = RiccatiProblem(a=np.stack([np.eye(2)] * 2), b=np.stack([0.1 * np.eye(2), b_node1]))
+        bogoliubov_sector_levels(RiccatiProblem(a=prob.a[:1], b=prob.b[:1]))
+        with pytest.raises(NoSolutionError) as whole:
+            bogoliubov_sector_levels(prob)
+        request.getfixturevalue("node_chunks")
+        sizes = request.getfixturevalue("chunk_sizes")
+        with pytest.raises(NoSolutionError) as split:
+            bogoliubov_sector_levels(prob)
+        assert sorted(sizes) == [1, 1]
+        assert str(split.value) == str(whole.value) == message
 
 
 class TestLiteralBranch:

@@ -1,5 +1,6 @@
 import gc
 import math
+import threading
 import warnings
 import weakref
 
@@ -10,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+import trapbose.perturbative as perturbative
 import trapbose.thermo as thermo
 from trapbose.cli import main
 from trapbose import (
@@ -742,6 +744,64 @@ class TestLevelTable:
         assert abs(point.n0 - reference.n0) <= 2.0 * thermo.DEFAULT_TOL * 1000.0
         assert abs(point.energy_excess - reference.energy_excess) <= 1e-12 * 1000.0
 
+    @settings(deadline=None, max_examples=15)
+    @given(kind=st.sampled_from(["perturbative2", "riccati"]),
+           frequencies=st.lists(st.floats(0.7, 2.0), min_size=1, max_size=3),
+           g=st.floats(1e-5, 5e-4))
+    def test_node_chunks_match_one_batch(self, kind, frequencies, g):
+        # Split into 2, 3 or 17 node chunks on threads, whatever the size of
+        # the stacks, the table and midpoints are those of one batch, bit for
+        # bit.
+        e_cut = {1: 40.0, 2: 12.0, 3: 7.0}[len(frequencies)]
+        cfg = TrapConfig(dimension=len(frequencies), frequencies=tuple(frequencies), g=g)
+        basis = enumerate_basis(cfg, e_cut)
+        whole = SpectrumModel(cfg, basis, kind=kind)
+        assert whole.table is not None and whole.midpoints is not None
+        for cpus in (2, 3, 17):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(perturbative, "MIN_CHUNK_WORK", 1)
+                patch.setattr(perturbative, "_cpu_count", lambda: cpus)
+                split = SpectrumModel(cfg, basis, kind=kind)
+                assert np.array_equal(split.table, whole.table)
+                assert np.array_equal(split.midpoints, whole.midpoints)
+
+    def test_levels_are_never_split(self, node_chunks, pools, chunk_sizes):
+        # A levels call solves one lambda, a node axis of length 1.
+        basis = enumerate_basis(CFG, 120.0)
+        for kind in ("perturbative2", "riccati"):
+            model = SpectrumModel(CFG, basis, kind=kind)
+            for n0 in (1.0, 500.0, 1000.0):
+                model.levels(n0)
+        assert pools == [] and chunk_sizes == [1] * 6
+
+    def test_small_tables_are_not_split(self, monkeypatch, pools, chunk_sizes):
+        # The riccati-1d benchmark sweep (e_cut 14, two sectors of 7) holds
+        # less work than two chunks need, on any number of CPUs.
+        monkeypatch.setattr(perturbative, "_cpu_count", lambda: 17)
+        curve = sweep(CFG, enumerate_basis(CFG, 14.0), np.arange(1.0, 21.0),
+                      solver_kind="riccati")
+        assert all(p.converged for p in curve.points)
+        assert pools == [] and chunk_sizes == [17]
+
+    def test_table_split_in_two_on_two_cpus(self, monkeypatch, pools, chunk_sizes):
+        # The p2-1d benchmark table: (17, 2, 60, 60) stacks.
+        monkeypatch.setattr(perturbative, "_cpu_count", lambda: 2)
+        assert SpectrumModel(CFG, enumerate_basis(CFG, 120.0), "perturbative2").table is not None
+        assert pools == [1] and sorted(chunk_sizes) == [8, 9]
+
+    def test_no_thread_outlives_a_table_build(self, node_chunks, pools):
+        # Each build's pool has joined its threads when the build returns.
+        before = threading.active_count()
+        cfg = TrapConfig(dimension=3, frequencies=(1.0, 1.3, 0.7))
+        basis = enumerate_basis(cfg, 8.0)
+        model = SpectrumModel(cfg, basis, kind="riccati")
+        assert model.table is not None and threading.active_count() == before
+        assert model.midpoints is not None and threading.active_count() == before
+        curve = sweep(cfg, basis, np.linspace(0.2, 8.0, 10), solver_kind="riccati")
+        assert all(p.converged for p in curve.points)
+        assert threading.active_count() == before
+        assert pools == [16, 15] * 2  # the 17 nodes, then the 16 midpoints
+
     @pytest.mark.parametrize("kind", ["ideal", "perturbative1"])
     def test_no_table_for_diagonal_kinds(self, kind):
         model = SpectrumModel(CFG, enumerate_basis(CFG, 120.0), kind=kind)
@@ -1095,6 +1155,15 @@ class TestSweep:
         for point in curve.points:
             assert point.fail_reason.startswith("ConvergenceError: eigenvalue solve failed")
 
+    @pytest.mark.parametrize("kind", ["perturbative2", "riccati"])
+    def test_linear_algebra_failures_flagged_in_node_chunks(self, kind, node_chunks, pools):
+        # perturbative2 overflows as it assembles lambda^2 K on the calling
+        # thread.  riccati overflows in L^T Q L, on the worker threads of its
+        # two table builds under the caller's error state: node 0 (lambda = 0)
+        # is the calling thread's chunk.
+        self.test_linear_algebra_failures_flagged(kind)
+        assert pools == {"perturbative2": [], "riccati": [16, 16]}[kind]
+
     def test_coupling_beyond_float_range_flagged(self):
         # At g = 1e308, lambda_max = g*N/2 is inf: the model keeps no table
         # (node 0 would be inf*0) and each point fails on its own.
@@ -1112,6 +1181,11 @@ class TestSweep:
         assert all(p.fail_reason.startswith("ConvergenceError: levels beyond the float range")
                    for p in curve.points)
         assert all(p.converged for p in sweep(cfg, basis, [1.0, 2.0], solver_kind="ideal").points)
+
+    def test_coupling_beyond_float_range_flagged_in_node_chunks(self, node_chunks, pools):
+        # No model builds a table at lambda_max = inf, so nothing is split.
+        self.test_coupling_beyond_float_range_flagged()
+        assert pools == []
 
     def test_riccati_large_basis_matches_perturbative2(self):
         basis = enumerate_basis(CFG, 60.0)
