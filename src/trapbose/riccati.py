@@ -177,8 +177,9 @@ def bogoliubov_sector_levels(*problems):
     sqrt(eigvalsh(L^T Q L)) with L = cholesky(P), P = A - 2B, Q = A + 2B:
     the square roots of the eigenvalues of P Q.  Stacks that share a
     leading (node) axis and hold enough work are solved in node chunks on
-    the process's CPUs (perturbative._on_node_chunks), bit for bit as in one
-    call.  Raises NoSolutionError when a P or Q is not positive definite
+    threads when numpy's BLAS runs one thread (perturbative._on_node_chunks);
+    the levels, and the error when a node fails, are those of one call.
+    Raises NoSolutionError when a P or Q is not positive definite
     (for Q, on the lowest eigenvalue of all problems), the matrix form of
     the |2b/a| < 1 condition of the scalar problem, where tanh(2t) = -2b/a,
     and ConvergenceError when the eigen-solve fails.

@@ -170,10 +170,11 @@ class SpectrumModel:
     cfg.coupling_lambda(N).  It is built by one batched eigen-solve per
     sector size at its first use (solve_n0 uses it at the first
     condensed-phase point, so a sweep with none never builds it) and kept.
-    That solve splits the nodes into contiguous chunks, one thread each, up
-    to the CPUs the process may use, when the stacks hold enough work
-    (perturbative._on_node_chunks); the levels are bit for bit those of one
-    call, and every check sees all nodes at once.
+    When numpy's BLAS runs one thread and the stacks hold enough work, that
+    solve splits the nodes into contiguous chunks, one thread each, up to
+    the CPUs the process may use (perturbative._on_node_chunks); the levels
+    and errors are those of one call, and every check sees all nodes at
+    once.
     `midpoints` is the (16, size) array of the levels at the last 16 nodes
     of _FINE, between them, built the same way at the first point whose count
     interpolant on the 17 nodes fails its tail test, and kept; a sweep that

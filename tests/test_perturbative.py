@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -165,31 +169,36 @@ class TestNodeChunks:
         assert sorted(seen) == [chunk.tolist() for chunk in nodes]
         assert pools == ([len(sizes) - 1] if len(sizes) > 1 else [])
 
-    @pytest.mark.parametrize("env, cpus", [
-        ({}, 1),
-        ({"OPENBLAS_NUM_THREADS": "1"}, 8),
-        ({"OMP_NUM_THREADS": "3"}, 2),
-        ({"MKL_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 4),
-        ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 8),
-        ({"OPENBLAS_NUM_THREADS": "16"}, 1),
-        ({"OPENBLAS_NUM_THREADS": "many"}, 1),
-    ])
-    def test_cpus_per_blas_thread(self, env, cpus, monkeypatch):
-        # 8 CPUs in the affinity mask; a BLAS with no thread count set takes
-        # them all.
+    @pytest.mark.parametrize("blas, cpus", [(1, 8), (2, 1), (None, 1)])
+    def test_cpus_only_beside_one_blas_thread(self, blas, cpus, monkeypatch):
+        # 8 CPUs in the affinity mask; a BLAS that runs more threads, or
+        # cannot be asked, gets them to itself.
+        monkeypatch.setattr(perturbative, "_blas_threads", lambda: blas)
         monkeypatch.setattr(perturbative.os, "sched_getaffinity", lambda pid: set(range(8)),
                             raising=False)
-        for name in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
-            monkeypatch.delenv(name, raising=False)
-        for name, value in env.items():
-            monkeypatch.setenv(name, value)
         assert perturbative._cpu_count() == cpus
 
     def test_cpu_count_without_an_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(perturbative, "_blas_threads", lambda: 1)
         monkeypatch.delattr(perturbative.os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(perturbative.os, "cpu_count", lambda: 6)
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
-        assert perturbative._cpu_count() == 3
+        assert perturbative._cpu_count() == 6
+
+    def test_blas_threads_read_from_the_library(self):
+        # OPENBLAS_NUM_THREADS is read by the BLAS when numpy loads it; the
+        # count is then asked of the library.
+        if perturbative._blas_thread_getter() is None:
+            pytest.skip("numpy's BLAS is not the OpenBLAS of a numpy wheel")
+        code = ("import os; from trapbose import perturbative as p; "
+                "print(p._blas_threads(), p._cpu_count(), len(os.sched_getaffinity(0)))")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(perturbative.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+        for threads in ("1", "2"):
+            env["OPENBLAS_NUM_THREADS"] = threads
+            out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                 capture_output=True, text=True, timeout=60).stdout
+            blas, cpus, affinity = map(int, out.split())
+            assert blas == int(threads) and cpus == (affinity if threads == "1" else 1)
 
     def test_stacks_without_a_shared_node_axis_are_not_split(self, node_chunks, pools,
                                                               chunk_sizes):
@@ -219,13 +228,32 @@ class TestNodeChunks:
         assert str(split.value) == str(whole.value)
         assert str(split.value).startswith("eigenvalue solve failed")
 
+    def test_error_is_that_of_one_call(self, node_chunks):
+        # Stack 0 fails at node 1 and stack 1 at node 0.  One call meets
+        # stack 0's failure first; the first chunk meets stack 1's, so a
+        # failed split is solved again in one call.
+        sizes = []
+
+        def solve(*stacks):
+            sizes.append(len(stacks[0]))
+            for i, stack in enumerate(stacks):
+                if np.any(stack < 0.0):
+                    raise ValueError(f"stack {i}")
+            return [stack[:, 0, 0] for stack in stacks]
+
+        first = np.array([1.0, -1.0]).reshape(2, 1, 1)
+        with pytest.raises(ValueError, match="stack 0"):
+            perturbative._on_node_chunks(solve, first, -first)
+        assert sorted(sizes[:2]) == [1, 1] and sizes[2:] == [2]
+
     def test_chunks_keep_the_callers_error_state(self, node_chunks):
-        # A worker thread starts at numpy's default error state; node 1,
-        # which overflows, is solved on one.
-        stack = np.stack([np.eye(2), 1e300 * np.eye(2)])
+        # A worker thread starts at numpy's default error state.
+        def states(stack):
+            return [np.array([np.geterr()["over"]] * len(stack))]
+
         with np.errstate(over="raise"):
-            with pytest.raises(FloatingPointError):
-                perturbative._on_node_chunks(lambda s: [s * 1e10], stack)
+            (got,) = perturbative._on_node_chunks(states, np.zeros((3, 1, 1)))
+        assert got.tolist() == ["raise"] * 3
 
 
 class TestConstraintResidual:

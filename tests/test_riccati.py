@@ -161,14 +161,15 @@ class TestSymmetricBranch:
 
 
 class TestNodeChunks:
-    @pytest.mark.parametrize("b_node1, message", [
-        (np.eye(2), "A - 2B is not positive definite"),
-        (-np.eye(2), "A + 2B is not positive definite (eigenvalue -3)"),
+    @pytest.mark.parametrize("b_node1, message, again", [
+        (np.eye(2), "A - 2B is not positive definite", [2]),
+        (-np.eye(2), "A + 2B is not positive definite (eigenvalue -3)", []),
     ], ids=["cholesky", "lowest-square"])
-    def test_no_solution_in_the_second_chunk(self, b_node1, message, request):
+    def test_no_solution_in_the_second_chunk(self, b_node1, message, again, request):
         # Node 0 has a solution and node 1 none: its P = I - 2B fails the
-        # cholesky in a worker's chunk, or its P Q = -3 I the check of the
-        # lowest square over all nodes after the chunks are joined.
+        # cholesky in a worker's chunk, and both nodes are solved again in
+        # one call, or its P Q = -3 I fails the check of the lowest square
+        # over all nodes after the chunks are joined.
         prob = RiccatiProblem(a=np.stack([np.eye(2)] * 2), b=np.stack([0.1 * np.eye(2), b_node1]))
         bogoliubov_sector_levels(RiccatiProblem(a=prob.a[:1], b=prob.b[:1]))
         with pytest.raises(NoSolutionError) as whole:
@@ -177,7 +178,7 @@ class TestNodeChunks:
         sizes = request.getfixturevalue("chunk_sizes")
         with pytest.raises(NoSolutionError) as split:
             bogoliubov_sector_levels(prob)
-        assert sorted(sizes) == [1, 1]
+        assert sorted(sizes[:2]) == [1, 1] and sizes[2:] == again
         assert str(split.value) == str(whole.value) == message
 
 
