@@ -16,10 +16,14 @@ log z.  The fit sums z/(r + 1 - z) over the r = expm1(eps/T) of the bare
 count, so 1 - z is resolved even where z itself rounds to 1.
 """
 
+import ctypes
+import glob
 import math
+import os
 from collections import namedtuple
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 from scipy.optimize import brentq
@@ -88,10 +92,11 @@ def _read_only(array):
 
 
 # The dense kinds solve each parity sector on its own.  Per kind: the
-# lambda-independent terms kept per sector-size group besides E and C, and the
+# lambda-independent terms kept per sector-size group besides E and C, the
 # levels of every group at a batch of lambda (shape (p,)) -- one (p, k, m) array
-# per group of k sectors of size m, sorted within each sector.  levels(n0) and
-# the table both evaluate the levels through this one function.
+# per group of k sectors of size m, sorted within each sector -- and the
+# matrices each sector's eigen-solve takes (the spectrum matrix; A and B).
+# levels(n0) and the table both evaluate the levels through this one function.
 
 def _second_order_sectors(lam, groups):
     lam = np.reshape(lam, (-1, 1, 1, 1))
@@ -106,9 +111,72 @@ def _bogoliubov_sectors(lam, groups):
 
 _SECTOR_KINDS = {
     "perturbative2": (lambda energies, coupling: (second_order_term(energies, coupling),),
-                      _second_order_sectors),
-    "riccati": (lambda energies, coupling: (), _bogoliubov_sectors),
+                      _second_order_sectors, 1),
+    "riccati": (lambda energies, coupling: (), _bogoliubov_sectors, 2),
 }
+
+# The least work, in matrices times m^3 over all sectors and nodes, that one
+# node chunk of a table build gets.  Timed on 2 shared cores with one BLAS
+# thread, on 1D tables (17 nodes, two sectors of size m): two chunks were
+# slower than one call up to m = 25 and faster from m = 30 for perturbative2,
+# and from m = 35 for riccati, whose A and B count as two matrices.  2**20
+# splits them from m = 40 and m = 32 (p2-1d has m = 60, riccati-1d m = 7).
+MIN_CHUNK_WORK = 2**20
+
+
+@cache
+def _blas_thread_getter():
+    """openblas_get_num_threads of the OpenBLAS that a numpy wheel bundles in
+    numpy.libs, which numpy.linalg and matmul call; None when there is none
+    (numpy built on another BLAS, or installed another way)."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+        lib = ctypes.CDLL(path)
+        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads"):
+            if hasattr(lib, symbol):
+                getter = getattr(lib, symbol)
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                return getter
+    return None
+
+
+def _blas_threads():
+    """The threads numpy's BLAS runs now, as the library reports them, or
+    None when it cannot be asked."""
+    getter = _blas_thread_getter()
+    return None if getter is None else getter()
+
+
+def _cpu_count():
+    """The CPUs node chunks may use: all those this process may run on when
+    numpy's BLAS runs one thread, and 1 otherwise (more BLAS threads, or a
+    BLAS that cannot be asked).  Node chunks on the CPUs that a
+    multithreaded BLAS also uses are slower than one call: on 2 cores, the
+    perturbative2 table of 1D e_cut 400 took 780 ms in two chunks and 680 ms
+    in one with two BLAS threads, and 320 ms and 600 ms with one."""
+    if _blas_threads() != 1:
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _solve_on_threads(solve, lam, chunks):
+    """solve(lam), a (p, ...) array, solved on `chunks` contiguous chunks of
+    lam at once and joined; None when a chunk raises.
+
+    A pool made for this call, and shut down before it returns, solves all
+    chunks but the first, which the calling thread solves; a pool kept
+    between calls would not survive a fork.
+    """
+    bounds = [-(-lam.size * i // chunks) for i in range(chunks + 1)]
+    with ThreadPoolExecutor(chunks - 1) as pool:
+        futures = [pool.submit(solve, lam[lo:hi]) for lo, hi in zip(bounds[1:-1], bounds[2:])]
+        try:
+            return np.concatenate([solve(lam[:bounds[1]])] + [f.result() for f in futures])
+        except Exception:
+            return None
+
 
 # Chebyshev points of the second kind in t = lambda/lambda_max = n0/N on
 # [0, 1], node k at sin(pi*k/(2n))^2 in the order of k, their barycentric
@@ -170,11 +238,9 @@ class SpectrumModel:
     cfg.coupling_lambda(N).  It is built by one batched eigen-solve per
     sector size at its first use (solve_n0 uses it at the first
     condensed-phase point, so a sweep with none never builds it) and kept.
-    When numpy's BLAS runs one thread and the stacks hold enough work, that
-    solve splits the nodes into contiguous chunks, one thread each, up to
-    the CPUs the process may use (perturbative._on_node_chunks); the levels
-    and errors are those of one call, and every check sees all nodes at
-    once.
+    When numpy's BLAS runs one thread, the build splits the nodes into
+    min(CPUs, nodes, work // MIN_CHUNK_WORK) contiguous chunks, one thread
+    each (_node_levels).
     `midpoints` is the (16, size) array of the levels at the last 16 nodes
     of _FINE, between them, built the same way at the first point whose count
     interpolant on the 17 nodes fails its tail test, and kept; a sweep that
@@ -209,7 +275,8 @@ class SpectrumModel:
         energies = basis.energies()
         self.coupling_diagonal = None
         self._groups = None
-        extra_terms, self._sector_levels = _SECTOR_KINDS.get(kind, (None, None))
+        extra_terms, self._sector_levels, self._sector_matrices = _SECTOR_KINDS.get(
+            kind, (None, None, 0))
         if kind == "perturbative1":
             self.coupling_diagonal = _read_only(diagonal_coupling(basis))
         elif extra_terms is not None:
@@ -255,16 +322,39 @@ class SpectrumModel:
         built at first use; None when the model has none."""
         return self._node_levels(_FINE.nodes[17:])
 
+    def _node_rows(self, lam):
+        # The sector levels at each lambda of lam, one row per lambda.
+        return np.concatenate([s.reshape(lam.size, -1) for s in self._sectors(lam)], axis=1)
+
     def _node_levels(self, nodes):
+        """The levels at lambda_max * nodes, one row per node, or None.
+
+        The nodes go to threads in min(CPUs, nodes, work // MIN_CHUNK_WORK)
+        contiguous chunks (CPUs from _cpu_count, work the sector matrices
+        times m^3 over all nodes), and otherwise, or when a chunk raises,
+        to one call on this thread.  Each row depends on its node alone,
+        so joined chunks are one call's rows bit for bit; and a chunk's
+        checks are no weaker than one call's (max|Re| no larger, lowest
+        square no lower, overflow and LAPACK failures per node), so a
+        split succeeds only where one call does.  _sectors sets its error
+        state on each worker, which does not inherit the caller's.
+        """
         lam_max = self.cfg.coupling_lambda(self.cfg.n_particles)
         # lam_max = inf (g*N beyond the float range) would make node 0 nan.
         if self._sector_levels is None or not 0.0 < lam_max < math.inf:
             return None
-        try:
-            sectors = self._sectors(lam_max * nodes)
-        except TrapBoseError:
-            return None
-        values = np.concatenate([s.reshape(nodes.size, -1) for s in sectors], axis=1)
+        lam = lam_max * nodes
+        work = lam.size * self._sector_matrices * sum(
+            c.size * c.shape[-1] for _, c, *_ in self._groups)
+        chunks = min(lam.size, work // MIN_CHUNK_WORK)
+        if chunks > 1:
+            chunks = min(chunks, _cpu_count())
+        values = _solve_on_threads(self._node_rows, lam, chunks) if chunks > 1 else None
+        if values is None:
+            try:
+                values = self._node_rows(lam)
+            except TrapBoseError:
+                return None
         if np.any(values <= 0.0):
             return None
         return _read_only(values)

@@ -1,14 +1,9 @@
 import math
-import os
-import subprocess
-import sys
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import trapbose.perturbative as perturbative
 from trapbose import (
     ComplexSpectrumError,
     ConvergenceError,
@@ -142,118 +137,22 @@ class TestQuasiparticleLevels:
 
 
 class TestNodeChunks:
-    @pytest.mark.parametrize("cpus, gate, sizes", [
-        (1, 1, [17]),
-        (2, 1, [9, 8]),
-        (3, 1, [6, 6, 5]),
-        (17, 1, [1] * 17),
-        (64, 1, [1] * 17),
-        (64, 34, [5, 4, 4, 4]),  # work 17 * 2^3 = 4 * 34
-        (64, 69, [17]),
-    ])
-    def test_chunk_count(self, cpus, gate, sizes, monkeypatch, pools):
-        # min(CPUs, nodes, work // MIN_CHUNK_WORK) contiguous chunks, the
-        # first ones the larger; one pool for all but the first chunk.
-        monkeypatch.setattr(perturbative, "MIN_CHUNK_WORK", gate)
-        monkeypatch.setattr(perturbative, "_cpu_count", lambda: cpus)
-        seen = []
+    """Stacks with a leading (lambda node) axis, as SpectrumModel passes a
+    whole table or one node chunk of it: one batched call each."""
 
-        def diagonals(stack):
-            seen.append(stack[:, 0, 0, 0].tolist())
-            return [np.diagonal(stack, axis1=-2, axis2=-1).copy()]
-
-        stack = np.arange(17 * 4.0).reshape(17, 1, 2, 2)
-        (got,) = perturbative._on_node_chunks(diagonals, stack)
-        assert np.array_equal(got, np.diagonal(stack, axis1=-2, axis2=-1))
-        nodes = np.split(4.0 * np.arange(17), np.cumsum(sizes)[:-1])
-        assert sorted(seen) == [chunk.tolist() for chunk in nodes]
-        assert pools == ([len(sizes) - 1] if len(sizes) > 1 else [])
-
-    @pytest.mark.parametrize("blas, cpus", [(1, 8), (2, 1), (None, 1)])
-    def test_cpus_only_beside_one_blas_thread(self, blas, cpus, monkeypatch):
-        # 8 CPUs in the affinity mask; a BLAS that runs more threads, or
-        # cannot be asked, gets them to itself.
-        monkeypatch.setattr(perturbative, "_blas_threads", lambda: blas)
-        monkeypatch.setattr(perturbative.os, "sched_getaffinity", lambda pid: set(range(8)),
-                            raising=False)
-        assert perturbative._cpu_count() == cpus
-
-    def test_cpu_count_without_an_affinity_mask(self, monkeypatch):
-        monkeypatch.setattr(perturbative, "_blas_threads", lambda: 1)
-        monkeypatch.delattr(perturbative.os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(perturbative.os, "cpu_count", lambda: 6)
-        assert perturbative._cpu_count() == 6
-
-    def test_blas_threads_read_from_the_library(self):
-        # OPENBLAS_NUM_THREADS is read by the BLAS when numpy loads it; the
-        # count is then asked of the library.
-        if perturbative._blas_thread_getter() is None:
-            pytest.skip("numpy's BLAS is not the OpenBLAS of a numpy wheel")
-        code = ("import os; from trapbose import perturbative as p; "
-                "print(p._blas_threads(), p._cpu_count(), len(os.sched_getaffinity(0)))")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [str(Path(perturbative.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
-        for threads in ("1", "2"):
-            env["OPENBLAS_NUM_THREADS"] = threads
-            out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                                 capture_output=True, text=True, timeout=60).stdout
-            blas, cpus, affinity = map(int, out.split())
-            assert blas == int(threads) and cpus == (affinity if threads == "1" else 1)
-
-    def test_stacks_without_a_shared_node_axis_are_not_split(self, node_chunks, pools,
-                                                              chunk_sizes):
-        real_eigenvalues(np.diag([3.0, 1.0]), np.eye(3))
-        real_eigenvalues(np.eye(2)[None], np.eye(3)[None])
-        real_eigenvalues(np.stack([np.eye(2)] * 3), np.stack([np.eye(2)] * 4))
-        # One solve per call, of the whole first stack.
-        assert chunk_sizes == [2, 1, 3] and pools == []
-
-    def test_imaginary_parts_checked_over_all_nodes(self, node_chunks, chunk_sizes):
+    def test_imaginary_parts_checked_over_all_nodes(self):
         # Node 0 alone fails the check, 1e-7 > 1e-8 * 1; with node 1 it
-        # passes, 1e-7 <= 1e-8 * 100, split into one chunk per node or not.
+        # passes, 1e-7 <= 1e-8 * 100.
         tilted = np.array([[1.0, -1e-7], [1e-7, 1.0]])
         with pytest.raises(ComplexSpectrumError):
             real_eigenvalues(tilted[None])
         (levels,) = real_eigenvalues(np.stack([tilted, 100.0 * np.eye(2)]))
-        assert chunk_sizes == [1, 1, 1]
         assert np.array_equal(levels, [[1.0, 1.0], [100.0, 100.0]])
 
-    def test_failed_node_raises_as_in_one_call(self, request):
-        stack = np.stack([np.eye(2), np.full((2, 2), np.inf)])
-        with pytest.raises(ConvergenceError) as whole:
-            real_eigenvalues(stack)
-        request.getfixturevalue("node_chunks")
-        with pytest.raises(ConvergenceError) as split:
-            real_eigenvalues(stack)
-        assert str(split.value) == str(whole.value)
-        assert str(split.value).startswith("eigenvalue solve failed")
-
-    def test_error_is_that_of_one_call(self, node_chunks):
-        # Stack 0 fails at node 1 and stack 1 at node 0.  One call meets
-        # stack 0's failure first; the first chunk meets stack 1's, so a
-        # failed split is solved again in one call.
-        sizes = []
-
-        def solve(*stacks):
-            sizes.append(len(stacks[0]))
-            for i, stack in enumerate(stacks):
-                if np.any(stack < 0.0):
-                    raise ValueError(f"stack {i}")
-            return [stack[:, 0, 0] for stack in stacks]
-
-        first = np.array([1.0, -1.0]).reshape(2, 1, 1)
-        with pytest.raises(ValueError, match="stack 0"):
-            perturbative._on_node_chunks(solve, first, -first)
-        assert sorted(sizes[:2]) == [1, 1] and sizes[2:] == [2]
-
-    def test_chunks_keep_the_callers_error_state(self, node_chunks):
-        # A worker thread starts at numpy's default error state.
-        def states(stack):
-            return [np.array([np.geterr()["over"]] * len(stack))]
-
-        with np.errstate(over="raise"):
-            (got,) = perturbative._on_node_chunks(states, np.zeros((3, 1, 1)))
-        assert got.tolist() == ["raise"] * 3
+    def test_failed_node_raises_as_in_one_call(self):
+        # One node that LAPACK cannot solve fails the whole stack.
+        with pytest.raises(ConvergenceError, match="^eigenvalue solve failed"):
+            real_eigenvalues(np.stack([np.eye(2), np.full((2, 2), np.inf)]))
 
 
 class TestConstraintResidual:

@@ -159,27 +159,19 @@ class TestSymmetricBranch:
         np.testing.assert_allclose(exact_spectrum(sol, sysm), bogoliubov_levels(prob),
                                    rtol=1e-10, atol=0.0)
 
-
-class TestNodeChunks:
-    @pytest.mark.parametrize("b_node1, message, again", [
-        (np.eye(2), "A - 2B is not positive definite", [2]),
-        (-np.eye(2), "A + 2B is not positive definite (eigenvalue -3)", []),
+    @pytest.mark.parametrize("b_node1, message", [
+        (np.eye(2), "A - 2B is not positive definite"),
+        (-np.eye(2), "A + 2B is not positive definite (eigenvalue -3)"),
     ], ids=["cholesky", "lowest-square"])
-    def test_no_solution_in_the_second_chunk(self, b_node1, message, again, request):
-        # Node 0 has a solution and node 1 none: its P = I - 2B fails the
-        # cholesky in a worker's chunk, and both nodes are solved again in
-        # one call, or its P Q = -3 I fails the check of the lowest square
-        # over all nodes after the chunks are joined.
+    def test_no_solution_at_one_node(self, b_node1, message):
+        # Node 0 has a solution and node 1 none, so the stack has none: node
+        # 1's P = I - 2B fails the cholesky, or its P Q = -3 I fails the
+        # check of the lowest square over all nodes.
         prob = RiccatiProblem(a=np.stack([np.eye(2)] * 2), b=np.stack([0.1 * np.eye(2), b_node1]))
         bogoliubov_sector_levels(RiccatiProblem(a=prob.a[:1], b=prob.b[:1]))
-        with pytest.raises(NoSolutionError) as whole:
+        with pytest.raises(NoSolutionError) as raised:
             bogoliubov_sector_levels(prob)
-        request.getfixturevalue("node_chunks")
-        sizes = request.getfixturevalue("chunk_sizes")
-        with pytest.raises(NoSolutionError) as split:
-            bogoliubov_sector_levels(prob)
-        assert sorted(sizes[:2]) == [1, 1] and sizes[2:] == again
-        assert str(split.value) == str(whole.value) == message
+        assert str(raised.value) == message
 
 
 class TestLiteralBranch:

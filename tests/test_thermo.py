@@ -1,8 +1,12 @@
 import gc
 import math
+import os
+import subprocess
+import sys
 import threading
 import warnings
 import weakref
+from pathlib import Path
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebval
@@ -11,11 +15,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-import trapbose.perturbative as perturbative
 import trapbose.thermo as thermo
 from trapbose.cli import main
 from trapbose import (
     BasisSet,
+    ConvergenceError,
     RiccatiProblem,
     SpectrumModel,
     TrapConfig,
@@ -759,8 +763,8 @@ class TestLevelTable:
         assert whole.table is not None and whole.midpoints is not None
         for cpus in (2, 3, 17):
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(perturbative, "MIN_CHUNK_WORK", 1)
-                patch.setattr(perturbative, "_cpu_count", lambda: cpus)
+                patch.setattr(thermo, "MIN_CHUNK_WORK", 1)
+                patch.setattr(thermo, "_cpu_count", lambda: cpus)
                 split = SpectrumModel(cfg, basis, kind=kind)
                 assert np.array_equal(split.table, whole.table)
                 assert np.array_equal(split.midpoints, whole.midpoints)
@@ -777,7 +781,7 @@ class TestLevelTable:
     def test_small_tables_are_not_split(self, monkeypatch, pools, chunk_sizes):
         # The riccati-1d benchmark sweep (e_cut 14, two sectors of 7) holds
         # less work than two chunks need, on any number of CPUs.
-        monkeypatch.setattr(perturbative, "_cpu_count", lambda: 17)
+        monkeypatch.setattr(thermo, "_cpu_count", lambda: 17)
         curve = sweep(CFG, enumerate_basis(CFG, 14.0), np.arange(1.0, 21.0),
                       solver_kind="riccati")
         assert all(p.converged for p in curve.points)
@@ -785,7 +789,7 @@ class TestLevelTable:
 
     def test_table_split_in_two_on_two_cpus(self, monkeypatch, pools, chunk_sizes):
         # The p2-1d benchmark table: (17, 2, 60, 60) stacks.
-        monkeypatch.setattr(perturbative, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(thermo, "_cpu_count", lambda: 2)
         assert SpectrumModel(CFG, enumerate_basis(CFG, 120.0), "perturbative2").table is not None
         assert pools == [1] and sorted(chunk_sizes) == [8, 9]
 
@@ -867,20 +871,14 @@ class TestLevelTable:
                                        0.0, rtol=0.0, atol=1e-13)
             assert not grid.tail.flags.writeable
 
-    @staticmethod
-    def record_table_calls(monkeypatch):
-        """The batch size of every SpectrumModel._sectors call from now on."""
-        sizes = []
-        sectors = SpectrumModel._sectors
+    @pytest.fixture
+    def table_calls(self, monkeypatch, chunk_sizes):
+        """chunk_sizes, with every table built in one call whatever the
+        machine's CPUs and BLAS threads."""
+        monkeypatch.setattr(thermo, "_cpu_count", lambda: 1)
+        return chunk_sizes
 
-        def counting(model, lam):
-            sizes.append(lam.size)
-            return sectors(model, lam)
-
-        monkeypatch.setattr(SpectrumModel, "_sectors", counting)
-        return sizes
-
-    def test_one_dimensional_sweep_builds_only_the_coarse_nodes(self, monkeypatch):
+    def test_one_dimensional_sweep_builds_only_the_coarse_nodes(self, monkeypatch, table_calls):
         # The p2-1d benchmark sweep: every condensed point passes the tail
         # test on the 17 nodes, so the midpoints are never built, and no
         # point needs a direct eigen-solve.
@@ -893,23 +891,21 @@ class TestLevelTable:
                 models.append(self)
 
         monkeypatch.setattr(thermo, "SpectrumModel", Recording)
-        sizes = self.record_table_calls(monkeypatch)
         curve = sweep(CFG, basis, np.arange(1.0, 16.0), solver_kind="perturbative2")
         assert all(p.converged and not p.normal_phase for p in curve.points)
-        assert sizes == [17]
+        assert table_calls == [17]
         assert models[0].table.shape == (17, basis.size)
         assert "midpoints" not in vars(models[0])
 
-    def test_three_dimensional_sweep_adds_the_midpoints_once(self, monkeypatch):
+    def test_three_dimensional_sweep_adds_the_midpoints_once(self, monkeypatch, table_calls):
         # A 3D riccati sweep fails the tail test on 17 nodes at about half
         # of its points and passes it on 33: one batch of 17 nodes, then one
         # of the 16 midpoints, and no direct eigen-solve.
         cfg = TrapConfig(dimension=3, frequencies=(1.0, 1.3, 0.7))
         basis = enumerate_basis(cfg, 8.0)
         grid = np.linspace(0.2, 8.0, 40)
-        sizes = self.record_table_calls(monkeypatch)
         curve = sweep(cfg, basis, grid, solver_kind="riccati")
-        assert sizes == [17, 16]
+        assert table_calls == [17, 16]
         monkeypatch.undo()
         direct = SpectrumModel(cfg, basis, kind="riccati")
         direct.table = None
@@ -1008,6 +1004,88 @@ class TestLevelTable:
         assert calls == [0.0]
         assert not point.normal_phase
         assert abs(point.n0 - reference.n0) <= 2 * thermo.DEFAULT_TOL * 20
+
+
+class TestNodeChunks:
+    @pytest.mark.parametrize("cpus, gate, sizes", [
+        (1, 1, [17]),
+        (2, 1, [9, 8]),
+        (3, 1, [6, 6, 5]),
+        (17, 1, [1] * 17),
+        (64, 1, [1] * 17),
+        (64, 5831, [5, 4, 4, 4]),  # work 17 * 2 * 2 * 7^3 = 4 * 5831
+        (64, 23325, [17]),
+    ])
+    def test_chunk_count(self, cpus, gate, sizes, monkeypatch, pools, chunk_sizes):
+        # The riccati-1d table, two sectors of 7 with A and B each, in
+        # min(CPUs, nodes, work // MIN_CHUNK_WORK) contiguous chunks, the
+        # first ones the larger: one pool for all but the first chunk, and
+        # the levels of one call, bit for bit.
+        basis = enumerate_basis(CFG, 14.0)
+        whole = SpectrumModel(CFG, basis, "riccati").table
+        assert pools == [] and chunk_sizes == [17]
+        chunk_sizes.clear()
+        monkeypatch.setattr(thermo, "MIN_CHUNK_WORK", gate)
+        monkeypatch.setattr(thermo, "_cpu_count", lambda: cpus)
+        assert np.array_equal(SpectrumModel(CFG, basis, "riccati").table, whole)
+        assert sorted(chunk_sizes) == sorted(sizes)
+        assert pools == ([len(sizes) - 1] if len(sizes) > 1 else [])
+
+    @pytest.mark.parametrize("whole_fails", [False, True], ids=["chunk", "chunk-and-whole"])
+    def test_failed_chunk_leaves_the_table_to_one_call(self, whole_fails, node_chunks, pools,
+                                                       monkeypatch):
+        # _sectors fails on every batch that holds the last node: on that
+        # node's chunk, a worker's, only, or on all 17 nodes at once too.
+        # After the failed split, one call on all nodes gives the table, and
+        # its failure None.
+        model = SpectrumModel(CFG, enumerate_basis(CFG, 14.0), "riccati")
+        lam_max = model.cfg.coupling_lambda(model.cfg.n_particles)
+        whole = model._node_rows(lam_max * thermo._COARSE.nodes)
+        sizes = []
+
+        def failing(self, lam, sectors=thermo.SpectrumModel._sectors):
+            sizes.append(lam.size)
+            if lam[-1] == lam_max and (whole_fails or lam.size < 17):
+                raise ConvergenceError("the last node")
+            return sectors(self, lam)
+
+        monkeypatch.setattr(thermo.SpectrumModel, "_sectors", failing)
+        if whole_fails:
+            assert model.table is None
+        else:
+            assert np.array_equal(model.table, whole)
+        assert sorted(sizes) == [1] * 17 + [17] and pools == [16]
+
+    @pytest.mark.parametrize("blas, cpus", [(1, 8), (2, 1), (None, 1)])
+    def test_cpus_only_beside_one_blas_thread(self, blas, cpus, monkeypatch):
+        # 8 CPUs in the affinity mask; a BLAS that runs more threads, or
+        # cannot be asked, gets them to itself.
+        monkeypatch.setattr(thermo, "_blas_threads", lambda: blas)
+        monkeypatch.setattr(thermo.os, "sched_getaffinity", lambda pid: set(range(8)),
+                            raising=False)
+        assert thermo._cpu_count() == cpus
+
+    def test_cpu_count_without_an_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(thermo, "_blas_threads", lambda: 1)
+        monkeypatch.delattr(thermo.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(thermo.os, "cpu_count", lambda: 6)
+        assert thermo._cpu_count() == 6
+
+    def test_blas_threads_read_from_the_library(self):
+        # OPENBLAS_NUM_THREADS is read by the BLAS when numpy loads it; the
+        # count is then asked of the library.
+        if thermo._blas_thread_getter() is None:
+            pytest.skip("numpy's BLAS is not the OpenBLAS of a numpy wheel")
+        code = ("import os; from trapbose import thermo as t; "
+                "print(t._blas_threads(), t._cpu_count(), len(os.sched_getaffinity(0)))")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(thermo.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+        for threads in ("1", "2"):
+            env["OPENBLAS_NUM_THREADS"] = threads
+            out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                 capture_output=True, text=True, timeout=60).stdout
+            blas, cpus, affinity = map(int, out.split())
+            assert blas == int(threads) and cpus == (affinity if threads == "1" else 1)
 
 
 class TestSweep:
@@ -1157,12 +1235,23 @@ class TestSweep:
 
     @pytest.mark.parametrize("kind", ["perturbative2", "riccati"])
     def test_linear_algebra_failures_flagged_in_node_chunks(self, kind, node_chunks, pools):
-        # perturbative2 overflows as it assembles lambda^2 K on the calling
-        # thread.  riccati overflows in L^T Q L, on the worker threads of its
-        # two table builds under the caller's error state: node 0 (lambda = 0)
+        # Each kind overflows on the worker threads of its two table builds,
+        # under the error state that _sectors sets there: perturbative2 as
+        # it assembles lambda^2 K, riccati in L^T Q L.  Node 0 (lambda = 0)
         # is the calling thread's chunk.
         self.test_linear_algebra_failures_flagged(kind)
-        assert pools == {"perturbative2": [], "riccati": [16, 16]}[kind]
+        assert pools == [16, 16]
+
+    def test_huge_coupling_has_no_riccati_solution(self):
+        # At g = 1e200 and e_cut 40, E + 2 lambda C rounds to 2 lambda C,
+        # which is numerically singular on sectors of 20 states: every n0 > 0
+        # and every table node but lambda = 0 fails the cholesky of P.
+        cfg = TrapConfig(g=1e200)
+        basis = enumerate_basis(cfg, 40.0)
+        assert SpectrumModel(cfg, basis, kind="riccati").table is None
+        curve = sweep(cfg, basis, [1.0, 2.0, 3.0], solver_kind="riccati")
+        assert [p.fail_reason for p in curve.points] == [
+            "NoSolutionError: A - 2B is not positive definite"] * 3
 
     def test_coupling_beyond_float_range_flagged(self):
         # At g = 1e308, lambda_max = g*N/2 is inf: the model keeps no table
