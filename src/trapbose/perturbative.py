@@ -26,14 +26,19 @@ def _einv_apply(energies, mat):
 
 def perturbative_xy(sys: SystemMatrices):
     """Weak-coupling X, Y to second order in lambda, and the expansion
-    matrices: (X, Y, chi, upsilon, upsilon1)."""
+    matrices: (X, Y, chi, upsilon, upsilon1).  Raises OverflowError, naming
+    lambda, when lambda^2 is beyond the float range."""
     lam = sys.lam
     einv_c = _einv_apply(sys.energies, sys.coupling)
     chi = -0.5 * einv_c
     upsilon = 2.0 * chi
     upsilon1 = 4.0 * einv_c @ einv_c
-    x = np.eye(sys.size) + 2.0 * lam**2 * chi @ chi
-    y = lam * upsilon + lam**2 * upsilon1
+    try:
+        lam2 = lam**2
+    except OverflowError:
+        raise OverflowError(f"lambda^2 beyond the float range at lambda = {lam:.3g}") from None
+    x = np.eye(sys.size) + 2.0 * lam2 * chi @ chi
+    y = lam * upsilon + lam2 * upsilon1
     return x, y, chi, upsilon, upsilon1
 
 

@@ -140,13 +140,6 @@ def _blas_thread_getter():
     return None
 
 
-def _blas_threads():
-    """The threads numpy's BLAS runs now, as the library reports them, or
-    None when it cannot be asked."""
-    getter = _blas_thread_getter()
-    return None if getter is None else getter()
-
-
 def _cpu_count():
     """The CPUs node chunks may use: all those this process may run on when
     numpy's BLAS runs one thread, and 1 otherwise (more BLAS threads, or a
@@ -154,28 +147,12 @@ def _cpu_count():
     multithreaded BLAS also uses are slower than one call: on 2 cores, the
     perturbative2 table of 1D e_cut 400 took 780 ms in two chunks and 680 ms
     in one with two BLAS threads, and 320 ms and 600 ms with one."""
-    if _blas_threads() != 1:
+    getter = _blas_thread_getter()
+    if getter is None or getter() != 1:
         return 1
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-def _solve_on_threads(solve, lam, chunks):
-    """solve(lam), a (p, ...) array, solved on `chunks` contiguous chunks of
-    lam at once and joined; None when a chunk raises.
-
-    A pool made for this call, and shut down before it returns, solves all
-    chunks but the first, which the calling thread solves; a pool kept
-    between calls would not survive a fork.
-    """
-    bounds = [-(-lam.size * i // chunks) for i in range(chunks + 1)]
-    with ThreadPoolExecutor(chunks - 1) as pool:
-        futures = [pool.submit(solve, lam[lo:hi]) for lo, hi in zip(bounds[1:-1], bounds[2:])]
-        try:
-            return np.concatenate([solve(lam[:bounds[1]])] + [f.result() for f in futures])
-        except Exception:
-            return None
 
 
 # Chebyshev points of the second kind in t = lambda/lambda_max = n0/N on
@@ -238,9 +215,9 @@ class SpectrumModel:
     cfg.coupling_lambda(N).  It is built by one batched eigen-solve per
     sector size at its first use (solve_n0 uses it at the first
     condensed-phase point, so a sweep with none never builds it) and kept.
-    When numpy's BLAS runs one thread, the build splits the nodes into
-    min(CPUs, nodes, work // MIN_CHUNK_WORK) contiguous chunks, one thread
-    each (_node_levels).
+    When numpy's BLAS runs one thread and the table holds enough work, the
+    build splits its nodes across threads (_node_levels), as each node's
+    levels depend on that node alone.
     `midpoints` is the (16, size) array of the levels at the last 16 nodes
     of _FINE, between them, built the same way at the first point whose count
     interpolant on the 17 nodes fails its tail test, and kept; a sweep that
@@ -298,17 +275,18 @@ class SpectrumModel:
             return self._energies
         if self._sector_levels is None:
             return self._energies + 4.0 * lam * self.coupling_diagonal
-        sectors = self._sectors(np.array([lam]))
-        return np.sort(np.concatenate([s.ravel() for s in sectors]))
+        return np.sort(self._sectors(np.array([lam]))[0])
 
     def _sectors(self, lam):
+        """The sector levels at each lambda of lam, one row per lambda."""
         # A coupling beyond the float range overflows the sector matrices:
         # that is a failed eigen-solve of the point, not a warning.
         try:
             with np.errstate(over="raise", invalid="raise"):
-                return self._sector_levels(lam, self._groups)
+                sectors = self._sector_levels(lam, self._groups)
         except FloatingPointError as exc:
             raise ConvergenceError(f"eigenvalue solve failed: {exc}") from exc
+        return np.concatenate([s.reshape(lam.size, -1) for s in sectors], axis=1)
 
     @cached_property
     def table(self):
@@ -322,22 +300,19 @@ class SpectrumModel:
         built at first use; None when the model has none."""
         return self._node_levels(_FINE.nodes[17:])
 
-    def _node_rows(self, lam):
-        # The sector levels at each lambda of lam, one row per lambda.
-        return np.concatenate([s.reshape(lam.size, -1) for s in self._sectors(lam)], axis=1)
-
     def _node_levels(self, nodes):
         """The levels at lambda_max * nodes, one row per node, or None.
 
-        The nodes go to threads in min(CPUs, nodes, work // MIN_CHUNK_WORK)
-        contiguous chunks (CPUs from _cpu_count, work the sector matrices
-        times m^3 over all nodes), and otherwise, or when a chunk raises,
-        to one call on this thread.  Each row depends on its node alone,
-        so joined chunks are one call's rows bit for bit; and a chunk's
-        checks are no weaker than one call's (max|Re| no larger, lowest
-        square no lower, overflow and LAPACK failures per node), so a
-        split succeeds only where one call does.  _sectors sets its error
-        state on each worker, which does not inherit the caller's.
+        Each row depends on its node alone, so a table with enough work
+        (MIN_CHUNK_WORK) is split into contiguous node chunks, one thread
+        each on the CPUs that _cpu_count gives, and the joined chunks are
+        one call's rows bit for bit.  A chunk's checks are no weaker than
+        one call's (max|Re| no larger, lowest square no lower, overflow and
+        LAPACK failures per node), so a split succeeds only where one call
+        does; when a chunk raises, one call on this thread gives the table
+        or None.  The pool lives for one build, as a pool kept between
+        builds would not survive a fork, and _sectors sets its error state
+        on each worker, which does not inherit the caller's.
         """
         lam_max = self.cfg.coupling_lambda(self.cfg.n_particles)
         # lam_max = inf (g*N beyond the float range) would make node 0 nan.
@@ -349,10 +324,18 @@ class SpectrumModel:
         chunks = min(lam.size, work // MIN_CHUNK_WORK)
         if chunks > 1:
             chunks = min(chunks, _cpu_count())
-        values = _solve_on_threads(self._node_rows, lam, chunks) if chunks > 1 else None
+        values = None
+        if chunks > 1:
+            first, *rest = np.array_split(lam, chunks)
+            with ThreadPoolExecutor(chunks - 1) as pool:
+                later = pool.map(self._sectors, rest)
+                try:
+                    values = np.concatenate([self._sectors(first), *later])
+                except Exception:
+                    pass  # left to the one call below
         if values is None:
             try:
-                values = self._node_rows(lam)
+                values = self._sectors(lam)
             except TrapBoseError:
                 return None
         if np.any(values <= 0.0):

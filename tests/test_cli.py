@@ -384,6 +384,12 @@ class TestMainExitStatus:
         assert lines[0] == "PASS matrix-element-oracle"
         assert lines[1].startswith("FAIL perturbative-riccati-lambda3-scaling: ")
         assert lines[1].split(": ")[1] in ("OverflowError", "FloatingPointError")
+        if g == "1e200":
+            # lambda = g*N/2 at a quarter of the coupling, the first probe.
+            assert lines[1:3] == [
+                f"FAIL perturbative-{name}-lambda3-scaling: OverflowError: "
+                "lambda^2 beyond the float range at lambda = 1.25e+202"
+                for name in ("riccati", "constraint")]
 
     def test_validate_exit_zero(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"

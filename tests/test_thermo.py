@@ -753,15 +753,15 @@ class TestLevelTable:
            frequencies=st.lists(st.floats(0.7, 2.0), min_size=1, max_size=3),
            g=st.floats(1e-5, 5e-4))
     def test_node_chunks_match_one_batch(self, kind, frequencies, g):
-        # Split into 2, 3 or 17 node chunks on threads, whatever the size of
-        # the stacks, the table and midpoints are those of one batch, bit for
-        # bit.
+        # Split into 2, 3, 5 or 17 node chunks on threads, whatever the size
+        # of the stacks, the table and midpoints are those of one batch, bit
+        # for bit.
         e_cut = {1: 40.0, 2: 12.0, 3: 7.0}[len(frequencies)]
         cfg = TrapConfig(dimension=len(frequencies), frequencies=tuple(frequencies), g=g)
         basis = enumerate_basis(cfg, e_cut)
         whole = SpectrumModel(cfg, basis, kind=kind)
         assert whole.table is not None and whole.midpoints is not None
-        for cpus in (2, 3, 17):
+        for cpus in (2, 3, 5, 17):
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(thermo, "MIN_CHUNK_WORK", 1)
                 patch.setattr(thermo, "_cpu_count", lambda: cpus)
@@ -860,6 +860,29 @@ class TestLevelTable:
         assert coarse.size == 17 and fine.size == 33
         assert np.array_equal(coarse, fine[:17])
         assert np.all(coarse[:-1] < fine[17:]) and np.all(fine[17:] < coarse[1:])
+
+    def test_interpolant_is_exact_at_the_nodes(self):
+        # At a node the interpolant returns that node's value, bit for bit,
+        # so the bracket of a root solve on it holds exactly: f(0) = N -
+        # bare count > 0 and f(N) = -(count at lambda_max) <= 0.
+        values = np.random.default_rng(5).standard_normal(33)
+        for grid in (thermo._COARSE, thermo._FINE):
+            for k, node in enumerate(grid.nodes):
+                assert thermo._interpolate(grid, values[:grid.nodes.size], node) == values[k]
+
+    @pytest.mark.parametrize("kind", ["perturbative2", "riccati"])
+    def test_cold_sweep_roots_on_the_interpolant(self, kind, monkeypatch):
+        # Far below the transition the count at lambda_max is about
+        # exp(-1/T), so f(N) is a tiny negative number that an interpolant
+        # off its node values by rounding would turn positive, and the
+        # root solve would reject its bracket.  Every point is solved on
+        # the interpolant, with no direct levels call.
+        basis = enumerate_basis(CFG, 60.0)
+        calls = self.record_levels_calls(monkeypatch)
+        curve = sweep(CFG, basis, 0.005 * np.arange(1, 21), solver_kind=kind)
+        assert all(p.converged and not p.normal_phase and p.iterations > 0
+                   for p in curve.points)
+        assert calls == [0.0] * 20
 
     def test_tail_map_gives_the_last_two_chebyshev_coefficients(self):
         for grid in (thermo._COARSE, thermo._FINE):
@@ -1015,6 +1038,7 @@ class TestNodeChunks:
         (64, 1, [1] * 17),
         (64, 5831, [5, 4, 4, 4]),  # work 17 * 2 * 2 * 7^3 = 4 * 5831
         (64, 23325, [17]),
+        (5, 1, [4, 4, 3, 3, 3]),
     ])
     def test_chunk_count(self, cpus, gate, sizes, monkeypatch, pools, chunk_sizes):
         # The riccati-1d table, two sectors of 7 with A and B each, in
@@ -1040,7 +1064,7 @@ class TestNodeChunks:
         # its failure None.
         model = SpectrumModel(CFG, enumerate_basis(CFG, 14.0), "riccati")
         lam_max = model.cfg.coupling_lambda(model.cfg.n_particles)
-        whole = model._node_rows(lam_max * thermo._COARSE.nodes)
+        whole = model._sectors(lam_max * thermo._COARSE.nodes)
         sizes = []
 
         def failing(self, lam, sectors=thermo.SpectrumModel._sectors):
@@ -1060,13 +1084,14 @@ class TestNodeChunks:
     def test_cpus_only_beside_one_blas_thread(self, blas, cpus, monkeypatch):
         # 8 CPUs in the affinity mask; a BLAS that runs more threads, or
         # cannot be asked, gets them to itself.
-        monkeypatch.setattr(thermo, "_blas_threads", lambda: blas)
+        monkeypatch.setattr(thermo, "_blas_thread_getter",
+                            lambda: None if blas is None else lambda: blas)
         monkeypatch.setattr(thermo.os, "sched_getaffinity", lambda pid: set(range(8)),
                             raising=False)
         assert thermo._cpu_count() == cpus
 
     def test_cpu_count_without_an_affinity_mask(self, monkeypatch):
-        monkeypatch.setattr(thermo, "_blas_threads", lambda: 1)
+        monkeypatch.setattr(thermo, "_blas_thread_getter", lambda: lambda: 1)
         monkeypatch.delattr(thermo.os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(thermo.os, "cpu_count", lambda: 6)
         assert thermo._cpu_count() == 6
@@ -1077,7 +1102,7 @@ class TestNodeChunks:
         if thermo._blas_thread_getter() is None:
             pytest.skip("numpy's BLAS is not the OpenBLAS of a numpy wheel")
         code = ("import os; from trapbose import thermo as t; "
-                "print(t._blas_threads(), t._cpu_count(), len(os.sched_getaffinity(0)))")
+                "print(t._blas_thread_getter()(), t._cpu_count(), len(os.sched_getaffinity(0)))")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [str(Path(thermo.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
         for threads in ("1", "2"):
