@@ -59,28 +59,28 @@ def second_order_term(energies, coupling):
         )
 
 
-def real_eigenvalues(*stacks):
-    """Real eigenvalues of one or more (generally non-symmetric) matrices,
-    each given alone or as a (..., m, m) stack: one (..., m) array per
-    argument, sorted along its last axis.
+def real_eigenvalues(stack):
+    """Real eigenvalues of a (generally non-symmetric) matrix or (..., m, m)
+    stack of them, in one batched call: a (..., m) array, sorted along its
+    last axis.
 
-    One batched call per argument, with no threads: SpectrumModel splits
-    its table into node chunks itself.  Raises ComplexSpectrumError when
-    max|Im| exceeds IMAG_TOL * max|Re|, both over all eigenvalues of all
-    stacks, which signals a coupling beyond the perturbative regime, and
-    ConvergenceError when the eigen-solve fails.
+    Each matrix is checked on its own.  Raises ComplexSpectrumError when,
+    in any one matrix, max|Im| exceeds IMAG_TOL * max|Re| of its own
+    eigenvalues, which signals a coupling beyond the perturbative regime,
+    and ConvergenceError when the eigen-solve fails.
     """
     try:
-        eigenvalues = [np.linalg.eigvals(np.asarray(mat, dtype=float)) for mat in stacks]
+        eigenvalues = np.linalg.eigvals(np.asarray(stack, dtype=float))
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigenvalue solve failed: {exc}") from exc
-    scale = max(np.max(np.abs(w.real)) for w in eigenvalues)
-    max_imag = max(np.max(np.abs(w.imag)) for w in eigenvalues)
-    if max_imag > IMAG_TOL * scale:
-        raise ComplexSpectrumError(
-            f"max |Im eigenvalue| = {max_imag:.3e} exceeds {IMAG_TOL} * {scale:.3e}"
-        )
-    return [np.sort(w.real, axis=-1) for w in eigenvalues]
+    scale = np.max(np.abs(eigenvalues.real), axis=-1)
+    max_imag = np.max(np.abs(eigenvalues.imag), axis=-1)
+    failed = max_imag > IMAG_TOL * scale
+    if np.any(failed):
+        first = np.argmax(failed)
+        raise ComplexSpectrumError(f"max |Im eigenvalue| = {max_imag.flat[first]:.3e} "
+                                   f"exceeds {IMAG_TOL} * {scale.flat[first]:.3e}")
+    return np.sort(eigenvalues.real, axis=-1)
 
 
 def constraint_residual(x, y):

@@ -52,7 +52,7 @@ GENERAL_BRANCH_TOL = 1e-10
 class RiccatiProblem:
     """Coefficient matrices A = E + 4*lambda*C and B = lambda*C.
 
-    A and B may also be (..., n, n) stacks of problems, which only
+    A and B may also be (..., n, n) stacks, which only
     bogoliubov_sector_levels accepts.
     """
 
@@ -157,34 +157,31 @@ def _positive_eigh(mat, name):
     return w, v
 
 
-def bogoliubov_sector_levels(*problems):
-    """Quasiparticle levels of the symmetric branch of one or more problems,
-    each one alone or a (..., n, n) stack: one (..., n) array per problem,
-    sorted along its last axis.
+def bogoliubov_sector_levels(prob: RiccatiProblem):
+    """Quasiparticle levels of the symmetric branch of a problem or (..., n, n)
+    stack of them, in one batched call: a (..., n) array, sorted along its
+    last axis.
 
     sqrt(eigvalsh(L^T Q L)) with L = cholesky(P), P = A - 2B, Q = A + 2B:
-    the square roots of the eigenvalues of P Q, in one batched call per
-    problem, with no threads: SpectrumModel splits its table into node
-    chunks itself.  Raises NoSolutionError when a P or Q is not positive
-    definite (for Q, on the lowest eigenvalue of all problems), the matrix
-    form of the |2b/a| < 1 condition of the scalar problem, where
-    tanh(2t) = -2b/a, and ConvergenceError when the eigen-solve fails.
+    the square roots of the eigenvalues of P Q.  Raises NoSolutionError
+    when a P or Q is not positive definite, the matrix form of the
+    |2b/a| < 1 condition of the scalar problem, where tanh(2t) = -2b/a,
+    and ConvergenceError when the eigen-solve fails.  Each check holds per
+    problem: a stack raises exactly when one of its problems would alone.
     """
-    squares = []
-    for prob in problems:
-        try:
-            low = np.linalg.cholesky(prob.a - 2.0 * prob.b)
-        except np.linalg.LinAlgError as exc:
-            raise NoSolutionError("A - 2B is not positive definite") from exc
-        q_in_low = np.swapaxes(low, -1, -2) @ (prob.a + 2.0 * prob.b) @ low
-        try:
-            squares.append(np.linalg.eigvalsh(q_in_low))
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceError(f"eigenvalue solve failed: {exc}") from exc
-    lowest = min(np.min(s) for s in squares)
+    try:
+        low = np.linalg.cholesky(prob.a - 2.0 * prob.b)
+    except np.linalg.LinAlgError as exc:
+        raise NoSolutionError("A - 2B is not positive definite") from exc
+    q_in_low = np.swapaxes(low, -1, -2) @ (prob.a + 2.0 * prob.b) @ low
+    try:
+        squares = np.linalg.eigvalsh(q_in_low)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigenvalue solve failed: {exc}") from exc
+    lowest = np.min(squares)
     if lowest <= 0.0:
         raise NoSolutionError(f"A + 2B is not positive definite (eigenvalue {lowest:.3g})")
-    return [np.sqrt(s) for s in squares]
+    return np.sqrt(squares)
 
 
 def _canonical_generator(prob):

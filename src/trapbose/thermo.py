@@ -93,26 +93,24 @@ def _read_only(array):
 
 # The dense kinds solve each parity sector on its own.  Per kind: the
 # lambda-independent terms kept per sector-size group besides E and C, the
-# levels of every group at a batch of lambda (shape (p,)) -- one (p, k, m) array
-# per group of k sectors of size m, sorted within each sector -- and the
-# matrices each sector's eigen-solve takes (the spectrum matrix; A and B).
-# levels(n0) and the table both evaluate the levels through this one function.
+# levels of one group at a column of lambda (shape (p, 1, 1, 1)) -- a (p, k, m)
+# array for a group of k sectors of size m, sorted within each sector -- and
+# the matrices each sector's eigen-solve takes (the spectrum matrix; A and B).
+# Each sector matrix is checked on its own, so a column of lambda gives the
+# rows, and raises the errors, of its lambdas solved one at a time.
 
-def _second_order_sectors(lam, groups):
-    lam = np.reshape(lam, (-1, 1, 1, 1))
-    return real_eigenvalues(*(e + 4.0 * lam * c + lam**2 * k for e, c, k in groups))
+def _second_order_levels(lam, e, c, k):
+    return real_eigenvalues(e + 4.0 * lam * c + lam**2 * k)
 
 
-def _bogoliubov_sectors(lam, groups):
-    lam = np.reshape(lam, (-1, 1, 1, 1))
-    return bogoliubov_sector_levels(*(RiccatiProblem(a=e + 4.0 * lam * c, b=lam * c)
-                                      for e, c in groups))
+def _bogoliubov_levels(lam, e, c):
+    return bogoliubov_sector_levels(RiccatiProblem(a=e + 4.0 * lam * c, b=lam * c))
 
 
 _SECTOR_KINDS = {
     "perturbative2": (lambda energies, coupling: (second_order_term(energies, coupling),),
-                      _second_order_sectors, 1),
-    "riccati": (lambda energies, coupling: (), _bogoliubov_sectors, 2),
+                      _second_order_levels, 1),
+    "riccati": (lambda energies, coupling: (), _bogoliubov_levels, 2),
 }
 
 # The least work, in matrices times m^3 over all sectors and nodes, that one
@@ -217,7 +215,8 @@ class SpectrumModel:
     condensed-phase point, so a sweep with none never builds it) and kept.
     When numpy's BLAS runs one thread and the table holds enough work, the
     build splits its nodes across threads (_node_levels), as each node's
-    levels depend on that node alone.
+    levels, and the checks of its sector matrices, depend on that node
+    alone.
     `midpoints` is the (16, size) array of the levels at the last 16 nodes
     of _FINE, between them, built the same way at the first point whose count
     interpolant on the 17 nodes fails its tail test, and kept; a sweep that
@@ -279,14 +278,16 @@ class SpectrumModel:
 
     def _sectors(self, lam):
         """The sector levels at each lambda of lam, one row per lambda."""
+        column = np.reshape(lam, (-1, 1, 1, 1))
         # A coupling beyond the float range overflows the sector matrices:
         # that is a failed eigen-solve of the point, not a warning.
         try:
             with np.errstate(over="raise", invalid="raise"):
-                sectors = self._sector_levels(lam, self._groups)
+                sectors = [self._sector_levels(column, *group).reshape(lam.size, -1)
+                           for group in self._groups]
         except FloatingPointError as exc:
             raise ConvergenceError(f"eigenvalue solve failed: {exc}") from exc
-        return np.concatenate([s.reshape(lam.size, -1) for s in sectors], axis=1)
+        return np.concatenate(sectors, axis=1)
 
     @cached_property
     def table(self):
@@ -303,16 +304,14 @@ class SpectrumModel:
     def _node_levels(self, nodes):
         """The levels at lambda_max * nodes, one row per node, or None.
 
-        Each row depends on its node alone, so a table with enough work
-        (MIN_CHUNK_WORK) is split into contiguous node chunks, one thread
-        each on the CPUs that _cpu_count gives, and the joined chunks are
-        one call's rows bit for bit.  A chunk's checks are no weaker than
-        one call's (max|Re| no larger, lowest square no lower, overflow and
-        LAPACK failures per node), so a split succeeds only where one call
-        does; when a chunk raises, one call on this thread gives the table
-        or None.  The pool lives for one build, as a pool kept between
-        builds would not survive a fork, and _sectors sets its error state
-        on each worker, which does not inherit the caller's.
+        Each row depends on its node alone, and _sectors checks each sector
+        matrix on its own, so a table with enough work (MIN_CHUNK_WORK) is
+        split into contiguous node chunks, one thread each on the CPUs that
+        _cpu_count gives: the joined chunks are one call's rows bit for bit,
+        and a chunk raises exactly where one call would.  The pool lives for
+        one build, as a pool kept between builds would not survive a fork,
+        and _sectors sets its error state on each worker, which does not
+        inherit the caller's.
         """
         lam_max = self.cfg.coupling_lambda(self.cfg.n_particles)
         # lam_max = inf (g*N beyond the float range) would make node 0 nan.
@@ -321,23 +320,19 @@ class SpectrumModel:
         lam = lam_max * nodes
         work = lam.size * self._sector_matrices * sum(
             c.size * c.shape[-1] for _, c, *_ in self._groups)
-        chunks = min(lam.size, work // MIN_CHUNK_WORK)
+        chunks = max(1, min(lam.size, work // MIN_CHUNK_WORK))
         if chunks > 1:
             chunks = min(chunks, _cpu_count())
-        values = None
-        if chunks > 1:
-            first, *rest = np.array_split(lam, chunks)
-            with ThreadPoolExecutor(chunks - 1) as pool:
-                later = pool.map(self._sectors, rest)
-                try:
+        first, *rest = np.array_split(lam, chunks)
+        try:
+            if rest:
+                with ThreadPoolExecutor(len(rest)) as pool:
+                    later = pool.map(self._sectors, rest)
                     values = np.concatenate([self._sectors(first), *later])
-                except Exception:
-                    pass  # left to the one call below
-        if values is None:
-            try:
-                values = self._sectors(lam)
-            except TrapBoseError:
-                return None
+            else:
+                values = self._sectors(first)
+        except TrapBoseError:
+            return None
         if np.any(values <= 0.0):
             return None
         return _read_only(values)

@@ -74,15 +74,16 @@ def spectrum_matrix(sys: SystemMatrices):
 
 def quasiparticle_levels(*stacks):
     """Real eigenvalue spectrum of one or more matrices or (..., m, m)
-    stacks (real_eigenvalues): the eigenvalues of all of them, sorted
-    ascending."""
-    return np.sort(np.concatenate([w.ravel() for w in real_eigenvalues(*stacks)]))
+    stacks, each solved by its own real_eigenvalues call: the eigenvalues
+    of all of them, sorted ascending."""
+    return np.sort(np.concatenate([real_eigenvalues(mat).ravel() for mat in stacks]))
 
 
 def bogoliubov_levels(*problems):
-    """Symmetric-branch levels of one or more problems or stacks
-    (bogoliubov_sector_levels): the levels of all of them, sorted ascending."""
-    return np.sort(np.concatenate([s.ravel() for s in bogoliubov_sector_levels(*problems)]))
+    """Symmetric-branch levels of one or more problems or stacks, each
+    solved by its own bogoliubov_sector_levels call: the levels of all of
+    them, sorted ascending."""
+    return np.sort(np.concatenate([bogoliubov_sector_levels(prob).ravel() for prob in problems]))
 
 
 # The printed z, the scalar Bogoliubov problem, and the spectrum of a solved

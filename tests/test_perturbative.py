@@ -140,13 +140,16 @@ class TestNodeChunks:
     """Stacks with a leading (lambda node) axis, as SpectrumModel passes a
     whole table or one node chunk of it: one batched call each."""
 
-    def test_imaginary_parts_checked_over_all_nodes(self):
-        # Node 0 alone fails the check, 1e-7 > 1e-8 * 1; with node 1 it
-        # passes, 1e-7 <= 1e-8 * 100.
+    def test_imaginary_parts_checked_per_matrix(self):
+        # The tilted matrix fails the check on its own, 1e-7 > 1e-8 * 1, and
+        # beside a matrix whose max|Re| of 100 would cover it if pooled.
         tilted = np.array([[1.0, -1e-7], [1e-7, 1.0]])
-        with pytest.raises(ComplexSpectrumError):
-            real_eigenvalues(tilted[None])
-        (levels,) = real_eigenvalues(np.stack([tilted, 100.0 * np.eye(2)]))
+        message = "max |Im eigenvalue| = 1.000e-07 exceeds 1e-08 * 1.000e+00"
+        for stack in (tilted, np.stack([100.0 * np.eye(2), tilted])):
+            with pytest.raises(ComplexSpectrumError) as raised:
+                real_eigenvalues(stack)
+            assert str(raised.value) == message
+        levels = real_eigenvalues(np.stack([np.eye(2), 100.0 * np.eye(2)]))
         assert np.array_equal(levels, [[1.0, 1.0], [100.0, 100.0]])
 
     def test_failed_node_raises_as_in_one_call(self):

@@ -22,6 +22,7 @@ from trapbose import (
     ConvergenceError,
     RiccatiProblem,
     SpectrumModel,
+    TrapBoseError,
     TrapConfig,
     UnstableSpectrumError,
     build_matrices,
@@ -769,6 +770,40 @@ class TestLevelTable:
                 assert np.array_equal(split.table, whole.table)
                 assert np.array_equal(split.midpoints, whole.midpoints)
 
+    @settings(deadline=None, max_examples=30)
+    @given(kind=st.sampled_from(["perturbative2", "riccati"]),
+           trap=st.sampled_from([((1.0,), 14.0, 40.0), ((1.0, math.sqrt(2.0)), 8.0, 16.0),
+                                 ((1.0, 1.3, 0.7), 5.0, 8.0)]),
+           share=st.floats(0.0, 1.0),
+           g=st.one_of(st.floats(-4.0, 0.0).map(lambda x: 10.0**x), st.just(1e200)),
+           chunks=st.integers(1, 17))
+    @example(kind="perturbative2", trap=((1.0,), 14.0, 40.0), share=1.0, g=1e200, chunks=17)
+    @example(kind="riccati", trap=((1.0,), 14.0, 40.0), share=1.0, g=1e200, chunks=17)
+    def test_split_table_fails_where_one_node_does(self, kind, trap, share, g, chunks):
+        # In any number of node chunks the table is that of one call, bit for
+        # bit, None included, and it is None exactly when a node solved alone
+        # raises or has a level <= 0.
+        frequencies, low, high = trap
+        cfg = TrapConfig(dimension=len(frequencies), frequencies=frequencies, g=g)
+        basis = enumerate_basis(cfg, low + share * (high - low))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(thermo, "_cpu_count", lambda: 1)
+            whole = SpectrumModel(cfg, basis, kind=kind)
+            lam = cfg.coupling_lambda(cfg.n_particles) * thermo._COARSE.nodes
+            table = whole.table
+            fails = False
+            for i in range(lam.size):
+                try:
+                    fails |= bool(np.any(whole._sectors(lam[[i]]) <= 0.0))
+                except TrapBoseError:
+                    fails = True
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(thermo, "MIN_CHUNK_WORK", 1)
+            patch.setattr(thermo, "_cpu_count", lambda: chunks)
+            split = SpectrumModel(cfg, basis, kind=kind).table
+        assert (table is None) == (split is None) == fails
+        assert table is None or np.array_equal(split, table)
+
     def test_levels_are_never_split(self, node_chunks, pools, chunk_sizes):
         # A levels call solves one lambda, a node axis of length 1.
         basis = enumerate_basis(CFG, 120.0)
@@ -1055,30 +1090,26 @@ class TestNodeChunks:
         assert sorted(chunk_sizes) == sorted(sizes)
         assert pools == ([len(sizes) - 1] if len(sizes) > 1 else [])
 
-    @pytest.mark.parametrize("whole_fails", [False, True], ids=["chunk", "chunk-and-whole"])
-    def test_failed_chunk_leaves_the_table_to_one_call(self, whole_fails, node_chunks, pools,
-                                                       monkeypatch):
-        # _sectors fails on every batch that holds the last node: on that
-        # node's chunk, a worker's, only, or on all 17 nodes at once too.
-        # After the failed split, one call on all nodes gives the table, and
-        # its failure None.
-        model = SpectrumModel(CFG, enumerate_basis(CFG, 14.0), "riccati")
-        lam_max = model.cfg.coupling_lambda(model.cfg.n_particles)
-        whole = model._sectors(lam_max * thermo._COARSE.nodes)
-        sizes = []
+    def test_failed_chunk_fails_the_table_once(self, node_chunks, pools, monkeypatch):
+        # _sectors fails on the chunk that holds the last node, a worker's:
+        # the table is None, and no node is solved again in one call.  An
+        # error that is not a TrapBoseError propagates out of the build.
+        basis = enumerate_basis(CFG, 14.0)
+        lam_max = CFG.coupling_lambda(CFG.n_particles)
+        sizes, error = [], ConvergenceError
 
         def failing(self, lam, sectors=thermo.SpectrumModel._sectors):
             sizes.append(lam.size)
-            if lam[-1] == lam_max and (whole_fails or lam.size < 17):
-                raise ConvergenceError("the last node")
+            if lam[-1] == lam_max and lam.size < 17:
+                raise error("the last node")
             return sectors(self, lam)
 
         monkeypatch.setattr(thermo.SpectrumModel, "_sectors", failing)
-        if whole_fails:
-            assert model.table is None
-        else:
-            assert np.array_equal(model.table, whole)
-        assert sorted(sizes) == [1] * 17 + [17] and pools == [16]
+        assert SpectrumModel(CFG, basis, "riccati").table is None
+        assert sizes == [1] * 17 and pools == [16]
+        error = RuntimeError
+        with pytest.raises(RuntimeError, match="^the last node$"):
+            SpectrumModel(CFG, basis, "riccati").table
 
     @pytest.mark.parametrize("blas, cpus", [(1, 8), (2, 1), (None, 1)])
     def test_cpus_only_beside_one_blas_thread(self, blas, cpus, monkeypatch):
