@@ -1090,26 +1090,37 @@ class TestNodeChunks:
         assert sorted(chunk_sizes) == sorted(sizes)
         assert pools == ([len(sizes) - 1] if len(sizes) > 1 else [])
 
-    def test_failed_chunk_fails_the_table_once(self, node_chunks, pools, monkeypatch):
-        # _sectors fails on the chunk that holds the last node, a worker's:
-        # the table is None, and no node is solved again in one call.  An
-        # error that is not a TrapBoseError propagates out of the build.
-        basis = enumerate_basis(CFG, 14.0)
+    @staticmethod
+    def fail_last_chunk(monkeypatch, error, whole_fails=False):
+        # _sectors fails on every batch that holds the last node: on that
+        # node's chunk, a worker's, only, or on all 17 nodes at once too.
         lam_max = CFG.coupling_lambda(CFG.n_particles)
-        sizes, error = [], ConvergenceError
+        sizes = []
 
         def failing(self, lam, sectors=thermo.SpectrumModel._sectors):
             sizes.append(lam.size)
-            if lam[-1] == lam_max and lam.size < 17:
+            if lam[-1] == lam_max and (whole_fails or lam.size < 17):
                 raise error("the last node")
             return sectors(self, lam)
 
         monkeypatch.setattr(thermo.SpectrumModel, "_sectors", failing)
-        assert SpectrumModel(CFG, basis, "riccati").table is None
+        return sizes
+
+    @pytest.mark.parametrize("whole_fails", [False, True], ids=["chunk", "chunk-and-whole"])
+    def test_failed_chunk_fails_the_table_once(self, whole_fails, node_chunks, pools,
+                                               monkeypatch):
+        # Whether or not one call on all nodes would fail too, the table is
+        # None, and no node is solved again in one call.
+        sizes = self.fail_last_chunk(monkeypatch, ConvergenceError, whole_fails)
+        assert SpectrumModel(CFG, enumerate_basis(CFG, 14.0), "riccati").table is None
         assert sizes == [1] * 17 and pools == [16]
-        error = RuntimeError
+
+    def test_other_errors_in_a_chunk_propagate(self, node_chunks, pools, monkeypatch):
+        # An error that is not a TrapBoseError is a bug, not a failed table.
+        sizes = self.fail_last_chunk(monkeypatch, RuntimeError)
         with pytest.raises(RuntimeError, match="^the last node$"):
-            SpectrumModel(CFG, basis, "riccati").table
+            SpectrumModel(CFG, enumerate_basis(CFG, 14.0), "riccati").table
+        assert 17 not in sizes and pools == [16]
 
     @pytest.mark.parametrize("blas, cpus", [(1, 8), (2, 1), (None, 1)])
     def test_cpus_only_beside_one_blas_thread(self, blas, cpus, monkeypatch):
