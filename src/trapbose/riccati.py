@@ -38,8 +38,6 @@ Two branches are provided, one function each:
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
-from scipy.linalg import expm
 
 from .basis import SystemMatrices
 from .errors import ConvergenceError, NoSolutionError
@@ -120,6 +118,10 @@ def _cosh_sinh_symmetric(t_mat):
 
 
 def _cosh_sinh_general(t_mat):
+    # Imported at the first call, as in thermo._brent_root: only the
+    # general branch, which --validate runs, comes here.
+    from scipy.linalg import expm
+
     ep = expm(t_mat)
     em = expm(-t_mat)
     return 0.5 * (ep + em), 0.5 * (ep - em)
@@ -214,6 +216,8 @@ def solve_xy_general(prob: RiccatiProblem):
     the solver's own success flag is not used, because it can report a
     stalled step at a root that already meets the tolerance.
     """
+    from scipy import optimize
+
     n = prob.size
 
     def equation1_of(t_vec):

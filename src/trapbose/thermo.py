@@ -26,7 +26,6 @@ from dataclasses import dataclass, replace
 from functools import cache, cached_property
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .basis import BasisSet, diagonal_coupling, parity_sectors
 from .config import TrapConfig
@@ -377,6 +376,10 @@ def _direct_residual(n0, model, temperature, n_total):
 def _brent_root(residual, args, n_total, tol):
     """Brent's method for residual(n0, *args) on [0, N] to within tol*N,
     or TOL_FLOOR relative to n0: (n0, evaluations)."""
+    # Imported at the first call: scipy.optimize loads scipy.linalg, about a
+    # third of the process's memory, and only the dense kinds come here.
+    from scipy.optimize import brentq
+
     n0, result = brentq(residual, 0.0, n_total, args=args, xtol=tol * n_total,
                         rtol=TOL_FLOOR, full_output=True)
     return n0, result.function_calls

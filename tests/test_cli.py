@@ -1,5 +1,8 @@
 import io
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +17,24 @@ from trapbose.config import TrapConfig
 from trapbose.errors import ConfigError
 
 REFERENCE_CSV = Path(__file__).resolve().parents[1] / "benchmarks" / "reference" / "ref1d-p1.csv"
+
+
+# Runs the given solver kinds through cli.run in a fresh interpreter and
+# prints the scipy.optimize and scipy.linalg modules that importing trapbose
+# and the runs load beyond those scipy.special loads itself (on old scipy
+# releases scipy.special may import scipy.linalg).
+FOOTPRINT = """
+import io, sys
+import scipy.special
+loaded = set(sys.modules)
+import trapbose
+from trapbose.cli import RunConfig, run
+for solver in sys.argv[1:]:
+    config = RunConfig(e_cut=40.0, t_max=10.0, solver=solver)
+    assert run(config, stream=io.StringIO()) == 0, solver
+print(*sorted(m for m in set(sys.modules) - loaded
+              if m.startswith(("scipy.optimize", "scipy.linalg"))))
+"""
 
 
 FLOAT_KEYS = ("g", "mass", "hbar", "omega", "e_cut", "t_min", "t_max", "t_step", "tol")
@@ -166,6 +187,20 @@ class TestRun:
         ideal_frac = [float(r.split(",")[1]) for r in ideal.getvalue().strip().split("\n")[1:]]
         int_frac = [float(r.split(",")[1]) for r in interacting.getvalue().strip().split("\n")[1:]]
         assert all(b >= a - 1e-12 for a, b in zip(ideal_frac, int_frac))
+
+    def scipy_modules_loaded(self, *solvers):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+        return subprocess.run([sys.executable, "-c", FOOTPRINT, *solvers], env=env, check=True,
+                              capture_output=True, text=True, timeout=120).stdout.split()
+
+    def test_ideal_and_perturbative1_load_no_optimize_or_linalg(self):
+        # Both import-time and sweep-time loads count: only the dense kinds'
+        # Brent root and --validate's general Riccati branch call them.
+        assert self.scipy_modules_loaded("ideal", "perturbative1") == []
+
+    def test_riccati_loads_optimize_at_its_brent_root(self):
+        assert "scipy.optimize" in self.scipy_modules_loaded("riccati")
 
 
 class TestValidate:

@@ -13,6 +13,7 @@ from numpy.polynomial.chebyshev import chebval
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+import scipy.optimize
 from scipy.optimize import brentq
 
 import trapbose.thermo as thermo
@@ -557,10 +558,11 @@ class TestSolveN0:
         # would stay alive until the garbage collector found that cycle.
         # Without a table the dense kinds root-solve on direct levels, by
         # brentq; perturbative1 takes the Newton path and makes no call.
+        # thermo._brent_root looks brentq up in scipy.optimize at each call.
         basis = enumerate_basis(CFG, 400.0)
         for kind, brent_calls in (("perturbative1", 0), ("riccati", 1)):
             calls = []
-            monkeypatch.setattr(thermo, "brentq",
+            monkeypatch.setattr(scipy.optimize, "brentq",
                                 lambda *a, **k: calls.append(1) or brentq(*a, **k))
             model = SpectrumModel(CFG, basis, kind=kind)
             model.table = None
