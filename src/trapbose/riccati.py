@@ -10,22 +10,22 @@ identically for any generator T.
 
 Two branches are provided, one function each:
 
-* solve_xy: T symmetric, in closed form.  This is the canonical
-  Bogoliubov branch: the symmetric part of the first equation is exactly
-  the coefficient of the anomalous operator pairs, the second equation is
-  the transpose of the first, and the commutation constraint holds by
-  construction.  With P = A - 2B and Q = A + 2B, the anomalous
-  coefficient vanishes iff exp(2T) Q exp(2T) = P, whose positive solution
-  is the matrix geometric mean: T = -1/2 log(P^{-1} # Q) (Colpa, Physica A
-  93, 327 (1978)).  The quasiparticle levels are sqrt(eig(P Q)).  For
-  lambda >= 0, P = E + 2 lambda C and Q = E + 6 lambda C are positive
-  definite in exact arithmetic, because C is a Gram matrix.  In floating
-  point they need not be: C's smallest eigenvalues fall below rounding
-  of its largest from 20-state sectors on (1D e_cut 40), so at a huge
-  lambda (g = 1e200) E + 2 lambda C rounds to the numerically singular
-  2 lambda C and its cholesky fails (NoSolutionError).  The skew part of
-  the printed equation does not vanish on this branch (it is O(lambda)
-  and carries no operator content); it is reported separately.
+* solve_xy: T symmetric, in closed form, for one problem.  This is the
+  canonical Bogoliubov branch: the symmetric part of the first equation is
+  exactly the coefficient of the anomalous operator pairs, the second
+  equation is the transpose of the first, and the commutation constraint
+  holds by construction.  With P = A - 2B and Q = A + 2B, the anomalous
+  coefficient vanishes iff exp(2T) Q exp(2T) = P, whose positive solution is
+  the matrix geometric mean: T = -1/2 log(P^{-1} # Q) (Colpa, Physica A 93,
+  327 (1978)).  It is formed in the Cholesky frame of P in which
+  bogoliubov_sector_levels finds the levels sqrt(eig(P Q)), and raises where
+  they do.  For lambda >= 0, P = E + 2 lambda C and Q = E + 6 lambda C are
+  positive definite in exact arithmetic, because C is a Gram matrix.  In
+  floating point they need not be: C's smallest eigenvalues fall below
+  rounding of its largest from 20-state sectors on (1D e_cut 40), so at a
+  huge lambda (g = 1e200) E + 2 lambda C rounds to the numerically singular
+  2 lambda C and its cholesky fails (NoSolutionError).  The skew part of the
+  printed equation is O(lambda) on this branch and is reported separately.
 
 * solve_xy_general: general T, one hybrid-Powell root solve (MINPACK
   hybrd) of the full first equation.  This is the branch whose
@@ -112,11 +112,6 @@ def anomalous_residuals(x, y, prob: RiccatiProblem):
     )
 
 
-def _cosh_sinh_symmetric(t_mat):
-    w, v = np.linalg.eigh(t_mat)
-    return (v * np.cosh(w)) @ v.T, (v * np.sinh(w)) @ v.T
-
-
 def _cosh_sinh_general(t_mat):
     # Imported at the first call, as in thermo._brent_root: only the
     # general branch, which --validate runs, comes here.
@@ -152,11 +147,27 @@ def _solution(prob, x, y):
     return RiccatiSolution(x=x, y=y, r1=r1, r3=r3, anomalous_r1=an1, anomalous_r2=an2)
 
 
-def _positive_eigh(mat, name):
-    w, v = np.linalg.eigh(mat)
-    if w[0] <= 0.0:
-        raise NoSolutionError(f"{name} is not positive definite (eigenvalue {w[0]:.3g})")
-    return w, v
+def _one_problem(prob):
+    if prob.a.ndim != 2:
+        raise ValueError(f"a {prob.a.shape} stack, not one problem: see bogoliubov_sector_levels")
+
+
+def _cholesky_frame(prob, vectors=False):
+    # L = cholesky(P), L^T Q L = U diag(squares) U^T (U None unless vectors).
+    try:
+        low = np.linalg.cholesky(prob.a - 2.0 * prob.b)
+    except np.linalg.LinAlgError as exc:
+        raise NoSolutionError("A - 2B is not positive definite") from exc
+    q_in_low = np.swapaxes(low, -1, -2) @ (prob.a + 2.0 * prob.b) @ low
+    try:
+        squares, frame = (np.linalg.eigh(q_in_low) if vectors
+                          else (np.linalg.eigvalsh(q_in_low), None))
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigenvalue solve failed: {exc}") from exc
+    lowest = np.min(squares)
+    if lowest <= 0.0:
+        raise NoSolutionError(f"A + 2B is not positive definite (eigenvalue {lowest:.3g})")
+    return low, squares, frame
 
 
 def bogoliubov_sector_levels(prob: RiccatiProblem):
@@ -171,40 +182,28 @@ def bogoliubov_sector_levels(prob: RiccatiProblem):
     and ConvergenceError when the eigen-solve fails.  Each check holds per
     problem: a stack raises exactly when one of its problems would alone.
     """
-    try:
-        low = np.linalg.cholesky(prob.a - 2.0 * prob.b)
-    except np.linalg.LinAlgError as exc:
-        raise NoSolutionError("A - 2B is not positive definite") from exc
-    q_in_low = np.swapaxes(low, -1, -2) @ (prob.a + 2.0 * prob.b) @ low
-    try:
-        squares = np.linalg.eigvalsh(q_in_low)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"eigenvalue solve failed: {exc}") from exc
-    lowest = np.min(squares)
-    if lowest <= 0.0:
-        raise NoSolutionError(f"A + 2B is not positive definite (eigenvalue {lowest:.3g})")
-    return np.sqrt(squares)
-
-
-def _canonical_generator(prob):
-    # T = -1/2 log(P^{-1} # Q), P^{-1} # Q = P^{-1/2} (P^{1/2} Q P^{1/2})^{1/2} P^{-1/2}.
-    if not np.any(prob.b):
-        return np.zeros_like(prob.a)  # free theory: T = 0 exactly, not to rounding
-    w, v = _positive_eigh(prob.a - 2.0 * prob.b, "A - 2B")
-    root = (v * np.sqrt(w)) @ v.T
-    inv_root = (v / np.sqrt(w)) @ v.T
-    w, v = _positive_eigh(root @ (prob.a + 2.0 * prob.b) @ root, "A + 2B")
-    w, v = _positive_eigh(inv_root @ ((v * np.sqrt(w)) @ v.T) @ inv_root, "P^-1 # Q")
-    return (v * (-0.5 * np.log(w))) @ v.T
+    return np.sqrt(_cholesky_frame(prob)[1])
 
 
 def solve_xy(prob: RiccatiProblem):
-    """X = cosh(T), Y = sinh(T) on the symmetric branch, in closed form.
+    """X = cosh(T), Y = sinh(T) on the symmetric branch of one problem.
 
-    Raises NoSolutionError when A - 2B or A + 2B is not positive definite.
+    In the frame of the levels, L = cholesky(P) and L^T Q L = U Omega^2 U^T,
+    G = P^-1 # Q = H H^T with H = L^-T U Omega^1/2; from G = V w V^T, X and
+    Y are V (w^-1/2 +- w^1/2)/2 V^T.  Raises where bogoliubov_sector_levels
+    does, and NoSolutionError when G is not numerically positive definite.
     """
-    t_mat = _canonical_generator(prob)
-    return _solution(prob, *_cosh_sinh_symmetric(t_mat))
+    _one_problem(prob)
+    low, squares, frame = _cholesky_frame(prob, vectors=True)
+    if not np.any(prob.b):
+        return _solution(prob, np.eye(prob.size), np.zeros_like(prob.b))  # free theory: T = 0
+    g_factor = np.linalg.solve(low.T, frame * squares ** 0.25)
+    w, v = np.linalg.eigh(g_factor @ g_factor.T)
+    if w[0] <= 0.0:
+        raise NoSolutionError(f"P^-1 # Q is not positive definite (eigenvalue {w[0]:.3g})")
+    root = np.sqrt(w)
+    return _solution(prob, (v * (0.5 / root + 0.5 * root)) @ v.T,
+                     (v * (0.5 / root - 0.5 * root)) @ v.T)
 
 
 def solve_xy_general(prob: RiccatiProblem):
@@ -216,6 +215,7 @@ def solve_xy_general(prob: RiccatiProblem):
     the solver's own success flag is not used, because it can report a
     stalled step at a root that already meets the tolerance.
     """
+    _one_problem(prob)
     from scipy import optimize
 
     n = prob.size

@@ -5,10 +5,11 @@ vectorize the scalar matrix elements, the basis is sorted by one stable
 argsort instead of a lexsort, the level models solve each parity sector on
 its own instead of the full matrices, the Bose occupations are formed in
 place, the normal-phase fugacity and the first-order condensed root are
-Newton solves instead of bracketed ones, and the pipeline never needs the
-shift vector z or the spectrum of the solved X, Y.  The tests
-compare the fast forms against these, so their arithmetic must stay as the
-formulas read.
+Newton solves instead of bracketed ones, the symmetric-branch X, Y are
+formed in the Cholesky frame of the levels instead of from the generator
+T, and the pipeline never needs the shift vector z or the spectrum of the
+solved X, Y.  The tests compare the fast forms against these, so their
+arithmetic must stay as the formulas read.
 """
 
 import math
@@ -17,8 +18,8 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import gammaln
 
-from trapbose import (NoSolutionError, RiccatiSolution, SystemMatrices, ThermoPoint, TrapConfig,
-                      energy_excess, occupation)
+from trapbose import (NoSolutionError, RiccatiProblem, RiccatiSolution, SystemMatrices,
+                      ThermoPoint, TrapConfig, energy_excess, occupation)
 from trapbose.basis import _log_prefactor
 from trapbose.perturbative import real_eigenvalues, second_order_term
 from trapbose.riccati import bogoliubov_sector_levels
@@ -86,8 +87,8 @@ def bogoliubov_levels(*problems):
     return np.sort(np.concatenate([bogoliubov_sector_levels(prob).ravel() for prob in problems]))
 
 
-# The printed z, the scalar Bogoliubov problem, and the spectrum of a solved
-# X, Y.
+# The printed z, the symmetric-branch X, Y from their generator, the scalar
+# Bogoliubov problem, and the spectrum of a solved X, Y.
 
 def shift_vector(sys: SystemMatrices, n0):
     """Shift z = -2 lambda sqrt(N0) (E + 6 lambda C)^{-1} d eliminating the
@@ -106,6 +107,31 @@ def shift_vector(sys: SystemMatrices, n0):
             "lambda too large for this basis"
         )
     return -2.0 * lam * np.sqrt(n0) * np.linalg.solve(mat, sys.source)
+
+
+def _positive_eigh(mat, name):
+    w, v = np.linalg.eigh(mat)
+    if w[0] <= 0.0:
+        raise NoSolutionError(f"{name} is not positive definite (eigenvalue {w[0]:.3g})")
+    return w, v
+
+
+def geometric_mean_xy(prob: RiccatiProblem):
+    """Symmetric-branch X = cosh(T), Y = sinh(T) from the generator
+    T = -1/2 log(P^{-1} # Q), P^{-1} # Q = P^{-1/2} (P^{1/2} Q P^{1/2})^{1/2} P^{-1/2},
+    with P = A - 2B and Q = A + 2B: three eigen-solves, a log, then cosh and
+    sinh in the eigenbasis of T."""
+    if not np.any(prob.b):
+        t_mat = np.zeros_like(prob.a)  # free theory: T = 0 exactly, not to rounding
+    else:
+        w, v = _positive_eigh(prob.a - 2.0 * prob.b, "A - 2B")
+        root = (v * np.sqrt(w)) @ v.T
+        inv_root = (v / np.sqrt(w)) @ v.T
+        w, v = _positive_eigh(root @ (prob.a + 2.0 * prob.b) @ root, "A + 2B")
+        w, v = _positive_eigh(inv_root @ ((v * np.sqrt(w)) @ v.T) @ inv_root, "P^-1 # Q")
+        t_mat = (v * (-0.5 * np.log(w))) @ v.T
+    w, v = np.linalg.eigh(t_mat)
+    return (v * np.cosh(w)) @ v.T, (v * np.sinh(w)) @ v.T
 
 
 def solve_1x1(a, b):

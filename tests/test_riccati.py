@@ -25,6 +25,7 @@ from trapbose import (
 from oracles import (
     bogoliubov_levels,
     exact_spectrum,
+    geometric_mean_xy,
     quasiparticle_levels,
     solve_1x1,
     spectrum_matrix,
@@ -54,6 +55,13 @@ class TestProblem:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             RiccatiProblem(a=np.eye(2), b=np.eye(3))
+
+    @pytest.mark.parametrize("solve", [solve_xy, solve_xy_general], ids=["symmetric", "general"])
+    def test_stack_rejected_by_the_xy_solvers(self, solve):
+        # Only the levels take a stack; X, Y are solved one problem at a time.
+        stack = RiccatiProblem(a=np.stack([np.eye(2)] * 2), b=np.stack([0.1 * np.eye(2)] * 2))
+        with pytest.raises(ValueError, match="not one problem: see bogoliubov_sector_levels"):
+            solve(stack)
 
 
 class TestResiduals:
@@ -158,20 +166,31 @@ class TestSymmetricBranch:
         assert sol.r3 <= 1e-13
         np.testing.assert_allclose(exact_spectrum(sol, sysm), bogoliubov_levels(prob),
                                    rtol=1e-10, atol=0.0)
+        # The Cholesky-frame X, Y against the generator T = -1/2 log(P^-1 # Q);
+        # they differ by rounding, at most 2.4e-14 of max|X| in 20,000 draws.
+        x, y = geometric_mean_xy(prob)
+        atol = 1e-12 * np.max(np.abs(x))
+        np.testing.assert_allclose(sol.x, x, rtol=0.0, atol=atol)
+        np.testing.assert_allclose(sol.y, y, rtol=0.0, atol=atol)
 
-    @pytest.mark.parametrize("b_node1, message", [
-        (np.eye(2), "A - 2B is not positive definite"),
-        (-np.eye(2), "A + 2B is not positive definite (eigenvalue -3)"),
-    ], ids=["cholesky", "lowest-square"])
-    def test_no_solution_at_one_node(self, b_node1, message):
+    @pytest.mark.parametrize("a_node1, b_node1, message", [
+        (np.eye(2), np.eye(2), "A - 2B is not positive definite"),
+        (np.eye(2), -np.eye(2), "A + 2B is not positive definite (eigenvalue -3)"),
+        (-np.eye(2), np.zeros((2, 2)), "A - 2B is not positive definite"),
+    ], ids=["cholesky", "lowest-square", "free-theory"])
+    def test_no_solution_at_one_node(self, a_node1, b_node1, message):
         # Node 0 has a solution and node 1 none, so the stack has none: node
-        # 1's P = I - 2B fails the cholesky, or its P Q = -3 I fails the
-        # check of the lowest square over all nodes.
-        prob = RiccatiProblem(a=np.stack([np.eye(2)] * 2), b=np.stack([0.1 * np.eye(2), b_node1]))
+        # 1's P = I - 2B or P = -I fails the cholesky, or its P Q = -3 I
+        # fails the check of the lowest square over all nodes.  solve_xy on
+        # node 1 alone raises the same error, free theory included.
+        prob = RiccatiProblem(a=np.stack([np.eye(2), a_node1]),
+                              b=np.stack([0.1 * np.eye(2), b_node1]))
         bogoliubov_sector_levels(RiccatiProblem(a=prob.a[:1], b=prob.b[:1]))
-        with pytest.raises(NoSolutionError) as raised:
-            bogoliubov_sector_levels(prob)
-        assert str(raised.value) == message
+        for solve, node in ((bogoliubov_sector_levels, prob),
+                            (solve_xy, RiccatiProblem(a=prob.a[1], b=prob.b[1]))):
+            with pytest.raises(NoSolutionError) as raised:
+                solve(node)
+            assert str(raised.value) == message
 
 
 class TestLiteralBranch:
