@@ -19,11 +19,11 @@ from .errors import BasisTooLargeError, EmptyBasisError, IndexTooLargeError
 # Largest quantum number per dimension accepted by the quadrature oracle.
 ORACLE_MAX_INDEX = 40
 
-# Most quantum numbers that enumerate_basis holds in one array: the
-# unfiltered product of the rows kept so far with the next dimension's
-# quanta, rows x j int64 entries at dimension j (2**26 of them is 512 MiB;
-# with its filtered copy and the partial energies, the enumeration peaks at
-# a few times that).
+# Most quantum numbers that enumerate_basis may meet in one dimension: the
+# rows kept so far times the next dimension's quanta, rows x j int64 entries
+# at dimension j (2**26 of them is 512 MiB).  The enumeration tests that
+# bound before it extends the rows, and allocates only the rows that fit
+# plus two or three candidates per row.
 MAX_ENUMERATION_ENTRIES = 2**26
 
 
@@ -56,46 +56,70 @@ class BasisSet:
         return self.config.hbar * total
 
 
+def _quantum_count(cfg: TrapConfig, e_cut, j, kept):
+    """Number of quanta k = 0, 1, ... of dimension j (from 1) whose energy
+    hbar*omega_j*k alone is within e_cut.
+
+    Raises BasisTooLargeError when the kept rows, each followed by every
+    one of them, would hold more than MAX_ENUMERATION_ENTRIES quantum numbers.
+    """
+    # A float until it passes the guard: e_cut/(hbar*w) may be inf.  Under a
+    # negative e_cut no quantum fits.
+    count = max(np.floor(e_cut / (cfg.hbar * cfg.frequencies[j - 1]) + 1e-12) + 1.0, 0.0)
+    rows = kept * count
+    if rows * j > MAX_ENUMERATION_ENTRIES:
+        raise BasisTooLargeError(
+            f"the basis under e_cut={e_cut} in dimension {cfg.dimension} needs {rows:.12g} "
+            f"rows of {j} quantum numbers, above the limit of {MAX_ENUMERATION_ENTRIES} "
+            f"(basis.MAX_ENUMERATION_ENTRIES)")
+    return int(count)
+
+
 def enumerate_basis(cfg: TrapConfig, e_cut):
     """All excited multi-indices with excitation energy <= e_cut.
 
     The states grow one dimension at a time; a row whose partial energy
     already exceeds e_cut is dropped, since later terms only add to it.
-    Raises EmptyBasisError when not even the first excited state fits, and
-    BasisTooLargeError, before allocating it, when a product of rows and
-    quanta holds more than MAX_ENUMERATION_ENTRIES quantum numbers.
+    Raises ValueError for a nan e_cut, EmptyBasisError when not even the
+    first excited state fits (a negative e_cut included), and
+    BasisTooLargeError, before extending them, when the rows kept times a
+    dimension's quanta hold more than MAX_ENUMERATION_ENTRIES quantum numbers.
     """
-    quanta = np.zeros((1, 0), dtype=np.int64)
-    partial = np.zeros(1)
-    for j, w in enumerate(cfg.frequencies, start=1):
-        # A float until it passes the guard: e_cut/(hbar*w) may be inf.
-        count = np.floor(e_cut / (cfg.hbar * w) + 1e-12) + 1.0
-        rows = len(quanta) * count
-        if rows * j > MAX_ENUMERATION_ENTRIES:
-            raise BasisTooLargeError(
-                f"the basis under e_cut={e_cut} in dimension {cfg.dimension} needs {rows:.12g} "
-                f"rows of {j} quantum numbers, above the limit of {MAX_ENUMERATION_ENTRIES} "
-                f"(basis.MAX_ENUMERATION_ENTRIES)")
-        count, rows = int(count), int(rows)
-        k = np.arange(count)
-        partial = (partial[:, None] + w * k).ravel()
-        # Each kept row followed by each quantum of dimension j, in order.
-        product = np.empty((len(quanta), count, j), dtype=np.int64)
-        product[..., :-1] = quanta[:, None, :]
-        product[..., -1] = k
-        keep = cfg.hbar * partial <= e_cut
-        partial, quanta = partial[keep], product.reshape(rows, j)[keep]
-    # Row 0 is the ground state, first in the product and kept by any
+    if math.isnan(e_cut):
+        raise ValueError(f"e_cut={e_cut} is not a number")
+    hbar, (w, *others) = cfg.hbar, cfg.frequencies
+    # The first dimension extends one row, the ground state's empty one.
+    k = np.arange(_quantum_count(cfg, e_cut, 1, 1))
+    partial = w * k
+    keep = hbar * partial <= e_cut
+    quanta, partial = np.compress(keep, k)[:, None], np.compress(keep, partial)
+    for j, w in enumerate(others, start=2):
+        count = _quantum_count(cfg, e_cut, j, len(quanta))
+        # A row's energy rises with k, so the k that fit are a prefix of
+        # range(count).  Its estimated length plus two candidates covers the
+        # rounding of the estimate; the test of keep is the exact one.
+        size = np.minimum(np.floor((e_cut / hbar - partial) / w) + 3.0, count).astype(np.int64)
+        row = np.repeat(np.arange(len(size)), size)
+        k = np.arange(len(row)) - np.repeat(np.cumsum(size) - size, size)
+        partial = np.take(partial, row) + w * k
+        keep = hbar * partial <= e_cut
+        row, k, partial = np.compress(keep, row), np.compress(keep, k), np.compress(keep, partial)
+        # Each kept row followed by each of its k, in order.
+        grown = np.empty((len(row), j), dtype=np.int64)
+        grown[:, :-1] = np.take(quanta, row, axis=0)
+        grown[:, -1] = k
+        quanta = grown
+    # Row 0 is the ground state, first in the enumeration and kept by any
     # e_cut >= 0; every other row is excited.
-    quanta, energies = quanta[1:], cfg.hbar * partial[1:]
+    quanta, energies = quanta[1:], hbar * partial[1:]
     if not quanta.size:
         raise EmptyBasisError(
             f"no excited state below e_cut={e_cut} "
             f"(first level at {cfg.hbar * min(cfg.frequencies)})"
         )
-    # The product keeps its rows in lexicographic order, so a stable sort by
-    # energy orders them by (energy, n_1, ..., n_D), ties included.
-    quanta = quanta[np.argsort(energies, kind="stable")]
+    # The rows come in lexicographic order, so a stable sort by energy
+    # orders them by (energy, n_1, ..., n_D), ties included.
+    quanta = np.take(quanta, np.argsort(energies, kind="stable"), axis=0)
     quanta.flags.writeable = False
     return BasisSet(quanta=quanta, config=cfg)
 
@@ -142,29 +166,53 @@ def _coupling_array(m, n, cfg: TrapConfig):
     per element.  The log-magnitude and the sign are symmetric in m and n
     operation by operation, so swapping m and n gives bit-identical values.
     """
-    top = int(max(m.max(initial=0), n.max(initial=0)))
-    # log k! = gammaln((2k + 2)/2), bit for bit: (2k + 2)/2 is k + 1 exactly.
-    half_gamma = gammaln((np.arange(2 * top + 2) + 1) / 2.0)
-    log_factorial = half_gamma[1::2]
+    half_gamma, log_factorial = _gamma_tables(max(m.max(initial=0), n.max(initial=0)))
     log_mag = _log_prefactor(cfg)
-    even = True
-    negative = False
+    # The quanta are non-negative, so bit 0 of bits = 3 mj + nj is the
+    # parity of mj + nj, and bit 1 that of (3 mj + nj) // 2, whose parities
+    # summed over j give the sign: OR and XOR gather them over j.
+    odd = 0
+    sign = 0
     for j in range(cfg.dimension):
         mj, nj = m[..., j], n[..., j]
         total = mj + nj
         log_mag = log_mag + half_gamma[total]
         log_mag = log_mag - 0.5 * (log_factorial[mj] + log_factorial[nj])
-        even = even & (total % 2 == 0)
-        negative = negative ^ ((3 * mj + nj) // 2 % 2 == 1)
-    return np.where(even, np.where(negative, -1.0, 1.0) * np.exp(log_mag), 0.0)
+        bits = 3 * mj + nj
+        odd = odd | bits
+        sign = sign ^ bits
+    return np.where(odd & 1, 0.0, np.where(sign & 2, -1.0, 1.0) * np.exp(log_mag))
+
+
+def _gamma_tables(top):
+    """gammaln(k/2 + 1/2) for k = 0..2*top + 1, and its odd entries log k!
+    for k = 0..top."""
+    # log k! = gammaln((2k + 2)/2), bit for bit: (2k + 2)/2 is k + 1 exactly.
+    half_gamma = gammaln((np.arange(2 * int(top) + 2) + 1) / 2.0)
+    return half_gamma, half_gamma[1::2]
 
 
 def diagonal_coupling(basis: BasisSet):
     """Vector of diagonal elements c_nn (always positive) in basis.config's trap.
 
     Cheap path for the first-order level formula; avoids the full matrix.
+    With m = n every parity is even and every sign +, so the arithmetic of
+    _coupling_array reduces to per-dimension table lookups in the same
+    order, and the values are bit-identical to the diagonal of
+    build_matrices(basis, n0).coupling.
     """
-    return _coupling_array(basis.quanta, basis.quanta, basis.config)
+    quanta = basis.quanta
+    half_gamma, log_factorial = _gamma_tables(quanta.max(initial=0))
+    # Entry n of each: the terms of a dimension where m_j = n_j = n.
+    gamma_term = half_gamma[::2]
+    factorial_term = 0.5 * (log_factorial + log_factorial)
+    # The additions of _coupling_array, in place on one buffer.
+    log_mag = np.full(len(quanta), _log_prefactor(basis.config))
+    for j in range(basis.config.dimension):
+        nj = quanta[:, j]
+        log_mag += gamma_term[nj]
+        log_mag -= factorial_term[nj]
+    return np.exp(log_mag, out=log_mag)
 
 
 def build_matrices(basis: BasisSet, n0):
@@ -205,7 +253,7 @@ def parity_sectors(basis: BasisSet):
     stacks = []
     for m in sorted(set(sizes.tolist()) - {0}):
         index = order[starts[sizes == m][:, None] + np.arange(m)]
-        block = quanta[index]
+        block = np.take(quanta, index, axis=0)
         stacks.append((index, _coupling_array(block[..., :, None, :], block[..., None, :, :],
                                               basis.config)))
     return stacks

@@ -103,8 +103,14 @@ class TestEnumerateBasis:
         assert np.all(np.diff(energies) > 0)
 
     def test_empty_basis_error(self):
-        with pytest.raises(EmptyBasisError):
-            enumerate_basis(PAPER_1D, 0.5)
+        # Below the first level, negative cutoffs included, the basis is
+        # empty; a nan cutoff is no cutoff at all.
+        for e_cut in (0.5, -0.5, -5.0, -math.inf):
+            for cfg in (PAPER_1D, PAPER_2D):
+                with pytest.raises(EmptyBasisError, match=f"e_cut={e_cut} "):
+                    enumerate_basis(cfg, e_cut)
+        with pytest.raises(ValueError, match="e_cut=nan"):
+            enumerate_basis(PAPER_2D, math.nan)
 
     def test_size_guard(self):
         # 10001 quanta per dimension: the 2D product would be 10001**2 rows
@@ -166,20 +172,31 @@ class TestEnumerateBasis:
     @settings(deadline=None)
     @given(frequencies=st.lists(st.sampled_from([0.25, 0.5, 0.7, 1.0, 1.3, SQRT2, 2.0])
                                 | st.floats(0.5, 3.0), min_size=1, max_size=4),
-           e_cut=st.floats(0.25, 6.0), seed=st.integers(0, 2**32 - 1))
+           e_cut=st.floats(0.25, 6.0) | st.lists(st.integers(0, 24), min_size=4, max_size=4),
+           hbar=st.sampled_from([0.1, 0.7, 3.0]), seed=st.integers(0, 2**32 - 1))
     # The 1D reference run, the aniso2d-p1 trap, isotropic 2D and 3D traps
-    # (many exact ties), an anisotropic 3D trap and a 4D trap with 2:1 ratios.
-    @example(frequencies=[1.0], e_cut=400.0, seed=0)
-    @example(frequencies=[1.0, SQRT2], e_cut=300.0, seed=0)
-    @example(frequencies=[1.0, 1.0], e_cut=40.0, seed=0)
-    @example(frequencies=[1.0, 1.0, 1.0], e_cut=30.0, seed=0)
-    @example(frequencies=[1.0, 1.3, 0.7], e_cut=12.0, seed=0)
-    @example(frequencies=[1.0, 1.0, 0.5, 0.25], e_cut=8.0, seed=0)
-    def test_stable_sort_matches_lexsort(self, frequencies, e_cut, seed):
-        # The product's rows come in lexicographic order, so the stable
+    # (many exact ties; (1, 1, 1) under 60 has 39,710 states), an
+    # anisotropic 3D trap and a 4D trap with 2:1 ratios.
+    @example(frequencies=[1.0], e_cut=400.0, hbar=1.0, seed=0)
+    @example(frequencies=[1.0, SQRT2], e_cut=300.0, hbar=1.0, seed=0)
+    @example(frequencies=[1.0, 1.0], e_cut=40.0, hbar=1.0, seed=0)
+    @example(frequencies=[1.0, 1.0, 1.0], e_cut=30.0, hbar=1.0, seed=0)
+    @example(frequencies=[1.0, 1.0, 1.0], e_cut=60.0, hbar=1.0, seed=0)
+    @example(frequencies=[1.0, 1.3, 0.7], e_cut=12.0, hbar=1.0, seed=0)
+    @example(frequencies=[1.0, 1.0, 0.5, 0.25], e_cut=8.0, hbar=1.0, seed=0)
+    def test_stable_sort_matches_lexsort(self, frequencies, e_cut, hbar, seed):
+        # The enumeration's rows come in lexicographic order, so the stable
         # argsort by energy gives the (energy, n_1, ..., n_D) order of a
-        # lexsort over the same rows in any order.
-        cfg = TrapConfig(dimension=len(frequencies), frequencies=tuple(frequencies))
+        # lexsort over the same rows in any order.  The cutoff is a float
+        # in units of hbar, or the level hbar * sum_j omega_j n_j of a state
+        # n with sum_j omega_j n_j <= 6, where the exact test of the
+        # enumeration decides at equality.
+        cfg = TrapConfig(dimension=len(frequencies), frequencies=tuple(frequencies), hbar=hbar)
+        if isinstance(e_cut, list):
+            n = [min(m, int(6.0 / (cfg.dimension * w))) for m, w in zip(e_cut, frequencies)]
+            e_cut = oscillator_energy(n, cfg)
+        else:
+            e_cut = hbar * e_cut
         expected = lexsort_enumeration(cfg, e_cut, seed)
         if not expected.size:
             with pytest.raises(EmptyBasisError):
@@ -255,6 +272,14 @@ class TestCouplingCoefficient:
         assert np.isfinite(value) and value > 0.0
 
 
+# hbar and mass other than 1, in one to three dimensions.
+SCALAR_TRAPS = [
+    (TrapConfig(hbar=0.7, mass=3.0), 30.0),
+    (TrapConfig(dimension=2, frequencies=(1.0, SQRT2), hbar=0.7, mass=3.0), 9.0),
+    (TrapConfig(dimension=3, frequencies=(1.0, 1.3, 0.7), hbar=0.7, mass=3.0), 4.0),
+]
+
+
 class TestBuildMatrices:
     def test_reference_two_state_assembly(self):
         basis = enumerate_basis(PAPER_1D, 2.5)
@@ -278,15 +303,13 @@ class TestBuildMatrices:
         assert np.array_equal(sysm.coupling, sysm.coupling.T)
 
     def test_diagonal_coupling_matches_full(self):
-        basis = enumerate_basis(PAPER_1D, 8.0)
-        sysm = build_matrices(basis, 1000)
-        assert np.allclose(diagonal_coupling(basis), np.diag(sysm.coupling))
+        # diagonal_coupling's own path against the general one, bit for bit.
+        for cfg, e_cut in SCALAR_TRAPS + [(TrapConfig(dimension=2, frequencies=(1.0, 1.0)), 20.0)]:
+            basis = enumerate_basis(cfg, e_cut)
+            sysm = build_matrices(basis, 1000)
+            assert np.array_equal(diagonal_coupling(basis), np.diag(sysm.coupling))
 
-    @pytest.mark.parametrize("cfg, e_cut", [
-        (TrapConfig(hbar=0.7, mass=3.0), 30.0),
-        (TrapConfig(dimension=2, frequencies=(1.0, SQRT2), hbar=0.7, mass=3.0), 9.0),
-        (TrapConfig(dimension=3, frequencies=(1.0, 1.3, 0.7), hbar=0.7, mass=3.0), 4.0),
-    ])
+    @pytest.mark.parametrize("cfg, e_cut", SCALAR_TRAPS)
     def test_matches_scalar_elements(self, cfg, e_cut):
         basis = enumerate_basis(cfg, e_cut)
         sysm = build_matrices(basis, 500)
