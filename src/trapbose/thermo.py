@@ -20,10 +20,12 @@ import ctypes
 import glob
 import math
 import os
+import threading
 from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import cache, cached_property
+from itertools import product
 
 import numpy as np
 
@@ -122,31 +124,30 @@ MIN_CHUNK_WORK = 2**20
 
 
 @cache
-def _blas_thread_getter():
-    """openblas_get_num_threads of the OpenBLAS that a numpy wheel bundles in
-    numpy.libs, which numpy.linalg and matmul call; None when there is none
-    (numpy built on another BLAS, or installed another way)."""
+def _blas_threads():
+    """The (get, set) pair of openblas_{get,set}_num_threads (scipy_openblas_
+    in numpy 2 wheels, ending in 64_ in an ILP64 build) of the OpenBLAS that
+    a numpy wheel bundles in numpy.libs, which numpy.linalg and matmul call;
+    None when there is none (numpy built on another BLAS, or installed
+    another way)."""
     libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
     for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
         lib = ctypes.CDLL(path)
-        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads"):
-            if hasattr(lib, symbol):
-                getter = getattr(lib, symbol)
-                getter.argtypes, getter.restype = [], ctypes.c_int
-                return getter
+        for prefix, suffix in product(("scipy_openblas_", "openblas_"), ("64_", "")):
+            names = [f"{prefix}{verb}_num_threads{suffix}" for verb in ("get", "set")]
+            if all(hasattr(lib, name) for name in names):
+                get, set_ = (getattr(lib, name) for name in names)
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
     return None
 
 
+_BLAS_LOCK = threading.Lock()  # held by a table build that sets the BLAS threads
+
+
 def _cpu_count():
-    """The CPUs node chunks may use: all those this process may run on when
-    numpy's BLAS runs one thread, and 1 otherwise (more BLAS threads, or a
-    BLAS that cannot be asked).  Node chunks on the CPUs that a
-    multithreaded BLAS also uses are slower than one call: on 2 cores, the
-    perturbative2 table of 1D e_cut 400 took 780 ms in two chunks and 680 ms
-    in one with two BLAS threads, and 320 ms and 600 ms with one."""
-    getter = _blas_thread_getter()
-    if getter is None or getter() != 1:
-        return 1
+    """The CPUs node chunks may use: all those this process may run on."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -212,10 +213,10 @@ class SpectrumModel:
     cfg.coupling_lambda(N).  It is built by one batched eigen-solve per
     sector size at its first use (solve_n0 uses it at the first
     condensed-phase point, so a sweep with none never builds it) and kept.
-    When numpy's BLAS runs one thread and the table holds enough work, the
-    build splits its nodes across threads (_node_levels), as each node's
-    levels, and the checks of its sector matrices, depend on that node
-    alone.
+    The build runs numpy's OpenBLAS on one thread, and when the table holds
+    enough work it splits its nodes across threads (_node_levels), as each
+    node's levels, and the checks of its sector matrices, depend on that
+    node alone.
     `midpoints` is the (16, size) array of the levels at the last 16 nodes
     of _FINE, between them, built the same way at the first point whose count
     interpolant on the 17 nodes fails its tail test, and kept; a sweep that
@@ -303,11 +304,15 @@ class SpectrumModel:
     def _node_levels(self, nodes):
         """The levels at lambda_max * nodes, one row per node, or None.
 
-        Each row depends on its node alone, and _sectors checks each sector
-        matrix on its own, so a table with enough work (MIN_CHUNK_WORK) is
-        split into contiguous node chunks, one thread each on the CPUs that
-        _cpu_count gives: the joined chunks are one call's rows bit for bit,
-        and a chunk raises exactly where one call would.  The pool lives for
+        The build sets numpy's OpenBLAS to one thread and then restores the
+        count it found.  The count is process-wide, so builds hold
+        _BLAS_LOCK: two on two threads run one after the other.  Each row
+        depends on its node alone, and _sectors checks each sector matrix on
+        its own, so a table with enough work (MIN_CHUNK_WORK) is split into
+        contiguous node chunks, one thread each on the CPUs that _cpu_count
+        gives: the joined chunks are one call's rows bit for bit, and a
+        chunk raises exactly where one call would.  With no OpenBLAS to set
+        (_blas_threads is None), the table is one call.  The pool lives for
         one build, as a pool kept between builds would not survive a fork,
         and _sectors sets its error state on each worker, which does not
         inherit the caller's.
@@ -317,21 +322,26 @@ class SpectrumModel:
         if self._sector_levels is None or not 0.0 < lam_max < math.inf:
             return None
         lam = lam_max * nodes
+        blas = _blas_threads()
         work = lam.size * self._sector_matrices * sum(
             c.size * c.shape[-1] for _, c, *_ in self._groups)
-        chunks = max(1, min(lam.size, work // MIN_CHUNK_WORK))
-        if chunks > 1:
-            chunks = min(chunks, _cpu_count())
+        chunks = max(1, min(lam.size, work // MIN_CHUNK_WORK, _cpu_count() if blas else 1))
         first, *rest = np.array_split(lam, chunks)
-        try:
-            if rest:
-                with ThreadPoolExecutor(len(rest)) as pool:
-                    later = pool.map(self._sectors, rest)
-                    values = np.concatenate([self._sectors(first), *later])
-            else:
-                values = self._sectors(first)
-        except TrapBoseError:
-            return None
+        get, set_ = blas or (lambda: None, lambda threads: None)
+        with _BLAS_LOCK:
+            previous = get()
+            set_(1)
+            try:
+                if rest:
+                    with ThreadPoolExecutor(len(rest)) as pool:
+                        later = pool.map(self._sectors, rest)
+                        values = np.concatenate([self._sectors(first), *later])
+                else:
+                    values = self._sectors(first)
+            except TrapBoseError:
+                return None
+            finally:
+                set_(previous)
         if np.any(values <= 0.0):
             return None
         return _read_only(values)

@@ -3,6 +3,15 @@ import pytest
 import trapbose.thermo as thermo
 
 
+@pytest.fixture(autouse=True)
+def openblas(monkeypatch):
+    """Table builds split by the rule they take beside a numpy wheel's
+    OpenBLAS, on any numpy: where thermo finds no OpenBLAS thread functions,
+    a stand-in pair that sets nothing."""
+    if thermo._blas_threads() is None:
+        monkeypatch.setattr(thermo, "_blas_threads", lambda: (lambda: 1, lambda threads: None))
+
+
 @pytest.fixture
 def node_chunks(monkeypatch):
     """Every table build split into as many node chunks as it has nodes, up

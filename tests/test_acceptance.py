@@ -36,9 +36,21 @@ IDEAL = TrapConfig(g=0.0)
 N = 1000.0
 
 
-def report(name, ok):
-    print(f"{'PASS' if ok else 'FAIL'} {name}")
-    assert ok, name
+def report(name, ok, detail=""):
+    line = f"{name}: {detail}" if detail else name
+    print(f"{'PASS' if ok else 'FAIL'} {line}")
+    assert ok, line
+
+
+def clock():
+    """Wall time and the process's CPU time over all its threads, in s."""
+    return time.perf_counter(), time.process_time()
+
+
+def timed(start, bound):
+    """(wall time since start within bound, a line with both times)."""
+    wall, cpu = (now - then for now, then in zip(clock(), start))
+    return wall < bound, f"wall {wall:.2f} s (bound {bound:g} s), process CPU {cpu:.2f} s"
 
 
 def system_at(e_cut, lam):
@@ -47,7 +59,7 @@ def system_at(e_cut, lam):
 
 
 def test_matrix_element_oracle():
-    start = time.perf_counter()
+    start = clock()
     worst = 0.0
     parity_exact = True
     for m in range(13):
@@ -57,12 +69,12 @@ def test_matrix_element_oracle():
             worst = max(worst, abs(closed - oracle))
             if (m + n) % 2 == 1 and closed != 0.0:
                 parity_exact = False
-    elapsed = time.perf_counter() - start
-    report("matrix-element-oracle", worst < 1e-10 and parity_exact and elapsed < 5.0)
+    in_time, times = timed(start, 5.0)
+    report("matrix-element-oracle", worst < 1e-10 and parity_exact and in_time, times)
 
 
 def test_free_theory_regression():
-    start = time.perf_counter()
+    start = clock()
     basis = enumerate_basis(IDEAL, 400.0)
     sysm = build_matrices(basis, N)
     x, y, *_ = perturbative_xy(sysm)
@@ -81,9 +93,9 @@ def test_free_theory_regression():
         excited = sum(1.0 / math.expm1(e / temperature) for e in energies)
         brute = max(N - excited, 0.0)
         worst = max(worst, abs(point.n0 - brute) / N)
-    elapsed = time.perf_counter() - start
+    in_time, times = timed(start, 10.0)
     report("free-theory-regression",
-           identity_ok and levels_ok and worst < 1e-9 and elapsed < 10.0)
+           identity_ok and levels_ok and worst < 1e-9 and in_time, times)
 
 
 def test_perturbative_order():
@@ -133,22 +145,22 @@ def test_scalar_oracle_grid():
 
 
 def test_condensate_curve_reproduction():
-    start = time.perf_counter()
+    start = clock()
     basis = enumerate_basis(CFG, 400.0)
     grid = [float(t) for t in range(1, 201)]
     interacting = sweep(CFG, basis, grid, solver_kind="perturbative1")
     ideal = sweep(IDEAL, basis, grid, solver_kind="ideal")
     int_frac = interacting.condensate_fractions()
     ideal_frac = ideal.condensate_fractions()
-    elapsed = time.perf_counter() - start
+    in_time, times = timed(start, 120.0)
     ok = (all(p.converged for p in interacting.points)
           and all(p.converged for p in ideal.points)
           and np.all(int_frac >= ideal_frac)
           and np.max(int_frac - ideal_frac) > 1e-3
           and np.all(np.diff(int_frac) <= 1e-6)
           and np.all(np.diff(ideal_frac) <= 1e-6)
-          and elapsed < 120.0)
-    report("condensate-curve-reproduction", ok)
+          and in_time)
+    report("condensate-curve-reproduction", ok, times)
 
 
 def test_dense_reference_run():
@@ -157,10 +169,9 @@ def test_dense_reference_run():
     grid = [float(t) for t in range(1, 201)]
     first_order = sweep(CFG, basis, grid, solver_kind="perturbative1").condensate_fractions()
     ideal_frac = sweep(IDEAL, basis, grid, solver_kind="ideal").condensate_fractions()
-    start = time.perf_counter()
+    start = clock()
     curves = [sweep(CFG, basis, grid, solver_kind=kind) for kind in ("perturbative2", "riccati")]
-    elapsed = time.perf_counter() - start
-    ok = elapsed < 3.0
+    ok, times = timed(start, 3.0)
     for curve in curves:
         frac = curve.condensate_fractions()
         ok = (ok and all(p.converged for p in curve.points)
@@ -168,7 +179,7 @@ def test_dense_reference_run():
               and np.all(frac >= ideal_frac)
               and np.all(np.diff(frac) <= 1e-6)
               and np.max(np.abs(frac - first_order)) <= 5e-3)
-    report("dense-reference-run", ok)
+    report("dense-reference-run", ok, times)
 
 
 def test_truncation_convergence():

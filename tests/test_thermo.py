@@ -1,12 +1,16 @@
 import gc
 import math
 import os
+import re
 import subprocess
 import sys
+import textwrap
 import threading
 import warnings
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebval
@@ -735,9 +739,13 @@ class TestLevelTable:
            frequencies=st.lists(st.floats(0.7, 2.0), min_size=1, max_size=3),
            g=st.floats(0.0, 5e-4), share=st.floats(0.05, 1.0))
     @example(kind="perturbative2", frequencies=[1.0], g=2.2e-309, share=0.5)
+    @example(kind="perturbative2", frequencies=[2.0, 2.0, 0.75], g=0.00046772273784261156,
+             share=1.0)
     def test_table_path_matches_direct_path(self, kind, frequencies, g, share):
         # Inside the cutoff-converged window T <= e_cut/8; g includes
-        # subnormal values, where lambda_max is subnormal too.
+        # subnormal values, where lambda_max is subnormal too.  Where the
+        # second-order levels turn negative below N (the second example),
+        # the direct root raises, and the model must raise the same error.
         e_cut = {1: 40.0, 2: 12.0, 3: 7.0}[len(frequencies)]
         cfg = TrapConfig(dimension=len(frequencies), frequencies=tuple(frequencies), g=g)
         basis = enumerate_basis(cfg, e_cut)
@@ -745,8 +753,13 @@ class TestLevelTable:
         model = SpectrumModel(cfg, basis, kind=kind)
         direct = SpectrumModel(cfg, basis, kind=kind)
         direct.table = None
+        try:
+            reference = solve_n0(direct, temperature)
+        except UnstableSpectrumError as exc:
+            with pytest.raises(UnstableSpectrumError, match=f"^{re.escape(str(exc))}$"):
+                solve_n0(model, temperature)
+            return
         point = solve_n0(model, temperature)
-        reference = solve_n0(direct, temperature)
         assert point.normal_phase == reference.normal_phase
         assert abs(point.n0 - reference.n0) <= 2.0 * thermo.DEFAULT_TOL * 1000.0
         assert abs(point.energy_excess - reference.energy_excess) <= 1e-12 * 1000.0
@@ -1124,37 +1137,131 @@ class TestNodeChunks:
             SpectrumModel(CFG, enumerate_basis(CFG, 14.0), "riccati").table
         assert 17 not in sizes and pools == [16]
 
-    @pytest.mark.parametrize("blas, cpus", [(1, 8), (2, 1), (None, 1)])
-    def test_cpus_only_beside_one_blas_thread(self, blas, cpus, monkeypatch):
-        # 8 CPUs in the affinity mask; a BLAS that runs more threads, or
-        # cannot be asked, gets them to itself.
-        monkeypatch.setattr(thermo, "_blas_thread_getter",
-                            lambda: None if blas is None else lambda: blas)
+    @pytest.fixture
+    def blas(self, monkeypatch):
+        """A stand-in for numpy's OpenBLAS at 3 threads: .threads is its
+        count, .during the count at each SpectrumModel._sectors call from
+        now on."""
+        fake = SimpleNamespace(threads=3, during=[])
+        sectors = thermo.SpectrumModel._sectors
+
+        def set_threads(threads):
+            fake.threads = threads
+
+        def recording(model, lam):
+            fake.during.append(fake.threads)
+            return sectors(model, lam)
+
+        monkeypatch.setattr(thermo, "_blas_threads", lambda: (lambda: fake.threads, set_threads))
+        monkeypatch.setattr(thermo.SpectrumModel, "_sectors", recording)
+        return fake
+
+    @pytest.mark.parametrize("error", [None, ConvergenceError, RuntimeError])
+    def test_build_restores_the_blas_threads(self, error, blas, node_chunks, pools,
+                                             monkeypatch):
+        # Every chunk is solved at one BLAS thread, and the build leaves the
+        # count it found, whether it gives a table, fails it or raises.
+        if error is not None:
+            self.fail_last_chunk(monkeypatch, error)
+        model = SpectrumModel(CFG, enumerate_basis(CFG, 14.0), "riccati")
+        if error is RuntimeError:
+            with pytest.raises(RuntimeError, match="^the last node$"):
+                model.table
+        else:
+            assert (model.table is None) == (error is ConvergenceError)
+        assert blas.threads == 3 and set(blas.during) == {1} and pools == [16]
+
+    def test_builds_on_threads_leave_the_callers_count(self, blas, node_chunks):
+        # Builds on eight host threads, more than the cores, switching often:
+        # each runs all its chunks at one BLAS thread, and the count is the
+        # caller's 3 after them.  They call _node_levels itself, as
+        # cached_property before Python 3.12 holds one lock for a property
+        # across all instances.
+        basis = enumerate_basis(CFG, 14.0)
+        models = [SpectrumModel(CFG, basis, kind) for kind in ("perturbative2", "riccati") * 4]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(len(models)) as pool:
+                tables = list(pool.map(lambda model: model._node_levels(thermo._COARSE.nodes),
+                                       models, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(table is not None for table in tables)
+        assert blas.threads == 3 and set(blas.during) == {1} and len(blas.during) == 8 * 17
+
+    def test_one_call_without_openblas(self, node_chunks, pools, chunk_sizes, monkeypatch):
+        # With no OpenBLAS thread functions to set, the table is one call on
+        # the BLAS as it is, split on no pool.
+        monkeypatch.setattr(thermo, "_blas_threads", lambda: None)
+        assert SpectrumModel(CFG, enumerate_basis(CFG, 14.0), "riccati").table is not None
+        assert pools == [] and chunk_sizes == [17]
+
+    @pytest.mark.parametrize("threads", [1, 2, None])
+    def test_cpu_count_is_the_affinity_whatever_the_blas(self, threads, monkeypatch):
+        # 8 CPUs in the affinity mask, whatever threads the BLAS runs, or
+        # with no OpenBLAS to ask.
+        pair = None if threads is None else (lambda: threads, lambda count: None)
+        monkeypatch.setattr(thermo, "_blas_threads", lambda: pair)
         monkeypatch.setattr(thermo.os, "sched_getaffinity", lambda pid: set(range(8)),
                             raising=False)
-        assert thermo._cpu_count() == cpus
+        assert thermo._cpu_count() == 8
 
     def test_cpu_count_without_an_affinity_mask(self, monkeypatch):
-        monkeypatch.setattr(thermo, "_blas_thread_getter", lambda: lambda: 1)
         monkeypatch.delattr(thermo.os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(thermo.os, "cpu_count", lambda: 6)
         assert thermo._cpu_count() == 6
 
+    @pytest.mark.parametrize("names, found", [
+        (["openblas_get_num_threads64_", "openblas_set_num_threads64_"], True),
+        (["scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_",
+          "openblas_get_num_threads", "openblas_set_num_threads"], True),
+        (["openblas_get_num_threads64_", "openblas_set_num_threads"], False),
+    ], ids=["ilp64-only", "scipy-openblas-first", "no-matching-pair"])
+    def test_blas_thread_functions_looked_up(self, names, found, monkeypatch):
+        # A library that exports only some of the names: the first prefix
+        # and suffix with both functions gives the pair, typed for ctypes.
+        lib = SimpleNamespace(**{name: SimpleNamespace(name=name) for name in names})
+        monkeypatch.setattr(thermo.glob, "glob", lambda pattern: ["libopenblas.so"])
+        monkeypatch.setattr(thermo.ctypes, "CDLL", lambda path: lib)
+        pair = thermo._blas_threads.__wrapped__()
+        assert (pair is not None) == found
+        if found:
+            get, set_ = pair
+            assert (get.name, set_.name) == tuple(names[:2])
+            assert (get.argtypes, get.restype) == ([], thermo.ctypes.c_int)
+            assert (set_.argtypes, set_.restype) == ([thermo.ctypes.c_int], None)
+
     def test_blas_threads_read_from_the_library(self):
-        # OPENBLAS_NUM_THREADS is read by the BLAS when numpy loads it; the
-        # count is then asked of the library.
-        if thermo._blas_thread_getter() is None:
-            pytest.skip("numpy's BLAS is not the OpenBLAS of a numpy wheel")
-        code = ("import os; from trapbose import thermo as t; "
-                "print(t._blas_thread_getter()(), t._cpu_count(), len(os.sched_getaffinity(0)))")
+        # OPENBLAS_NUM_THREADS is read by the BLAS when numpy loads it.  A
+        # table build split into 17 chunks solves each at one thread of the
+        # library, and leaves the count as the variable set it.
+        code = textwrap.dedent("""
+            from trapbose import thermo, TrapConfig, enumerate_basis
+            blas = thermo._blas_threads()
+            if blas is None:
+                raise SystemExit("none")
+            get, set_ = blas
+            before, during, sectors = get(), set(), thermo.SpectrumModel._sectors
+            def recording(model, lam):
+                during.add(get())
+                return sectors(model, lam)
+            thermo.SpectrumModel._sectors = recording
+            thermo.MIN_CHUNK_WORK, thermo._cpu_count = 1, lambda: 17
+            cfg = TrapConfig()
+            table = thermo.SpectrumModel(cfg, enumerate_basis(cfg, 14.0), "riccati").table
+            print(before, sorted(during), get(), table is not None)
+        """)
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [str(Path(thermo.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
         for threads in ("1", "2"):
             env["OPENBLAS_NUM_THREADS"] = threads
-            out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                                 capture_output=True, text=True, timeout=60).stdout
-            blas, cpus, affinity = map(int, out.split())
-            assert blas == int(threads) and cpus == (affinity if threads == "1" else 1)
+            run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                 text=True, timeout=60)
+            if run.stderr.strip() == "none":
+                pytest.skip("numpy's BLAS is not the OpenBLAS of a numpy wheel")
+            assert run.returncode == 0, run.stderr
+            assert run.stdout.split() == [threads, "[1]", threads, "True"]
 
 
 class TestSweep:
