@@ -5,7 +5,9 @@ lambda = g*N0/2 on [0, N], and evaluates the condensate fraction and the
 energy above the reference E0 on a temperature grid.  The first-order levels
 (perturbative1) are affine in N0, so the residual is concave in N0 and
 Newton's method falls monotonically to its root; the dense kinds root-solve
-by Brent's method.  Temperatures are in units of hbar*omega with k_B = 1.
+by Brent's method, ported from scipy's brentq so that a sweep of any kind
+loads scipy.special only.  Temperatures are in units of hbar*omega with
+k_B = 1.
 N0 is treated as a continuous macroscopic occupation.
 
 Above the condensation region the loop has no solution with N0 > 0; those
@@ -20,6 +22,7 @@ import ctypes
 import glob
 import math
 import os
+import sys
 import threading
 from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
@@ -38,7 +41,7 @@ from .riccati import RiccatiProblem, bogoliubov_sector_levels
 SOLVER_KINDS = ("ideal", "perturbative1", "perturbative2", "riccati")
 
 DEFAULT_TOL = 1e-10
-TOL_FLOOR = 4 * np.finfo(float).eps  # the finest tol of a root in n0
+TOL_FLOOR = 4 * sys.float_info.epsilon  # the finest tol of a root in n0
 
 
 def _require_positive(levels):
@@ -370,10 +373,10 @@ class ThermoPoint:
     fail_reason: str = ""
 
 
-# brentq wraps its function in a closure that refers to itself, a reference
-# cycle that stays until the garbage collector finds it.  The root functions
-# are module-level and take their data through brentq's args, so that cycle
-# holds no model, basis or levels.
+# The root functions are module-level and take their data through args:
+# _brent_root keeps brentq's (f, args) form, so the tests hand one function
+# and one args to both.  Nothing in the solve refers to itself, so no
+# reference cycle keeps a model alive until the garbage collector runs.
 
 def _interpolated_residual(n0, grid, counts, n_total):
     return n_total - n0 - _interpolate(grid, counts, n0 / n_total)
@@ -383,16 +386,74 @@ def _direct_residual(n0, model, temperature, n_total):
     return n_total - n0 - excited_count(model.levels(n0), temperature)
 
 
+BRENT_MAX_ITERATIONS = 100  # brentq's default maxiter
+
+
+def _brent_value(residual, n0, args):
+    value = float(residual(n0, *args))
+    if math.isnan(value):
+        raise ConvergenceError(f"Brent root: residual is nan at n0 = {n0:.6g}", residual=value)
+    return value
+
+
 def _brent_root(residual, args, n_total, tol):
     """Brent's method for residual(n0, *args) on [0, N] to within tol*N,
-    or TOL_FLOOR relative to n0: (n0, evaluations)."""
-    # Imported at the first call: scipy.optimize loads scipy.linalg, about a
-    # third of the process's memory, and only the dense kinds come here.
-    from scipy.optimize import brentq
+    or TOL_FLOOR relative to n0: (n0, evaluations).
 
-    n0, result = brentq(residual, 0.0, n_total, args=args, xtol=tol * n_total,
-                        rtol=TOL_FLOOR, full_output=True)
-    return n0, result.function_calls
+    A port of scipy's brentq.c (R. P. Brent, Algorithms for Minimization
+    without Derivatives, 1973, ch. 4) that makes brentq's evaluations and
+    returns its root bit for bit, and its function_calls: in Python floats,
+    as brentq passes C doubles, with the sign test on the sign bits (a
+    product of two tiny residuals underflows to 0) and IEEE division.
+    Raises ConvergenceError, with the residual, where brentq raises: a nan
+    residual, no sign change on [0, N], or BRENT_MAX_ITERATIONS iterations
+    without convergence.
+    """
+    xtol = float(tol) * n_total
+    xpre, xcur = 0.0, n_total
+    fpre, fcur = _brent_value(residual, xpre, args), _brent_value(residual, xcur, args)
+    calls = 2
+    if fpre == 0.0:
+        return xpre, calls
+    if fcur == 0.0:
+        return xcur, calls
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ConvergenceError(f"Brent root: residual has one sign on [0, N] "
+                               f"({fpre:.6g} and {fcur:.6g})", residual=fcur)
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(BRENT_MAX_ITERATIONS):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + TOL_FLOOR * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur, calls
+        stry = math.nan  # a nan step fails the test below: bisect
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            # Where a denominator is 0, C divides to an inf or nan step.
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                pass
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = _brent_value(residual, xcur, args)
+        calls += 1
+    raise ConvergenceError(f"Brent root not converged in {BRENT_MAX_ITERATIONS} iterations "
+                           f"(n0 = {xcur:.6g})", residual=fcur)
 
 
 # The condensed points of perturbative1: Newton's method on f(n0) = N - n0 -

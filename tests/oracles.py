@@ -5,11 +5,12 @@ vectorize the scalar matrix elements, the basis is sorted by one stable
 argsort instead of a lexsort, the level models solve each parity sector on
 its own instead of the full matrices, the Bose occupations are formed in
 place, the normal-phase fugacity and the first-order condensed root are
-Newton solves instead of bracketed ones, the symmetric-branch X, Y are
-formed in the Cholesky frame of the levels instead of from the generator
-T, and the pipeline never needs the shift vector z or the spectrum of the
-solved X, Y.  The tests compare the fast forms against these, so their
-arithmetic must stay as the formulas read.
+Newton solves instead of bracketed ones, the dense kinds' Brent root is a
+port of brentq that imports no scipy.optimize, the symmetric-branch X, Y
+are formed in the Cholesky frame of the levels instead of from the
+generator T, and the pipeline never needs the shift vector z or the
+spectrum of the solved X, Y.  The tests compare the fast forms against
+these, so their arithmetic must stay as the formulas read.
 """
 
 import math
@@ -230,6 +231,19 @@ def condensed_point(model, temperature, tol):
         energy_excess=energy_excess(model.levels(n0), temperature),
         iterations=result.function_calls, converged=True,
     )
+
+
+# scipy's Brent root: the reference for thermo._brent_root, a port of
+# brentq that must make the same evaluations and return the same root.
+
+def brent_root(residual, args, n_total, tol):
+    """brentq for residual(n0, *args) on [0, N] to within tol*N, or 4*eps
+    relative to n0: (n0, function_calls).  Raises brentq's ValueError (no
+    sign change on [0, N], or a nan residual) and RuntimeError (not
+    converged in 100 iterations)."""
+    n0, result = brentq(residual, 0.0, n_total, args=args, xtol=tol * n_total,
+                        rtol=4 * np.finfo(float).eps, full_output=True)
+    return n0, result.function_calls
 
 
 # The enumeration's sort by lexsort on (energy, n_1, ..., n_D): the reference

@@ -195,12 +195,13 @@ class TestRun:
                               capture_output=True, text=True, timeout=120).stdout.split()
 
     def test_ideal_and_perturbative1_load_no_optimize_or_linalg(self):
-        # Both import-time and sweep-time loads count: only the dense kinds'
-        # Brent root and --validate's general Riccati branch call them.
+        # Both import-time and sweep-time loads count: only --validate's
+        # general Riccati branch calls them.
         assert self.scipy_modules_loaded("ideal", "perturbative1") == []
 
-    def test_riccati_loads_optimize_at_its_brent_root(self):
-        assert "scipy.optimize" in self.scipy_modules_loaded("riccati")
+    def test_dense_kinds_load_no_optimize_or_linalg(self):
+        # Their Brent root is thermo's own port of brentq.
+        assert self.scipy_modules_loaded("perturbative2", "riccati") == []
 
 
 class TestValidate:

@@ -17,8 +17,6 @@ from numpy.polynomial.chebyshev import chebval
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-import scipy.optimize
-from scipy.optimize import brentq
 
 import trapbose.thermo as thermo
 from trapbose.cli import main
@@ -38,9 +36,9 @@ from trapbose import (
     solve_n0,
     sweep,
 )
-from oracles import (bogoliubov_levels, bose_occupation, condensed_point, fugacity_occupation_q,
-                     fugacity_occupation_r, normal_phase_point, quasiparticle_levels,
-                     spectrum_matrix)
+from oracles import (bogoliubov_levels, bose_occupation, brent_root, condensed_point,
+                     fugacity_occupation_q, fugacity_occupation_r, normal_phase_point,
+                     quasiparticle_levels, spectrum_matrix)
 
 CFG = TrapConfig()
 IDEAL = TrapConfig(g=0.0)
@@ -558,16 +556,16 @@ class TestSolveN0:
             assert abs(1000.0 - point.n0 - excited) <= 1e-9 * 1000.0
 
     def test_model_freed_without_garbage_collection(self, monkeypatch):
-        # brentq's function wrapper is a reference cycle; a model it held
-        # would stay alive until the garbage collector found that cycle.
+        # A model held by a reference cycle, such as a function that refers
+        # to itself, would stay alive until the garbage collector found it.
         # Without a table the dense kinds root-solve on direct levels, by
-        # brentq; perturbative1 takes the Newton path and makes no call.
-        # thermo._brent_root looks brentq up in scipy.optimize at each call.
+        # _brent_root; perturbative1 takes the Newton path and makes no call.
         basis = enumerate_basis(CFG, 400.0)
+        brent = thermo._brent_root
         for kind, brent_calls in (("perturbative1", 0), ("riccati", 1)):
             calls = []
-            monkeypatch.setattr(scipy.optimize, "brentq",
-                                lambda *a, **k: calls.append(1) or brentq(*a, **k))
+            monkeypatch.setattr(thermo, "_brent_root",
+                                lambda *a: calls.append(1) or brent(*a))
             model = SpectrumModel(CFG, basis, kind=kind)
             model.table = None
             freed = weakref.ref(model)
@@ -580,6 +578,26 @@ class TestSolveN0:
             finally:
                 gc.enable()
             assert len(calls) == brent_calls
+
+    @pytest.mark.parametrize("kind", ["perturbative2", "riccati"])
+    def test_nan_residual_fails_its_point_only(self, monkeypatch, tmp_path, capsys, kind):
+        # brentq raised ValueError on a nan residual, which is no TrapBoseError:
+        # it ended the sweep, and the CLI run, in a traceback.
+        direct = thermo._direct_residual
+        monkeypatch.setattr(thermo, "_direct_residual", lambda n0, model, temperature, n_total:
+                            math.nan if temperature == 2.0
+                            else direct(n0, model, temperature, n_total))
+        monkeypatch.setattr(thermo, "_table_sums", lambda *args: None)
+        cold, nan, warm = sweep(CFG, enumerate_basis(CFG, 20.0), [1.0, 2.0, 3.0],
+                                solver_kind=kind).points
+        assert cold.converged and warm.converged
+        assert not nan.converged
+        assert nan.fail_reason.startswith("ConvergenceError: Brent root: residual is nan at n0 = ")
+        config = tmp_path / "three.cfg"
+        config.write_text("e_cut = 20\nt_min = 1\nt_max = 3\n")
+        assert main(["--config", str(config), "--solver", kind,
+                     "--output", str(tmp_path / "three.csv")]) == 2
+        assert capsys.readouterr().err.startswith("# T=2: ConvergenceError: Brent root")
 
     @pytest.mark.parametrize("kind", thermo.SOLVER_KINDS)
     def test_vanishing_bare_level_fails_each_point(self, kind):
@@ -633,6 +651,68 @@ class TestSolveN0:
                 solve_n0(model, 1.0, tol=bad)
             with pytest.raises(ValueError, match="tol must be positive and finite"):
                 sweep(CFG, basis, [1.0, 2.0], solver_kind=kind, tol=bad)
+
+
+# Functions of x that _brent_root and brentq solve on [0, n], scaled by
+# scale: a root at r = share*n (f(n) = 0 at share 1), a zero on all of
+# [r, r + width*(n - r)] for "flat", which an iterate may hit exactly, and a
+# wave of amplitude width*n for "wavy", which may not change sign on [0, n];
+# a numpy float or a Python float, as the package's residuals return either.
+def _bracketing(x, shape, n, share, width, wave, scale, numpy):
+    r = share * n
+    if shape == "linear":
+        value = r - x
+    elif shape == "cubic":
+        value = (r - x) ** 3
+    elif shape == "steep":
+        value = math.expm1(wave * (r - x) / n)
+    elif shape == "wavy":
+        value = r - x + width * n * math.sin(wave * x / n)
+    else:
+        value = max(r - x, 0.0) - max(x - r - width * (n - r), 0.0)
+    return np.float64(scale * value) if numpy else scale * value
+
+
+def _decades(low, high):
+    return st.floats(low, high).map(lambda e: 10.0**e)
+
+
+class TestBrentRoot:
+    @settings(deadline=None, max_examples=400)
+    @given(shape=st.sampled_from(["linear", "cubic", "steep", "wavy", "flat"]),
+           n_total=_decades(-3.0, 6.0),
+           share=st.one_of(st.just(1.0), st.just(0.5), st.floats(0.0, 1.0)),
+           width=st.floats(0.0, 1.0), wave=st.floats(0.1, 60.0),
+           scale=st.one_of(st.just(1.0), _decades(-300.0, -150.0)),
+           tol=st.one_of(st.just(thermo.TOL_FLOOR), _decades(-14.0, -3.0)),
+           numpy=st.booleans())
+    # The extrapolation's denominator underflows to 0 (an inf step in C).
+    @example(shape="linear", n_total=1.0, share=0.3718, width=0.0, wave=1.0, scale=1e-150,
+             tol=1e-10, numpy=True)
+    # f(0)*f(1) underflows to -0.0: only the sign bits tell the signs apart.
+    @example(shape="linear", n_total=1.0, share=0.3718, width=0.0, wave=1.0, scale=1e-200,
+             tol=1e-10, numpy=True)
+    # The secant from the bracket lands on the root, where f is 0 exactly.
+    @example(shape="linear", n_total=1.0, share=0.5, width=0.0, wave=1.0, scale=1.0, tol=1e-10,
+             numpy=False)
+    def test_matches_brentq(self, shape, n_total, share, width, wave, scale, tol, numpy):
+        # The same root bits and function_calls as scipy's brentq, and a
+        # ConvergenceError where brentq raises.
+        args = (shape, n_total, share, width, wave, scale, numpy)
+        try:
+            expected = brent_root(_bracketing, args, n_total, tol)
+        except (ValueError, RuntimeError) as exc:
+            message = "one sign" if isinstance(exc, ValueError) else "not converged"
+            with pytest.raises(ConvergenceError, match=message):
+                thermo._brent_root(_bracketing, args, n_total, tol)
+            return
+        root, calls = thermo._brent_root(_bracketing, args, n_total, tol)
+        assert (root.hex(), calls) == (expected[0].hex(), expected[1])
+
+    def test_nan_residual_raises_with_it(self):
+        with pytest.raises(ConvergenceError, match="residual is nan at n0 = 1$") as caught:
+            thermo._brent_root(lambda x: 1.0 - 2.0 * x if x < 1.0 else math.nan, (), 1.0, 1e-10)
+        assert math.isnan(caught.value.residual)
 
 
 class TestSpectrumModel:
@@ -768,22 +848,25 @@ class TestLevelTable:
     @given(kind=st.sampled_from(["perturbative2", "riccati"]),
            frequencies=st.lists(st.floats(0.7, 2.0), min_size=1, max_size=3),
            g=st.floats(1e-5, 5e-4))
+    @example(kind="perturbative2", frequencies=[2.0, 2.0, 0.75], g=0.00046772273784261156)
     def test_node_chunks_match_one_batch(self, kind, frequencies, g):
         # Split into 2, 3, 5 or 17 node chunks on threads, whatever the size
         # of the stacks, the table and midpoints are those of one batch, bit
-        # for bit.
+        # for bit, and None where they are.  The example's second-order
+        # levels turn negative below N, so its table is None.
         e_cut = {1: 40.0, 2: 12.0, 3: 7.0}[len(frequencies)]
         cfg = TrapConfig(dimension=len(frequencies), frequencies=tuple(frequencies), g=g)
         basis = enumerate_basis(cfg, e_cut)
         whole = SpectrumModel(cfg, basis, kind=kind)
-        assert whole.table is not None and whole.midpoints is not None
         for cpus in (2, 3, 5, 17):
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(thermo, "MIN_CHUNK_WORK", 1)
                 patch.setattr(thermo, "_cpu_count", lambda: cpus)
                 split = SpectrumModel(cfg, basis, kind=kind)
-                assert np.array_equal(split.table, whole.table)
-                assert np.array_equal(split.midpoints, whole.midpoints)
+                for name in ("table", "midpoints"):
+                    ours, theirs = getattr(split, name), getattr(whole, name)
+                    assert (ours is None) == (theirs is None), name
+                    assert ours is None or np.array_equal(ours, theirs), name
 
     @settings(deadline=None, max_examples=30)
     @given(kind=st.sampled_from(["perturbative2", "riccati"]),
