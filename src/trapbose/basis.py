@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .config import TrapConfig
 from .errors import BasisTooLargeError, EmptyBasisError, IndexTooLargeError
@@ -26,6 +25,11 @@ ORACLE_MAX_INDEX = 40
 # plus two or three candidates per row.
 MAX_ENUMERATION_ENTRIES = 2**26
 
+# Most entries that the coupling blocks of parity_sectors, times the arrays
+# of their shape a caller keeps, may hold (2**26 float64 entries is 512 MiB).
+# parity_sectors tests it on the sector sizes before it builds any block.
+MAX_SECTOR_ENTRIES = 2**26
+
 
 @dataclass(frozen=True, eq=False)
 class BasisSet:
@@ -33,11 +37,26 @@ class BasisSet:
 
     quanta is a read-only (size, D) integer array, one state per row.
     Ordering is (energy, lexicographic row), so two runs with identical
-    inputs enumerate identically.
+    inputs enumerate identically.  A quanta that is not a 2-D integer array
+    with config.dimension columns, or holds a negative number, raises
+    ValueError.
     """
 
     quanta: np.ndarray
     config: TrapConfig
+
+    def __post_init__(self):
+        # The couplings index their Gamma tables by the quanta: a negative
+        # one would wrap around, and a column beyond D would go unread.
+        quanta, dimension = self.quanta, self.config.dimension
+        if not (isinstance(quanta, np.ndarray) and quanta.dtype.kind in "iu"
+                and quanta.ndim == 2 and quanta.shape[1] == dimension):
+            raise ValueError(
+                f"quanta must be a 2-D integer array with {dimension} columns, one per "
+                f"dimension of the trap; got {type(quanta).__name__} of shape "
+                f"{np.shape(quanta)}, dtype {getattr(quanta, 'dtype', None)}")
+        if quanta.min(initial=0) < 0:
+            raise ValueError(f"quanta must be non-negative; got {quanta.min()}")
 
     @property
     def size(self):
@@ -162,9 +181,11 @@ def _coupling_array(m, n, cfg: TrapConfig):
     Gamma/factorial magnitudes are accumulated in log space with the sign
     tracked separately, so large quantum numbers do not overflow.  The
     arithmetic is that of the scalar coupling_coefficient in tests/oracles.py
-    in the same order, with gammaln read from one table instead of evaluated
-    per element.  The log-magnitude and the sign are symmetric in m and n
-    operation by operation, so swapping m and n gives bit-identical values.
+    in the same order, with log Gamma read from the cached table of
+    _gamma_tables, whose entries are scipy's gammaln bit for bit, instead of
+    evaluated per element.  The log-magnitude and the sign are symmetric in m
+    and n operation by operation, so swapping m and n gives bit-identical
+    values.
     """
     half_gamma, log_factorial = _gamma_tables(max(m.max(initial=0), n.max(initial=0)))
     log_mag = _log_prefactor(cfg)
@@ -184,11 +205,76 @@ def _coupling_array(m, n, cfg: TrapConfig):
     return np.where(odd & 1, 0.0, np.where(sign & 2, -1.0, 1.0) * np.exp(log_mag))
 
 
+# Cephes lgam (S. L. Moshier, Cephes Math Library, gamma.c), the routine
+# behind scipy.special.gammaln, for x > 0: its coefficients, and its
+# operations in its order, on Python floats.  Every log is math.log, the C
+# library's log that Cephes calls; numpy's vectorized log differs from it in
+# the last bit at some arguments.  The values are gammaln's bit for bit.
+_LGAM_A = (8.11614167470508450300e-4, -5.95061904284301438324e-4, 7.93650340457716943945e-4,
+           -2.77777777730099687205e-3, 8.33333333333331927722e-2)
+_LGAM_B = (-1.37825152569120859100e3, -3.88016315134637840924e4, -3.31612992738871184744e5,
+           -1.16237097492762307383e6, -1.72173700820839662146e6, -8.53555664245765465627e5)
+# Cephes leaves out C's leading 1 and evaluates it by p1evl, which starts
+# from x + C[0]; Horner's rule from 1.0 * x + C[0] gives the same bits.
+_LGAM_C = (1.0, -3.51815701436523470549e2, -1.70642106651881159223e4, -2.20528590553854454839e5,
+           -1.13933444367982507207e6, -2.53252307177582951285e6, -2.01889141433532773231e6)
+_LS2PI = 0.91893853320467274178  # log(sqrt(2 pi))
+_MAXLGM = 2.556348e305  # beyond it log Gamma overflows
+
+
+def _polevl(x, coef):
+    """Horner's rule on coef, highest power first (Cephes polevl)."""
+    value = coef[0]
+    for c in coef[1:]:
+        value = value * x + c
+    return value
+
+
+def _lgam(x):
+    """log Gamma(x) for a float x > 0, as Cephes lgam computes it."""
+    if x < 13.0:
+        # Shift x into [2, 3) by the recurrence, keeping the product in z.
+        z, p, u = 1.0, 0.0, x
+        while u >= 3.0:
+            p -= 1.0
+            u = x + p
+            z *= u
+        while u < 2.0:
+            z /= u
+            p += 1.0
+            u = x + p
+        if u == 2.0:
+            return math.log(z)
+        x += p - 2.0
+        return math.log(z) + x * _polevl(x, _LGAM_B) / _polevl(x, _LGAM_C)
+    if x > _MAXLGM:
+        return math.inf
+    q = (x - 0.5) * math.log(x) - x + _LS2PI
+    if x > 1.0e8:
+        return q
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        return q + ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+                    + 0.0833333333333333333333) / x
+    return q + _polevl(p, _LGAM_A) / x
+
+
+@functools.lru_cache(maxsize=None)
+def _half_gamma(size):
+    # Sizes are powers of two, so a process keeps one table per doubling,
+    # and every run of a sweep's set-up finds its table here.
+    table = np.array([_lgam((k + 1) / 2) for k in range(size)])
+    table.flags.writeable = False
+    return table
+
+
 def _gamma_tables(top):
-    """gammaln(k/2 + 1/2) for k = 0..2*top + 1, and its odd entries log k!
-    for k = 0..top."""
-    # log k! = gammaln((2k + 2)/2), bit for bit: (2k + 2)/2 is k + 1 exactly.
-    half_gamma = gammaln((np.arange(2 * int(top) + 2) + 1) / 2.0)
+    """log Gamma(k/2 + 1/2) for k = 0..2*top + 1, and its odd entries log k!
+    for k = 0..top: read-only slices of a cached table of _lgam, equal to
+    scipy.special.gammaln bit for bit."""
+    # log k! = log Gamma((2k + 2)/2), bit for bit: (2k + 2)/2 is k + 1 exactly.
+    count = 2 * int(top) + 2
+    half_gamma = _half_gamma(1 << (count - 1).bit_length())[:count]
     return half_gamma, half_gamma[1::2]
 
 
@@ -197,9 +283,9 @@ def diagonal_coupling(basis: BasisSet):
 
     Cheap path for the first-order level formula; avoids the full matrix.
     With m = n every parity is even and every sign +, so the arithmetic of
-    _coupling_array reduces to per-dimension table lookups in the same
-    order, and the values are bit-identical to the diagonal of
-    build_matrices(basis, n0).coupling.
+    _coupling_array reduces to per-dimension lookups in the same cached
+    log Gamma table (_gamma_tables) in the same order, and the values are
+    bit-identical to the diagonal of build_matrices(basis, n0).coupling.
     """
     quanta = basis.quanta
     half_gamma, log_factorial = _gamma_tables(quanta.max(initial=0))
@@ -232,7 +318,7 @@ def build_matrices(basis: BasisSet, n0):
     )
 
 
-def parity_sectors(basis: BasisSet):
+def parity_sectors(basis: BasisSet, arrays=1):
     """The coupling matrix as blocks of its parity sectors, stacked by size.
 
     c_mn vanishes unless m_j + n_j is even in every dimension, so the states
@@ -242,16 +328,28 @@ def parity_sectors(basis: BasisSet):
     (k, m, m), where row i of index holds the basis indices of one sector in
     basis order.  Each block equals the matching block of
     build_matrices(basis, n0).coupling element for element.
+
+    arrays counts the blocks' coupling and the arrays of its shapes that the
+    caller keeps beside it.  When that many of them would hold more than
+    MAX_SECTOR_ENTRIES entries in all, BasisTooLargeError is raised before
+    any block is built.
     """
     if basis.size == 0:
         raise EmptyBasisError("basis is empty")
     quanta = basis.quanta
     key = (quanta % 2) @ (1 << np.arange(quanta.shape[1]))
-    order = np.argsort(key, kind="stable")
     sizes = np.bincount(key)
+    counts = sizes.tolist()
+    entries = sum(m * m for m in counts)
+    if arrays * entries > MAX_SECTOR_ENTRIES:
+        raise BasisTooLargeError(
+            f"the parity-sector blocks of {basis.size} states in dimension "
+            f"{basis.config.dimension} need {arrays} x {entries} entries, above the limit of "
+            f"{MAX_SECTOR_ENTRIES} (basis.MAX_SECTOR_ENTRIES)")
+    order = np.argsort(key, kind="stable")
     starts = np.cumsum(sizes) - sizes
     stacks = []
-    for m in sorted(set(sizes.tolist()) - {0}):
+    for m in sorted(set(counts) - {0}):
         index = order[starts[sizes == m][:, None] + np.arange(m)]
         block = np.take(quanta, index, axis=0)
         stacks.append((index, _coupling_array(block[..., :, None, :], block[..., None, :, :],

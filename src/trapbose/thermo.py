@@ -5,9 +5,8 @@ lambda = g*N0/2 on [0, N], and evaluates the condensate fraction and the
 energy above the reference E0 on a temperature grid.  The first-order levels
 (perturbative1) are affine in N0, so the residual is concave in N0 and
 Newton's method falls monotonically to its root; the dense kinds root-solve
-by Brent's method, ported from scipy's brentq so that a sweep of any kind
-loads scipy.special only.  Temperatures are in units of hbar*omega with
-k_B = 1.
+by Brent's method, ported from scipy's brentq so that a sweep loads no
+scipy.optimize.  Temperatures are in units of hbar*omega with k_B = 1.
 N0 is treated as a continuous macroscopic occupation.
 
 Above the condensation region the loop has no solution with N0 > 0; those
@@ -96,12 +95,13 @@ def _read_only(array):
 
 
 # The dense kinds solve each parity sector on its own.  Per kind: the
-# lambda-independent terms kept per sector-size group besides E and C, the
-# levels of one group at a column of lambda (shape (p, 1, 1, 1)) -- a (p, k, m)
-# array for a group of k sectors of size m, sorted within each sector -- and
-# the matrices each sector's eigen-solve takes (the spectrum matrix; A and B).
-# Each sector matrix is checked on its own, so a column of lambda gives the
-# rows, and raises the errors, of its lambdas solved one at a time.
+# functions of a sector-size group's energies and C that give the
+# lambda-independent terms it keeps besides E and C, the levels of one group
+# at a column of lambda (shape (p, 1, 1, 1)) -- a (p, k, m) array for a group
+# of k sectors of size m, sorted within each sector -- and the matrices each
+# sector's eigen-solve takes (the spectrum matrix; A and B).  Each sector
+# matrix is checked on its own, so a column of lambda gives the rows, and
+# raises the errors, of its lambdas solved one at a time.
 
 def _second_order_levels(lam, e, c, k):
     return real_eigenvalues(e + 4.0 * lam * c + lam**2 * k)
@@ -112,9 +112,8 @@ def _bogoliubov_levels(lam, e, c):
 
 
 _SECTOR_KINDS = {
-    "perturbative2": (lambda energies, coupling: (second_order_term(energies, coupling),),
-                      _second_order_levels, 1),
-    "riccati": (lambda energies, coupling: (), _bogoliubov_levels, 2),
+    "perturbative2": ((second_order_term,), _second_order_levels, 1),
+    "riccati": ((), _bogoliubov_levels, 2),
 }
 
 # The least work, in matrices times m^3 over all sectors and nodes, that one
@@ -203,7 +202,9 @@ class SpectrumModel:
     and P, Q are block diagonal in them.  At construction the model keeps,
     for each sector size m shared by k sectors, E as a (k, m, m) stack of
     diagonal matrices, the in-sector C blocks as a (k, m, m) stack, and for
-    perturbative2 the lambda^2 term K of the spectrum matrix.  A levels call
+    perturbative2 the lambda^2 term K of the spectrum matrix; when these
+    would hold more than basis.MAX_SECTOR_ENTRIES entries, the model raises
+    BasisTooLargeError before it builds any (parity_sectors).  A levels call
     is then one batched eigen-solve per sector size, and the levels of all
     sectors are returned sorted ascending.  The full-matrix path of
     tests/oracles.py (build_matrices -> spectrum_matrix or
@@ -260,10 +261,11 @@ class SpectrumModel:
             self.coupling_diagonal = _read_only(diagonal_coupling(basis))
         elif extra_terms is not None:
             self._groups = []
-            for index, coupling in parity_sectors(basis):
+            # Each group keeps E, C and the extra terms, all of C's shape.
+            for index, coupling in parity_sectors(basis, arrays=2 + len(extra_terms)):
                 sector = energies[index]
                 group = (sector[..., None] * np.eye(index.shape[1]), coupling,
-                         *extra_terms(sector, coupling))
+                         *[term(sector, coupling) for term in extra_terms])
                 self._groups.append(tuple(_read_only(a) for a in group))
             energies = np.sort(energies)
         self._energies = _read_only(energies)

@@ -1,16 +1,18 @@
 """The paper's printed formulas, kept as independent oracles for the tests.
 
 The package evaluates each of these in a faster form: the basis arrays
-vectorize the scalar matrix elements, the basis is sorted by one stable
-argsort instead of a lexsort, the level models solve each parity sector on
-its own instead of the full matrices, the Bose occupations are formed in
-place, the normal-phase fugacity and the first-order condensed root are
-Newton solves instead of bracketed ones, the dense kinds' Brent root is a
-port of brentq that imports no scipy.optimize, the symmetric-branch X, Y
-are formed in the Cholesky frame of the levels instead of from the
-generator T, and the pipeline never needs the shift vector z or the
-spectrum of the solved X, Y.  The tests compare the fast forms against
-these, so their arithmetic must stay as the formulas read.
+vectorize the scalar matrix elements, reading log Gamma from a table of
+its port of the Cephes lgam that scipy's gammaln runs, the basis is
+sorted by one stable argsort instead of a lexsort, the level models
+solve each parity sector on its own instead of the full matrices, the
+Bose occupations are formed in place, the normal-phase fugacity and the
+first-order condensed root are Newton solves instead of bracketed ones,
+the dense kinds' Brent root is a port of brentq that imports no
+scipy.optimize, the symmetric-branch X, Y are formed in the Cholesky
+frame of the levels instead of from the generator T, and the pipeline
+never needs the shift vector z or the spectrum of the solved X, Y.  The
+tests compare the fast forms against these, so their arithmetic must
+stay as the formulas read.
 """
 
 import math

@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from trapbose import (
     BasisTooLargeError,
     EmptyBasisError,
     IndexTooLargeError,
+    SpectrumModel,
     TrapConfig,
     build_matrices,
     diagonal_coupling,
@@ -19,7 +21,8 @@ from trapbose import (
     parity_sectors,
     quadrature_oracle_element,
 )
-from oracles import coupling_coefficient, lexsort_enumeration, oscillator_energy, source_coefficient
+from oracles import (coupling_coefficient, gammaln, lexsort_enumeration, oscillator_energy,
+                     source_coefficient)
 
 PAPER_1D = TrapConfig()
 SQRT2 = math.sqrt(2.0)
@@ -213,6 +216,80 @@ class TestEnumerateBasis:
         assert np.array_equal(build_matrices(sub, 500).coupling, full[:10, :10])
 
 
+class TestBasisSet:
+    @pytest.mark.parametrize("quanta, cfg", [
+        (np.array([[-1], [2]]), PAPER_1D),
+        (np.array([[1, 0], [2, 0]]), PAPER_1D),
+        (np.array([[1], [2]]), PAPER_2D),
+        (np.array([1, 2]), PAPER_1D),
+        (np.array([[1.0], [2.0]]), PAPER_1D),
+        (np.array([[True], [False]]), PAPER_1D),
+        ([[1], [2]], PAPER_1D),
+    ], ids=["negative", "column-beyond-d", "column-short", "1-d", "float", "bool", "list"])
+    def test_invalid_quanta_rejected(self, quanta, cfg):
+        # A negative quantum number used to wrap around the Gamma table:
+        # [[-1], [2]] gave the diagonal couplings [0.6647, 0.6647].
+        with pytest.raises(ValueError, match="quanta must be"):
+            BasisSet(quanta, cfg)
+
+    @pytest.mark.parametrize("quanta", [
+        np.zeros((0, 2), dtype=np.int64),
+        np.array([[0, 0], [3, 1]], dtype=np.uint8),
+        np.array([[2, 0], [0, 1]], dtype=np.int32),
+    ], ids=["empty", "uint8-ground-state", "int32"])
+    def test_integer_quanta_accepted(self, quanta):
+        assert BasisSet(quanta, PAPER_2D).size == len(quanta)
+
+
+class TestLogGamma:
+    # basis._lgam ports Cephes lgam, which scipy's gammaln runs: the two are
+    # compared bit for bit, as int64 views.
+
+    def test_half_integers_match_gammaln(self):
+        # 0.5 to 1e5: the recurrence below 13, the series of A below 1000
+        # and the three-term series from 1000.
+        x = np.arange(1, 200_001) / 2.0
+        port = np.array([basis_mod._lgam(v) for v in x.tolist()])
+        assert np.array_equal(port.view(np.int64), gammaln(x).view(np.int64))
+
+    @settings(max_examples=500, deadline=None)
+    @given(x=st.floats(min_value=0.0, max_value=1e-8, exclude_min=True)
+           | st.floats(min_value=1e8, allow_infinity=False)
+           | st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+    # The ends of each branch, the float range's ends, and the overflow
+    # bound MAXLGM.
+    @example(x=5e-324)
+    @example(x=2.0)
+    @example(x=math.nextafter(3.0, 0.0))
+    @example(x=3.0)
+    @example(x=math.nextafter(13.0, 0.0))
+    @example(x=13.0)
+    @example(x=math.nextafter(1000.0, 0.0))
+    @example(x=1000.0)
+    @example(x=1e8)
+    @example(x=math.nextafter(1e8, math.inf))
+    @example(x=2.556348e305)
+    @example(x=math.nextafter(2.556348e305, math.inf))
+    @example(x=sys.float_info.max)
+    def test_matches_gammaln(self, x):
+        assert np.float64(basis_mod._lgam(x)).view(np.int64) == gammaln(x).view(np.int64)
+
+    def test_cached_tables_match_gammaln(self):
+        # The table of 2*top + 2 entries is a slice of a cached one of a
+        # power-of-two size: tops whose table fills one (2**j - 1) and
+        # spills into the next (2**j), each built and then read again.
+        basis_mod._half_gamma.cache_clear()
+        for top in sorted({t for j in range(11) for t in (2**j - 1, 2**j)}):
+            for _ in range(2):
+                half_gamma, log_factorial = basis_mod._gamma_tables(top)
+                expected = gammaln((np.arange(2 * top + 2) + 1) / 2.0)
+                assert np.array_equal(half_gamma.view(np.int64), expected.view(np.int64))
+                assert np.array_equal(log_factorial, gammaln(np.arange(top + 1) + 1.0))
+                assert not half_gamma.flags.writeable and not log_factorial.flags.writeable
+        # One table per size 2, 4, ..., 4096.
+        assert basis_mod._half_gamma.cache_info().currsize == 12
+
+
 class TestCouplingCoefficient:
     # With the defaults the prefactor (m*omega/2 pi^2 hbar)^(D/2) is one.
 
@@ -361,6 +438,46 @@ class TestParitySectors:
                 assert np.all(keys[row] == keys[row[0]])
                 assert np.all(np.diff(row) > 0)
             assert np.array_equal(coupling, sysm.coupling[index[:, :, None], index[:, None, :]])
+
+
+    def test_size_guard(self, monkeypatch):
+        # The 3D (1, 1, 1) trap under 60: 39,710 states in 8 sectors, whose
+        # blocks hold 197,571,650 entries; building them used to exhaust
+        # an 8 GB machine.  No block may be built.
+        def build(*args):
+            raise AssertionError("a sector block was built")
+
+        monkeypatch.setattr(basis_mod, "_coupling_array", build)
+        cfg = TrapConfig(dimension=3, frequencies=(1.0, 1.0, 1.0))
+        basis = enumerate_basis(cfg, 60.0)
+        message = r"39710 states in dimension 3 need {} x 197571650 entries"
+        with pytest.raises(BasisTooLargeError, match=message.format(1)):
+            parity_sectors(basis)
+        for kind, arrays in (("perturbative2", 3), ("riccati", 2)):
+            with pytest.raises(BasisTooLargeError, match=message.format(arrays)):
+                SpectrumModel(cfg, basis, kind=kind)
+
+    def test_size_guard_bound_is_inclusive(self, monkeypatch):
+        # 1D under 61: sectors of 30 and 31 states, 30**2 + 31**2 = 1861
+        # entries, times the arrays each caller keeps: C; E, C and K for
+        # perturbative2; E and C for riccati.
+        basis = enumerate_basis(PAPER_1D, 61.0)
+        for build, arrays in ((parity_sectors, 1),
+                              (lambda b: SpectrumModel(PAPER_1D, b, kind="perturbative2"), 3),
+                              (lambda b: SpectrumModel(PAPER_1D, b, kind="riccati"), 2)):
+            monkeypatch.setattr(basis_mod, "MAX_SECTOR_ENTRIES", arrays * 1861)
+            build(basis)
+            monkeypatch.setattr(basis_mod, "MAX_SECTOR_ENTRIES", arrays * 1861 - 1)
+            with pytest.raises(BasisTooLargeError, match=f"need {arrays} x 1861 entries"):
+                build(basis)
+
+    @pytest.mark.parametrize("kind", ["perturbative2", "riccati"])
+    def test_size_guard_keeps_a_dense_2d_run(self, kind):
+        # The isotropic 2D trap under 60 (1,890 states) sweeps with both
+        # dense kinds in a few seconds; the guard must not reject it.
+        cfg = TrapConfig(dimension=2, frequencies=(1.0, 1.0))
+        model = SpectrumModel(cfg, enumerate_basis(cfg, 60.0), kind=kind)
+        assert model.levels(500.0).shape == (1890,)
 
 
 class TestQuadratureOracle:
