@@ -156,25 +156,25 @@ def _cpu_count():
 
 
 # Chebyshev points of the second kind in t = lambda/lambda_max = n0/N on
-# [0, 1], node k at sin(pi*k/(2n))^2 in the order of k, their barycentric
-# weights (Berrut and Trefethen, SIAM Rev. 46, 501 (2004)), and the tail map:
-# row i of tail maps the values at the n + 1 nodes to the coefficient of
-# T_(n-1+i)(2t - 1) in their interpolant, the last two.  _FINE is in
-# refinement order: its first 17 nodes (even k) are those of _COARSE, bit for
-# bit, as k/32 = (k/2)/16 exactly, and the other 16 lie between them.
+# [0, 1], node k of n at sin(pi*k/(2n))^2, their barycentric weights
+# (Berrut and Trefethen, SIAM Rev. 46, 501 (2004)), and the tail map: row i
+# of tail maps the values at the n + 1 nodes to the coefficient of
+# T_(n-1+i)(2t - 1) in their interpolant, the last two.  Each of the nested
+# _GRIDS (17, 33, 65 and 129 nodes) is in refinement order: the nodes of the
+# grid before it, bit for bit, as k/n = (k/2)/(n/2) exactly, then new ones.
 _Grid = namedtuple("_Grid", "nodes weights tail")
 
 
-def _chebyshev_grid(k):
-    n = k.size - 1
+def _chebyshev_grid(n):
+    k = np.arange(n + 1)
+    k = k[np.argsort(-np.gcd(k, n // 16), kind="stable")]
     nodes = np.sin(0.5 * np.pi * k / n) ** 2
     weights = np.where(k % n == 0, 0.5, 1.0) * (-1.0) ** k
     tail = np.linalg.inv(np.polynomial.chebyshev.chebvander(2.0 * nodes - 1.0, n))[-2:]
     return _Grid(*(_read_only(a) for a in (nodes, weights, tail)))
 
 
-_COARSE = _chebyshev_grid(np.arange(17))
-_FINE = _chebyshev_grid(np.r_[0:33:2, 1:33:2])
+_GRIDS = tuple(_chebyshev_grid(16 << j) for j in range(4))
 
 
 def _interpolate(grid, values, t):
@@ -213,25 +213,21 @@ class SpectrumModel:
 
     For the dense kinds, `table` is a read-only (17, size) array: row j
     holds the sector levels, in no particular order, at the Chebyshev node
-    lambda = _COARSE.nodes[j] * lambda_max, with lambda_max =
-    cfg.coupling_lambda(N).  It is built by one batched eigen-solve per
-    sector size at its first use (solve_n0 uses it at the first
-    condensed-phase point, so a sweep with none never builds it) and kept.
-    The build runs numpy's OpenBLAS on one thread, and when the table holds
-    enough work it splits its nodes across threads (_node_levels), as each
-    node's levels, and the checks of its sector matrices, depend on that
-    node alone.
-    `midpoints` is the (16, size) array of the levels at the last 16 nodes
-    of _FINE, between them, built the same way at the first point whose count
-    interpolant on the 17 nodes fails its tail test, and kept; a sweep that
-    never needs it never builds it.  solve_n0 interpolates the excited
-    count and energy between the nodes when the count's Chebyshev tail is
-    within tol*N.  table and midpoints are None for ideal and
+    lambda = _GRIDS[0].nodes[j] * lambda_max, with lambda_max =
+    cfg.coupling_lambda(N).  _blocks gives table, then the read-only rows at
+    the 16, 32 and 64 nodes that each later grid of _GRIDS adds.  Each block
+    is built at its first use (solve_n0 uses table at the first
+    condensed-phase point, so a sweep with none builds nothing, and reaches
+    a grid where the one before it fails its tail test) and kept.  A build
+    runs numpy's OpenBLAS on one thread, at most 17 nodes a call, and when a
+    call holds enough work it splits its nodes across threads
+    (_node_levels), as each node's levels, and the checks of its sector
+    matrices, depend on that node alone.  A block is None for ideal and
     perturbative1, at g = 0, when lambda_max is beyond the float range, and
-    when a node raises a TrapBoseError or has a non-positive level;
-    solve_n0 then evaluates every level directly.  levels(n0) always
-    evaluates directly.  Sector matrices that overflow raise
-    ConvergenceError.
+    when a node raises a TrapBoseError or has a non-positive level; solve_n0
+    then evaluates directly at each point that reaches it, and at every
+    point when table is None.  levels(n0) always evaluates directly.
+    Sector matrices that overflow raise ConvergenceError.
 
     cfg must describe the trap of basis.config; it gives N and lambda = g*N0/2
     to the loop.  At lambda = 0 every kind returns the bare levels: sorted
@@ -255,6 +251,7 @@ class SpectrumModel:
         energies = basis.energies()
         self.coupling_diagonal = None
         self._groups = None
+        self._refined = {}  # the blocks after table that _blocks has built
         extra_terms, self._sector_levels, self._sector_matrices = _SECTOR_KINDS.get(
             kind, (None, None, 0))
         if kind == "perturbative1":
@@ -296,15 +293,22 @@ class SpectrumModel:
 
     @cached_property
     def table(self):
-        """The levels of a dense model at the nodes of _COARSE, built at
+        """The levels of a dense model at the nodes of _GRIDS[0], built at
         first use; None when the model has none."""
-        return self._node_levels(_COARSE.nodes)
+        return self._node_levels(_GRIDS[0].nodes)
 
-    @cached_property
-    def midpoints(self):
-        """The levels at the last 16 nodes of _FINE, between those of table,
-        built at first use; None when the model has none."""
-        return self._node_levels(_FINE.nodes[17:])
+    def _blocks(self):
+        """table, then the rows at the nodes each later grid of _GRIDS adds,
+        built at first need in _node_levels calls of the first refinement's
+        16 nodes, and kept; a block is None when one of its calls is."""
+        yield self.table
+        for j, (coarse, grid) in enumerate(zip(_GRIDS, _GRIDS[1:])):
+            if j not in self._refined:
+                parts = [self._node_levels(nodes)
+                         for nodes in np.split(grid.nodes[coarse.nodes.size:], 1 << j)]
+                self._refined[j] = (None if any(part is None for part in parts)
+                                    else _read_only(np.concatenate(parts)))
+            yield self._refined[j]
 
     def _node_levels(self, nodes):
         """The levels at lambda_max * nodes, one row per node, or None.
@@ -588,26 +592,22 @@ def _node_sums(rows, temperature):
 
 
 def _table_sums(model, temperature, bare_count, tol):
-    """(grid, counts, energies) at the nodes of the first grid whose count
-    tail is within tol*N, _COARSE before _FINE; None when neither is, or
-    the model has no table."""
-    table = model.table
-    if table is None:
-        return None
-    limit = tol * model.cfg.n_particles
-    counts, energies = _node_sums(table, temperature)
-    # Node 0 is lambda = 0: the count that chose this phase, so f(0) > 0
-    # holds on the interpolant too.
-    counts[0] = bare_count
-    if np.sum(np.abs(_COARSE.tail @ counts)) <= limit:
-        return _COARSE, counts, energies
-    midpoints = model.midpoints
-    if midpoints is None:
-        return None
-    mid_counts, mid_energies = _node_sums(midpoints, temperature)
-    counts = np.concatenate([counts, mid_counts])
-    if np.sum(np.abs(_FINE.tail @ counts)) <= limit:
-        return _FINE, counts, np.concatenate([energies, mid_energies])
+    """(grid, counts, energies) at the nodes of the first grid of _GRIDS
+    whose count tail is within max(tol, TOL_FLOOR)*N; None when none is, or
+    the model's block of a grid it reaches (_blocks) is None."""
+    limit = max(tol, TOL_FLOOR) * model.cfg.n_particles
+    sums = None
+    for grid, block in zip(_GRIDS, model._blocks()):
+        if block is None:
+            return None
+        new = _node_sums(block, temperature)
+        sums = new if sums is None else [np.concatenate(pair) for pair in zip(sums, new)]
+        counts = sums[0]
+        # Node 0 is lambda = 0: the count that chose this phase, so f(0) > 0
+        # holds on the interpolant too.
+        counts[0] = bare_count
+        if np.sum(np.abs(grid.tail @ counts)) <= limit:
+            return grid, *sums
     return None
 
 
@@ -635,11 +635,11 @@ def solve_n0(model: SpectrumModel, temperature, tol=DEFAULT_TOL):
     their interpolants in t = n0/N converge geometrically, and the last two
     Chebyshev coefficients of the count interpolant estimate its error
     (Chebfun's test: Trefethen, Approximation Theory and Approximation
-    Practice, ch. 8).  When they sum to at most tol*N in magnitude on the
-    17 nodes of the table, or else on those 17 and the 16 model.midpoints
-    between them, the root is found on that interpolant, whose node 0 is
-    the bare count above, and the energy is interpolated; otherwise, and
-    without a table, on direct levels.  Each point makes one root solve.
+    Practice, ch. 8).  On the first grid of model._blocks (17, 33, 65 or
+    129 nodes) where they sum to at most max(tol, TOL_FLOOR)*N in magnitude,
+    the root is found on that interpolant, whose node 0 is the bare count
+    above, and the energy is interpolated; otherwise, and without a table,
+    on direct levels.  Each point makes one root solve.
 
     The bare count is sum 1/r over r = expm1(eps/T), bit for bit the
     in-place kernel _bose, through which every other Bose sum goes; the

@@ -226,7 +226,7 @@ class TestBoseKernel:
     @pytest.mark.parametrize("kind", ["perturbative2", "riccati"])
     def test_node_sums_match_formula(self, kind):
         model = SpectrumModel(CFG, enumerate_basis(CFG, 60.0), kind=kind)
-        for rows in (model.table, model.midpoints):
+        for rows in model._blocks():
             for temperature in (0.05, 1.0, 7.5, 300.0):
                 with np.errstate(over="ignore"):
                     counts, energies = thermo._node_sums(rows, temperature)
@@ -851,9 +851,9 @@ class TestLevelTable:
     @example(kind="perturbative2", frequencies=[2.0, 2.0, 0.75], g=0.00046772273784261156)
     def test_node_chunks_match_one_batch(self, kind, frequencies, g):
         # Split into 2, 3, 5 or 17 node chunks on threads, whatever the size
-        # of the stacks, the table and midpoints are those of one batch, bit
-        # for bit, and None where they are.  The example's second-order
-        # levels turn negative below N, so its table is None.
+        # of the stacks, the block of every grid is that of one batch, bit
+        # for bit, and None where it is.  The example's second-order levels
+        # turn negative below N, so its table is None.
         e_cut = {1: 40.0, 2: 12.0, 3: 7.0}[len(frequencies)]
         cfg = TrapConfig(dimension=len(frequencies), frequencies=tuple(frequencies), g=g)
         basis = enumerate_basis(cfg, e_cut)
@@ -863,10 +863,11 @@ class TestLevelTable:
                 patch.setattr(thermo, "MIN_CHUNK_WORK", 1)
                 patch.setattr(thermo, "_cpu_count", lambda: cpus)
                 split = SpectrumModel(cfg, basis, kind=kind)
-                for name in ("table", "midpoints"):
-                    ours, theirs = getattr(split, name), getattr(whole, name)
-                    assert (ours is None) == (theirs is None), name
-                    assert ours is None or np.array_equal(ours, theirs), name
+                blocks = list(zip(split._blocks(), whole._blocks()))
+                assert len(blocks) == len(thermo._GRIDS)
+                for j, (ours, theirs) in enumerate(blocks):
+                    assert (ours is None) == (theirs is None), j
+                    assert ours is None or np.array_equal(ours, theirs), j
 
     @settings(deadline=None, max_examples=30)
     @given(kind=st.sampled_from(["perturbative2", "riccati"]),
@@ -878,29 +879,33 @@ class TestLevelTable:
     @example(kind="perturbative2", trap=((1.0,), 14.0, 40.0), share=1.0, g=1e200, chunks=17)
     @example(kind="riccati", trap=((1.0,), 14.0, 40.0), share=1.0, g=1e200, chunks=17)
     def test_split_table_fails_where_one_node_does(self, kind, trap, share, g, chunks):
-        # In any number of node chunks the table is that of one call, bit for
-        # bit, None included, and it is None exactly when a node solved alone
-        # raises or has a level <= 0.
+        # In any number of node chunks the block of every grid is that of
+        # one call, bit for bit, None included, and it is None exactly when
+        # a node of it solved alone raises or has a level <= 0.
         frequencies, low, high = trap
         cfg = TrapConfig(dimension=len(frequencies), frequencies=frequencies, g=g)
         basis = enumerate_basis(cfg, low + share * (high - low))
+        lam_max = cfg.coupling_lambda(cfg.n_particles)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(thermo, "_cpu_count", lambda: 1)
             whole = SpectrumModel(cfg, basis, kind=kind)
-            lam = cfg.coupling_lambda(cfg.n_particles) * thermo._COARSE.nodes
-            table = whole.table
-            fails = False
-            for i in range(lam.size):
-                try:
-                    fails |= bool(np.any(whole._sectors(lam[[i]]) <= 0.0))
-                except TrapBoseError:
-                    fails = True
+            blocks = list(whole._blocks())
+            fails = []
+            for coarse, grid in zip((None,) + thermo._GRIDS, thermo._GRIDS):
+                fails.append(False)
+                for node in grid.nodes[0 if coarse is None else coarse.nodes.size:]:
+                    try:
+                        fails[-1] |= bool(np.any(whole._sectors(np.array([lam_max * node])) <= 0.0))
+                    except TrapBoseError:
+                        fails[-1] = True
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(thermo, "MIN_CHUNK_WORK", 1)
             patch.setattr(thermo, "_cpu_count", lambda: chunks)
-            split = SpectrumModel(cfg, basis, kind=kind).table
-        assert (table is None) == (split is None) == fails
-        assert table is None or np.array_equal(split, table)
+            split = list(SpectrumModel(cfg, basis, kind=kind)._blocks())
+        assert len(blocks) == len(split) == len(fails) == len(thermo._GRIDS)
+        for block, ours, fail in zip(blocks, split, fails):
+            assert (block is None) == (ours is None) == fail
+            assert block is None or np.array_equal(ours, block)
 
     def test_levels_are_never_split(self, node_chunks, pools, chunk_sizes):
         # A levels call solves one lambda, a node axis of length 1.
@@ -933,11 +938,15 @@ class TestLevelTable:
         basis = enumerate_basis(cfg, 8.0)
         model = SpectrumModel(cfg, basis, kind="riccati")
         assert model.table is not None and threading.active_count() == before
-        assert model.midpoints is not None and threading.active_count() == before
+        for block in model._blocks():
+            assert block is not None and threading.active_count() == before
+        # The 17 nodes, then the 16, 32 and 64 of the later grids, 16 a call.
+        assert pools == [16] + [15] * 7
+        pools.clear()
         curve = sweep(cfg, basis, np.linspace(0.2, 8.0, 10), solver_kind="riccati")
         assert all(p.converged for p in curve.points)
         assert threading.active_count() == before
-        assert pools == [16, 15] * 2  # the 17 nodes, then the 16 midpoints
+        assert pools == [16, 15]  # the 17 nodes, then the 16 of the 33-node grid
 
     @pytest.mark.parametrize("kind", ["ideal", "perturbative1"])
     def test_no_table_for_diagonal_kinds(self, kind):
@@ -969,37 +978,57 @@ class TestLevelTable:
         # A basis in shuffled order: every node holds the direct levels at
         # its lambda (computed there as lambda_max * t, so lambda itself
         # rounds differently), and between the nodes the interpolated count
-        # follows the direct one, on the 17 nodes and on all 33.
+        # follows the direct one, on the 17 nodes and on each finer grid.
         basis = shuffled_basis()
         model = SpectrumModel(CFG, basis, kind="riccati")
-        table, midpoints = model.table, model.midpoints
-        assert table.shape == (17, basis.size)
-        assert midpoints.shape == (16, basis.size)
-        assert not table.flags.writeable and not midpoints.flags.writeable
-        rows = np.concatenate([table, midpoints])
-        for node, row in zip(thermo._FINE.nodes, rows):
+        blocks = list(model._blocks())
+        assert blocks[0] is model.table
+        assert [block.shape for block in blocks] == [(17, basis.size), (16, basis.size),
+                                                     (32, basis.size), (64, basis.size)]
+        assert not any(block.flags.writeable for block in blocks)
+        rows = np.concatenate(blocks)
+        for node, row in zip(thermo._GRIDS[-1].nodes, rows):
             np.testing.assert_allclose(np.sort(row), model.levels(node * 1000.0),
                                        rtol=1e-12, atol=0.0)
-        for grid, values in ((thermo._COARSE, table), (thermo._FINE, rows)):
+        for grid in thermo._GRIDS:
+            values = rows[:grid.nodes.size]
             counts = np.sum(occupation(values, 5.0), axis=1)
             for n0 in (3.0, 333.0, 777.0):
                 count = thermo._interpolate(grid, counts, n0 / 1000.0)
                 assert count == pytest.approx(excited_count(model.levels(n0), 5.0), rel=1e-12)
 
     def test_coarse_nodes_are_the_first_fine_nodes(self):
-        # _FINE is in refinement order: the 17 nodes of _COARSE, bit for
-        # bit, then one between each two of them.
-        coarse, fine = thermo._COARSE.nodes, thermo._FINE.nodes
-        assert coarse.size == 17 and fine.size == 33
-        assert np.array_equal(coarse, fine[:17])
-        assert np.all(coarse[:-1] < fine[17:]) and np.all(fine[17:] < coarse[1:])
+        # Each grid is in refinement order: the nodes of the grid before
+        # it, bit for bit, then one between each two of them.
+        assert [grid.nodes.size for grid in thermo._GRIDS] == [17, 33, 65, 129]
+        for coarse, fine in zip(thermo._GRIDS, thermo._GRIDS[1:]):
+            size = coarse.nodes.size
+            assert np.array_equal(coarse.nodes, fine.nodes[:size])
+            ordered, new = np.sort(coarse.nodes), np.sort(fine.nodes[size:])
+            assert np.all(ordered[:-1] < new) and np.all(new < ordered[1:])
+
+    def test_first_two_grids_are_the_former_grids(self):
+        # The 17-node grid in the order of k and the 33-node grid with even
+        # k first, as built before the grids were one sequence: nodes,
+        # weights and tail map, bit for bit, so a point that solves on 17 or
+        # 33 nodes gives the same bits.
+        def grid(k):
+            n = k.size - 1
+            nodes = np.sin(0.5 * np.pi * k / n) ** 2
+            weights = np.where(k % n == 0, 0.5, 1.0) * (-1.0) ** k
+            tail = np.linalg.inv(np.polynomial.chebyshev.chebvander(2.0 * nodes - 1.0, n))[-2:]
+            return nodes, weights, tail
+
+        for ours, k in zip(thermo._GRIDS, (np.arange(17), np.r_[0:33:2, 1:33:2])):
+            for mine, theirs in zip(ours, grid(k)):
+                assert np.array_equal(mine, theirs)
 
     def test_interpolant_is_exact_at_the_nodes(self):
         # At a node the interpolant returns that node's value, bit for bit,
         # so the bracket of a root solve on it holds exactly: f(0) = N -
         # bare count > 0 and f(N) = -(count at lambda_max) <= 0.
-        values = np.random.default_rng(5).standard_normal(33)
-        for grid in (thermo._COARSE, thermo._FINE):
+        values = np.random.default_rng(5).standard_normal(129)
+        for grid in thermo._GRIDS:
             for k, node in enumerate(grid.nodes):
                 assert thermo._interpolate(grid, values[:grid.nodes.size], node) == values[k]
 
@@ -1018,7 +1047,7 @@ class TestLevelTable:
         assert calls == [0.0] * 20
 
     def test_tail_map_gives_the_last_two_chebyshev_coefficients(self):
-        for grid in (thermo._COARSE, thermo._FINE):
+        for grid in thermo._GRIDS:
             x = 2.0 * grid.nodes - 1.0
             coefficients = np.random.default_rng(3).standard_normal(grid.nodes.size)
             np.testing.assert_allclose(grid.tail @ chebval(x, coefficients),
@@ -1036,8 +1065,8 @@ class TestLevelTable:
 
     def test_one_dimensional_sweep_builds_only_the_coarse_nodes(self, monkeypatch, table_calls):
         # The p2-1d benchmark sweep: every condensed point passes the tail
-        # test on the 17 nodes, so the midpoints are never built, and no
-        # point needs a direct eigen-solve.
+        # test on the 17 nodes, so no finer grid is built, and no point
+        # needs a direct eigen-solve.
         basis = enumerate_basis(CFG, 120.0)
         models = []
 
@@ -1051,12 +1080,12 @@ class TestLevelTable:
         assert all(p.converged and not p.normal_phase for p in curve.points)
         assert table_calls == [17]
         assert models[0].table.shape == (17, basis.size)
-        assert "midpoints" not in vars(models[0])
+        assert models[0]._refined == {}
 
     def test_three_dimensional_sweep_adds_the_midpoints_once(self, monkeypatch, table_calls):
         # A 3D riccati sweep fails the tail test on 17 nodes at about half
         # of its points and passes it on 33: one batch of 17 nodes, then one
-        # of the 16 midpoints, and no direct eigen-solve.
+        # of the 16 nodes the 33-node grid adds, and no direct eigen-solve.
         cfg = TrapConfig(dimension=3, frequencies=(1.0, 1.3, 0.7))
         basis = enumerate_basis(cfg, 8.0)
         grid = np.linspace(0.2, 8.0, 40)
@@ -1069,6 +1098,88 @@ class TestLevelTable:
             reference = solve_n0(direct, temperature)
             assert point.converged and point.normal_phase == reference.normal_phase
             assert abs(point.n0 - reference.n0) <= 2 * thermo.DEFAULT_TOL * 1000
+
+    @staticmethod
+    def record_grids(monkeypatch):
+        """The node count of the grid that each table-path solve_n0 from
+        now on solves on, None where it falls to direct levels."""
+        grids = []
+        table_sums = thermo._table_sums
+
+        def recording(*args):
+            sums = table_sums(*args)
+            grids.append(None if sums is None else sums[0].nodes.size)
+            return sums
+
+        monkeypatch.setattr(thermo, "_table_sums", recording)
+        return grids
+
+    def test_strong_coupling_sweep_refines_to_129_nodes(self, monkeypatch, table_calls):
+        # At g = 0.02 the riccati count needs more nodes as T grows: 5
+        # points pass the tail test on 65 nodes and 3 on 129, and none falls
+        # to direct levels.  No build hands _sectors more than 17 lambdas:
+        # the 17 nodes, then the 16, 32 and 64 new ones 16 a call.
+        cfg = TrapConfig(g=0.02)
+        grids = self.record_grids(monkeypatch)
+        curve = sweep(cfg, enumerate_basis(cfg, 60.0), np.arange(1.0, 9.0),
+                      solver_kind="riccati")
+        assert all(p.converged and not p.normal_phase for p in curve.points)
+        assert sorted(grids) == [65] * 5 + [129] * 3
+        assert table_calls == [17] + [16] * 7
+
+    @settings(deadline=None, max_examples=20)
+    @given(kind=st.sampled_from(["perturbative2", "riccati"]), e_cut=st.floats(40.0, 120.0),
+           g=st.floats(-5.0, math.log10(0.02)).map(lambda x: 10.0**x))
+    @example(kind="riccati", e_cut=60.0, g=0.02)
+    @example(kind="perturbative2", e_cut=60.0, g=0.02)
+    def test_refined_path_matches_direct_path(self, kind, e_cut, g):
+        # On any grid up to 129 nodes the root is within 2 tol*N of the
+        # direct one, the bound of --validate's interpolant-vs-direct.  The
+        # first example solves 5 points on 65 nodes and 3 on 129.  Where a
+        # direct root raises, as at every point of the second example (its
+        # second-order levels turn negative below N), the model raises the
+        # same error.
+        cfg = TrapConfig(g=g)
+        basis = enumerate_basis(cfg, e_cut)
+        model = SpectrumModel(cfg, basis, kind=kind)
+        direct = SpectrumModel(cfg, basis, kind=kind)
+        direct.table = None
+        for temperature in np.arange(1.0, 9.0):
+            try:
+                reference = solve_n0(direct, temperature)
+            except TrapBoseError as exc:
+                with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                    solve_n0(model, temperature)
+                continue
+            point = solve_n0(model, temperature)
+            assert point.normal_phase == reference.normal_phase
+            assert abs(point.n0 - reference.n0) <= 2.0 * thermo.DEFAULT_TOL * 1000.0
+            assert abs(point.energy_excess - reference.energy_excess) <= 1e-12 * 1000.0
+
+    @pytest.mark.parametrize("kind", ["perturbative2", "riccati"])
+    def test_tol_below_the_floor_keeps_the_table(self, kind, monkeypatch):
+        # tol = 1e-17 asks for a count tail below rounding.  The tail test
+        # takes the floor TOL_FLOOR*N at which the root solve stops, so
+        # every point solves on the 17 nodes; against tol*N itself, 12
+        # perturbative2 points here need 33 nodes and 2 riccati points fall
+        # to direct levels.  The bound, 4 TOL_FLOOR*N: each Brent root lies
+        # within tol*N + TOL_FLOOR*n0 of a root of its residual (2 in all),
+        # the tail test accepts an interpolant whose count error it
+        # estimates at TOL_FLOOR*N (1), and 1 is left for rounding in the
+        # count sums of either path.  The largest gap here is 0.26.
+        basis = enumerate_basis(CFG, 120.0)
+        model = SpectrumModel(CFG, basis, kind=kind)
+        direct = SpectrumModel(CFG, basis, kind=kind)
+        direct.table = None
+        temperatures = np.arange(1.0, 16.0)
+        references = [solve_n0(direct, temperature, tol=1e-17) for temperature in temperatures]
+        calls = self.record_levels_calls(monkeypatch)
+        for temperature, reference in zip(temperatures, references):
+            point = solve_n0(model, temperature, tol=1e-17)
+            assert point.converged and not point.normal_phase and not reference.normal_phase
+            assert abs(point.n0 - reference.n0) <= 4.0 * thermo.TOL_FLOOR * 1000.0
+        assert calls == [0.0] * 15
+        assert model._refined == {}
 
     @staticmethod
     def record_levels_calls(monkeypatch):
@@ -1266,7 +1377,7 @@ class TestNodeChunks:
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(len(models)) as pool:
-                tables = list(pool.map(lambda model: model._node_levels(thermo._COARSE.nodes),
+                tables = list(pool.map(lambda model: model._node_levels(thermo._GRIDS[0].nodes),
                                        models, timeout=60))
         finally:
             sys.setswitchinterval(interval)
