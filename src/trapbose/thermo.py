@@ -23,7 +23,6 @@ import math
 import os
 import sys
 import threading
-from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import cache, cached_property
@@ -53,11 +52,13 @@ def _require_positive(levels):
 def _bose(x):
     """Bose occupations 1/(exp(x) - 1) at x = eps/T - log z, written over x.
 
-    x is a float array that no caller reads again.  A level that freezes
-    out (x beyond the float range of exp) overflows expm1 to inf and gets
-    exactly 0, so the caller holds np.errstate(over="ignore").  The levels
-    are not checked: the caller knows them to be positive.  solve_n0 forms
-    the bare count the same way, keeping expm1(x) for the normal phase.
+    x is a float array that no caller reads again: _affine_root passes the
+    occupation buffer of its point's workspace (solve_n0's, not the
+    model's), which holds levels/T.  A level that freezes out (x beyond
+    the float range of exp) overflows expm1 to inf and gets exactly 0, so
+    the caller holds np.errstate(over="ignore").  The levels are not
+    checked: the caller knows them to be positive.  solve_n0 forms the
+    bare count the same way, keeping expm1(x) for the normal phase.
     """
     np.expm1(x, out=x)
     return np.reciprocal(x, out=x)
@@ -162,19 +163,27 @@ def _cpu_count():
 # T_(n-1+i)(2t - 1) in their interpolant, the last two.  Each of the nested
 # _GRIDS (17, 33, 65 and 129 nodes) is in refinement order: the nodes of the
 # grid before it, bit for bit, as k/n = (k/2)/(n/2) exactly, then new ones.
-_Grid = namedtuple("_Grid", "nodes weights tail")
+class _Grid:
+    def __init__(self, n):
+        k = np.arange(n + 1)
+        k = k[np.argsort(-np.gcd(k, n // 16), kind="stable")]
+        self.nodes = _read_only(np.sin(0.5 * np.pi * k / n) ** 2)
+        self.weights = _read_only(np.where(k % n == 0, 0.5, 1.0) * (-1.0) ** k)
+
+    @cached_property
+    def tail(self):
+        """Two rows of the inverse Chebyshev-Vandermonde matrix, built at
+        first use, so that importing the package inverts no matrix, and a
+        sweep only those of the grids it reaches.  The inverse of 129 nodes
+        takes other bits on one BLAS thread than on two, so it is formed
+        under _BLAS_LOCK, on the BLAS threads the process runs with rather
+        than the one a table build on another thread may have set."""
+        vander = np.polynomial.chebyshev.chebvander(2.0 * self.nodes - 1.0, self.nodes.size - 1)
+        with _BLAS_LOCK:
+            return _read_only(np.linalg.inv(vander)[-2:])
 
 
-def _chebyshev_grid(n):
-    k = np.arange(n + 1)
-    k = k[np.argsort(-np.gcd(k, n // 16), kind="stable")]
-    nodes = np.sin(0.5 * np.pi * k / n) ** 2
-    weights = np.where(k % n == 0, 0.5, 1.0) * (-1.0) ** k
-    tail = np.linalg.inv(np.polynomial.chebyshev.chebvander(2.0 * nodes - 1.0, n))[-2:]
-    return _Grid(*(_read_only(a) for a in (nodes, weights, tail)))
-
-
-_GRIDS = tuple(_chebyshev_grid(16 << j) for j in range(4))
+_GRIDS = tuple(_Grid(16 << j) for j in range(4))
 
 
 def _interpolate(grid, values, t):
@@ -270,13 +279,29 @@ class SpectrumModel:
         # solve_n0 raises UnstableSpectrumError at each point when it fails.
         self._bare_positive = not (energies <= 0.0).any()
 
-    def levels(self, n0):
+    def levels(self, n0, out=None):
+        """The levels at condensate occupation n0, written into out when
+        it is given (a float array of the model's size) and out returned.
+
+        Without out, lambda = 0 returns the model's read-only bare levels
+        and every other n0 a new array.  solve_n0's Newton solves pass a
+        buffer of their point's workspace, so that each evaluation is still
+        one levels call; the model keeps no buffer of its own, and one
+        model may serve solve_n0 on several threads.
+        """
         lam = self.cfg.coupling_lambda(n0)
         if lam == 0.0:
-            return self._energies
-        if self._sector_levels is None:
-            return self._energies + 4.0 * lam * self.coupling_diagonal
-        return np.sort(self._sectors(np.array([lam]))[0])
+            levels = self._energies
+        elif self._sector_levels is None:
+            # E + (4*lam)*c, the product formed in out when it is given.
+            levels = np.multiply(4.0 * lam, self.coupling_diagonal, out=out)
+            return np.add(self._energies, levels, out=levels)
+        else:
+            levels = np.sort(self._sectors(np.array([lam]))[0])
+        if out is None:
+            return levels
+        out[...] = levels
+        return out
 
     def _sectors(self, lam):
         """The sector levels at each lambda of lam, one row per lambda."""
@@ -477,19 +502,28 @@ def _brent_root(residual, args, n_total, tol):
 N0_MAX_EVALUATIONS = 50
 
 
-def _affine_root(model, temperature, n_total, bare_count, tol):
+def _affine_root(model, temperature, n_total, bare_count, tol, levels, occ):
     """Newton's method for f(n0) on the affine levels of model:
-    (n0, energy, evaluations)."""
+    (n0, energy, evaluations).
+
+    The solve runs in the workspace of solve_n0's bare count: each
+    evaluation writes its levels over `levels` (the bare count's r, which
+    is not read again) in one model.levels(n0, out=levels) call, levels/T
+    and then their occupations over occ (_bose), and the slope weight
+    occ*(1 + occ) into the one buffer this allocates; the model keeps no
+    buffer.  Every sum is np.add.reduce, the pairwise sum of ndarray.sum.
+    """
     g = model.cfg.g
     limit = max(tol, TOL_FLOOR) * n_total
+    weight = np.empty_like(occ)
     n0, fall = n_total - bare_count, math.nan
     for evaluations in range(1, N0_MAX_EVALUATIONS + 1):
-        levels = model.levels(n0)
-        occ = _bose(levels / temperature)
-        residual = n_total - n0 - float(occ.sum())
+        model.levels(n0, out=levels)
+        _bose(np.divide(levels, temperature, out=occ))
+        residual = n_total - n0 - float(np.add.reduce(occ))
         # f'(n0) = -1 + (2g/T) sum c*occ*(1 + occ); g multiplies last, so
         # frozen levels (occ = 0) give -1 at any finite g, not inf*0.
-        weight = occ + 1.0
+        np.add(occ, 1.0, out=weight)
         weight *= occ
         slope = -1.0 + g * (2.0 * float(weight @ model.coupling_diagonal) / temperature)
         if not slope < 0.0:
@@ -527,10 +561,12 @@ FUGACITY_TOL = 1e-15
 FUGACITY_MAX_EVALUATIONS = 50
 
 
-def _fugacity_occupations(u, r):
+def _fugacity_occupations(u, r, out=None):
     """Occupations z/(r + 1 - z) at z = exp(u): one evaluation of the
-    normal-phase Newton solve."""
-    occ = r - math.expm1(u)
+    normal-phase Newton solve, written into out when it is given (the
+    solve passes the occupation buffer of its point's workspace, which
+    lives for one solve_n0 call) and into a new array otherwise."""
+    occ = np.subtract(r, math.expm1(u), out=out)
     return np.divide(math.exp(u), occ, out=occ)
 
 
@@ -553,15 +589,18 @@ def _fugacity_start(r, occ, n_total):
     """
     size = r.size
     occ += 1.0
-    spread = np.reciprocal(occ, out=occ).sum() / size
+    spread = np.add.reduce(np.reciprocal(occ, out=occ)) / size
     return min(-math.log1p(-spread) - math.log1p(size / n_total) * (1.0 - 2.0**-48), 0.0)
 
 
 def _normal_phase_point(levels, r, occ, temperature, n_total):
+    """The normal-phase point of the bare levels, solved in the workspace
+    of solve_n0's bare count: r is read, and each evaluation writes its
+    occupations into occ."""
     u = _fugacity_start(r, occ, n_total)
     for _ in range(FUGACITY_MAX_EVALUATIONS):
-        occ = _fugacity_occupations(u, r)
-        count = float(occ.sum())
+        _fugacity_occupations(u, r, out=occ)
+        count = float(np.add.reduce(occ))
         h = math.log(count / n_total)
         # h'(u) = sum occ*(1 + occ) / count.
         step = h * count / (count + float(occ @ occ))
@@ -644,7 +683,13 @@ def solve_n0(model: SpectrumModel, temperature, tol=DEFAULT_TOL):
     The bare count is sum 1/r over r = expm1(eps/T), bit for bit the
     in-place kernel _bose, through which every other Bose sum goes; the
     normal phase solves on that r (see _normal_phase_point).  All of them
-    run under one np.errstate(over="ignore") for the point.  Raises
+    run under one np.errstate(over="ignore") for the point.  For ideal and
+    perturbative1 the bare count's r and 1/r are the point's workspace:
+    the normal phase writes each evaluation's occupations over 1/r, and
+    the Newton solve its levels over r and their occupations over 1/r,
+    with one more buffer for its slope weight (_affine_root).  The
+    buffers live for the call and the model keeps none, so one model may
+    serve solve_n0 on several threads.  Raises
     UnstableSpectrumError when a level it sums is not positive: the bare
     levels (tested once per model, raised at each point), the direct levels
     of the dense kinds by excited_count, and nothing else, as the
@@ -662,20 +707,22 @@ def solve_n0(model: SpectrumModel, temperature, tol=DEFAULT_TOL):
         _require_positive(ideal_levels)
     with np.errstate(over="ignore"):
         # r = expm1(eps/T): the bare count is sum 1/r, as _bose forms it,
-        # and the normal phase solves on r itself.
+        # and the normal phase solves on r itself.  r and occ = 1/r are the
+        # point's workspace, which the later evaluations overwrite.
         r = ideal_levels / temperature
         np.expm1(r, out=r)
         occ = np.reciprocal(r)
-        bare_count = float(occ.sum())
+        bare_count = float(np.add.reduce(occ))
         if bare_count >= n_total:
             return _normal_phase_point(ideal_levels, r, occ, temperature, n_total)
 
         if cfg.g == 0.0:
             # The levels do not depend on n0: f(n0) = N - n0 - bare_count.
             n0, calls = n_total - bare_count, 0
-            energy = float((ideal_levels * occ).sum())
+            energy = float(np.add.reduce(np.multiply(ideal_levels, occ, out=r)))
         elif model.coupling_diagonal is not None:
-            n0, energy, calls = _affine_root(model, temperature, n_total, bare_count, tol)
+            n0, energy, calls = _affine_root(model, temperature, n_total, bare_count, tol,
+                                             r, occ)
         elif (sums := _table_sums(model, temperature, bare_count, tol)) is not None:
             grid, counts, energies = sums
             n0, calls = _brent_root(_interpolated_residual, (grid, counts, n_total),

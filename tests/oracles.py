@@ -7,12 +7,13 @@ sorted by one stable argsort instead of a lexsort, the level models
 solve each parity sector on its own instead of the full matrices, the
 Bose occupations are formed in place, the normal-phase fugacity and the
 first-order condensed root are Newton solves instead of bracketed ones,
-the dense kinds' Brent root is a port of brentq that imports no
-scipy.optimize, the symmetric-branch X, Y are formed in the Cholesky
-frame of the levels instead of from the generator T, and the pipeline
-never needs the shift vector z or the spectrum of the solved X, Y.  The
-tests compare the fast forms against these, so their arithmetic must
-stay as the formulas read.
+each ideal and first-order point is solved in one workspace instead of
+new arrays at each evaluation, the dense kinds' Brent root is a port of
+brentq that imports no scipy.optimize, the symmetric-branch X, Y are
+formed in the Cholesky frame of the levels instead of from the generator
+T, and the pipeline never needs the shift vector z or the spectrum of
+the solved X, Y.  The tests compare the fast forms against these, so
+their arithmetic must stay as the formulas read.
 """
 
 import math
@@ -21,8 +22,9 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import gammaln
 
-from trapbose import (NoSolutionError, RiccatiProblem, RiccatiSolution, SystemMatrices,
-                      ThermoPoint, TrapConfig, energy_excess, occupation)
+from trapbose import (ConvergenceError, NoSolutionError, RiccatiProblem, RiccatiSolution,
+                      SystemMatrices, ThermoPoint, TrapConfig, energy_excess, occupation)
+from trapbose import thermo
 from trapbose.basis import _log_prefactor
 from trapbose.perturbative import real_eigenvalues, second_order_term
 from trapbose.riccati import bogoliubov_sector_levels
@@ -233,6 +235,79 @@ def condensed_point(model, temperature, tol):
         energy_excess=energy_excess(model.levels(n0), temperature),
         iterations=result.function_calls, converged=True,
     )
+
+
+# The ideal and first-order point as solve_n0 solved it with new arrays for
+# the bare count, each Newton evaluation and each normal-phase evaluation:
+# the reference for the point's workspace, which keeps every operation in
+# its order, so that each ThermoPoint field is this one's bit for bit.
+
+def allocating_point(model, temperature, tol=thermo.DEFAULT_TOL):
+    """solve_n0 on an ideal or perturbative1 model, every array new."""
+    n_total = float(model.cfg.n_particles)
+    bare = model.levels(0.0)
+    with np.errstate(over="ignore"):
+        r = np.expm1(bare / temperature)
+        occ = 1.0 / r
+        bare_count = float(occ.sum())
+        if bare_count >= n_total:
+            return _allocating_normal_phase(bare, r, occ, temperature, n_total)
+        if model.cfg.g == 0.0:
+            n0, energy, calls = n_total - bare_count, float((bare * occ).sum()), 0
+        else:
+            n0, energy, calls = _allocating_affine_root(model, temperature, n_total,
+                                                        bare_count, tol)
+    return ThermoPoint(temperature=temperature, n0=n0, lam=model.cfg.coupling_lambda(n0),
+                       energy_excess=energy, iterations=calls, converged=True)
+
+
+def _allocating_affine_root(model, temperature, n_total, bare_count, tol):
+    g = model.cfg.g
+    bare, coupling = model.levels(0.0), model.coupling_diagonal
+    limit = max(tol, thermo.TOL_FLOOR) * n_total
+    n0, fall = n_total - bare_count, math.nan
+    for evaluations in range(1, thermo.N0_MAX_EVALUATIONS + 1):
+        levels = bare + 4.0 * model.cfg.coupling_lambda(n0) * coupling
+        occ = 1.0 / np.expm1(levels / temperature)
+        residual = n_total - n0 - float(occ.sum())
+        slope = -1.0 + g * (2.0 * float(((occ + 1.0) * occ) @ coupling) / temperature)
+        if not slope < 0.0:
+            if evaluations > 1:
+                raise ConvergenceError(f"condensed-phase Newton slope {slope:.3g} is not "
+                                       f"negative at n0 = {n0:.6g}", residual=residual)
+            n0 = n_total
+            continue
+        fall = residual / slope
+        if (abs(fall) if evaluations == 1 else fall) <= limit:
+            if not np.isfinite(levels).all():
+                raise ConvergenceError(f"levels beyond the float range at lambda = "
+                                       f"{model.cfg.coupling_lambda(n0):.3g}", residual=residual)
+            return n0, float(levels @ occ), evaluations
+        n0 = min(n0 - fall, n_total)
+    raise ConvergenceError(
+        f"condensed-phase n0 not converged in {thermo.N0_MAX_EVALUATIONS} Newton evaluations "
+        f"(last step {fall:.3g})", residual=residual)
+
+
+def _allocating_normal_phase(levels, r, occ, temperature, n_total):
+    size = r.size
+    spread = (1.0 / (occ + 1.0)).sum() / size
+    u = min(-math.log1p(-spread) - math.log1p(size / n_total) * (1.0 - 2.0**-48), 0.0)
+    for _ in range(thermo.FUGACITY_MAX_EVALUATIONS):
+        occ = math.exp(u) / (r - math.expm1(u))
+        count = float(occ.sum())
+        h = math.log(count / n_total)
+        step = h * count / (count + float(occ @ occ))
+        if h <= thermo.FUGACITY_TOL or step <= thermo.FUGACITY_TOL * -u:
+            return ThermoPoint(
+                temperature=temperature, n0=0.0, lam=0.0,
+                energy_excess=float(levels @ occ), iterations=0,
+                converged=True, normal_phase=True, fugacity=math.exp(u),
+            )
+        u -= step
+    raise ConvergenceError(
+        f"normal-phase fugacity not converged in {thermo.FUGACITY_MAX_EVALUATIONS} Newton "
+        f"evaluations (last step {step:.3g} in log z)", residual=count - n_total)
 
 
 # scipy's Brent root: the reference for thermo._brent_root, a port of

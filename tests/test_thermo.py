@@ -6,6 +6,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+import tracemalloc
 import warnings
 import weakref
 from concurrent.futures import ThreadPoolExecutor
@@ -36,8 +37,8 @@ from trapbose import (
     solve_n0,
     sweep,
 )
-from oracles import (bogoliubov_levels, bose_occupation, brent_root, condensed_point,
-                     fugacity_occupation_q, fugacity_occupation_r, normal_phase_point,
+from oracles import (allocating_point, bogoliubov_levels, bose_occupation, brent_root,
+                     condensed_point, fugacity_occupation_q, fugacity_occupation_r, normal_phase_point,
                      quasiparticle_levels, spectrum_matrix)
 
 CFG = TrapConfig()
@@ -78,9 +79,9 @@ def record_fugacity_evaluations(monkeypatch):
     evaluations = []
     occupations = thermo._fugacity_occupations
 
-    def recording(u, r):
+    def recording(u, r, out=None):
         evaluations.append(u)
-        return occupations(u, r)
+        return occupations(u, r, out)
 
     monkeypatch.setattr(thermo, "_fugacity_occupations", recording)
     return evaluations
@@ -673,6 +674,78 @@ def _bracketing(x, shape, n, share, width, wave, scale, numpy):
     return np.float64(scale * value) if numpy else scale * value
 
 
+class TestPointWorkspace:
+    """solve_n0 on ideal and perturbative1 runs each point in one workspace:
+    the bare count's r and 1/r, and one slope-weight buffer for the Newton
+    solve."""
+
+    @settings(deadline=None)
+    @given(kind=st.sampled_from(["ideal", "perturbative1"]),
+           dimension=st.sampled_from([1, 2, 3]),
+           omega=st.sampled_from([(1.0, 1.0, 1.0), (1.0, 2.0, 3.0)])
+           | st.tuples(*[st.floats(0.7, 2.0)] * 3),
+           g=st.sampled_from([0.0, 5e-324]) | st.floats(1e-4, 10.0),
+           scale=st.floats(0.01, 3.0) | st.just(1.0))
+    # scale 1 is the largest float below the transition; at 1 - 1e-4 and
+    # g = 3e-3 the Newton solve starts at N (test_affine_newton_start_at_n).
+    @example(kind="perturbative1", dimension=1, omega=(1.0, 1.0, 1.0), g=2e-4, scale=1.0)
+    @example(kind="perturbative1", dimension=2, omega=(1.0, 2.0**0.5, 1.0), g=3e-3,
+             scale=1.0 - 1e-4)
+    @example(kind="perturbative1", dimension=3, omega=(1.0, 1.3, 0.7), g=3e-3,
+             scale=1.0 - 1e-4)
+    @example(kind="perturbative1", dimension=3, omega=(1.0, 1.3, 0.7), g=10.0, scale=0.01)
+    @example(kind="perturbative1", dimension=1, omega=(1.0, 1.0, 1.0), g=5e-324, scale=0.5)
+    @example(kind="ideal", dimension=2, omega=(1.0, 2.0, 3.0), g=1e-4, scale=2.0)
+    def test_points_match_allocating_oracle(self, kind, dimension, omega, g, scale):
+        # Every ThermoPoint field, or the error, of the solve that allocated
+        # new arrays at each evaluation, in both phases.
+        cfg = TrapConfig(dimension=dimension, frequencies=omega[:dimension], g=g)
+        basis = enumerate_basis(cfg, {1: 60.0, 2: 25.0, 3: 12.0}[dimension])
+        model = SpectrumModel(cfg, basis, kind=kind)
+        transition = transition_temperature(model.levels(0.0), 1000.0)
+        temperature = float(np.nextafter(transition, 0.0)) if scale == 1.0 else transition * scale
+
+        def outcome(solve):
+            try:
+                return solve(model, temperature)
+            except TrapBoseError as exc:
+                return f"{type(exc).__name__}: {exc}"
+
+        assert outcome(solve_n0) == outcome(allocating_point)
+
+    def test_peak_memory_in_level_vectors(self):
+        # The aniso2d-p1 trap (32,076 states).  With new arrays at each
+        # evaluation the peak was 7.0 level vectors at T = 10 (condensed,
+        # three Newton evaluations) and 4.0 at T = 100 (normal phase).
+        cfg = TrapConfig(dimension=2, frequencies=(1.0, math.sqrt(2.0)))
+        model = SpectrumModel(cfg, enumerate_basis(cfg, 300.0))
+        vector = model.levels(0.0).nbytes
+        for temperature, normal_phase, limit in ((10.0, False, 3.5), (100.0, True, 2.5)):
+            tracemalloc.start()
+            try:
+                point = solve_n0(model, temperature)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert point.converged and point.normal_phase == normal_phase
+            assert peak <= limit * vector, (temperature, peak / vector)
+
+    def test_one_model_on_several_threads(self):
+        # The model keeps no buffer: points solved on four threads at once,
+        # switching every microsecond, are those solved one after another.
+        model = SpectrumModel(CFG, enumerate_basis(CFG, 400.0))
+        grid = np.arange(1.0, 201.0)
+        serial = [solve_n0(model, temperature) for temperature in grid]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                threaded = list(pool.map(lambda t: solve_n0(model, t), grid, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial
+
+
 def _decades(low, high):
     return st.floats(low, high).map(lambda e: 10.0**e)
 
@@ -775,6 +848,16 @@ class TestSpectrumModel:
         with pytest.raises(ValueError):
             model.levels(0.0)[:] = 1e9
         assert solve_n0(model, 5.0).n0 == before
+
+    @pytest.mark.parametrize("kind", thermo.SOLVER_KINDS)
+    @pytest.mark.parametrize("n0", [0.0, 300.0])
+    def test_levels_into_out(self, kind, n0):
+        # levels(n0, out) writes the levels of levels(n0) into out.
+        model = SpectrumModel(CFG, enumerate_basis(CFG, 60.0), kind=kind)
+        expected = model.levels(n0)
+        out = np.full(expected.shape, np.nan)
+        assert model.levels(n0, out=out) is out
+        assert np.array_equal(out, expected)
 
     @pytest.mark.parametrize("kind", ["perturbative2", "riccati"])
     def test_dense_bare_levels_sorted(self, kind):
@@ -1020,7 +1103,7 @@ class TestLevelTable:
             return nodes, weights, tail
 
         for ours, k in zip(thermo._GRIDS, (np.arange(17), np.r_[0:33:2, 1:33:2])):
-            for mine, theirs in zip(ours, grid(k)):
+            for mine, theirs in zip((ours.nodes, ours.weights, ours.tail), grid(k)):
                 assert np.array_equal(mine, theirs)
 
     def test_interpolant_is_exact_at_the_nodes(self):
@@ -1055,6 +1138,25 @@ class TestLevelTable:
             np.testing.assert_allclose(grid.tail @ chebval(x, coefficients[:-2]),
                                        0.0, rtol=0.0, atol=1e-13)
             assert not grid.tail.flags.writeable
+
+    def test_tail_maps_built_at_first_use(self):
+        # Importing the package inverts no Chebyshev-Vandermonde matrix.  A
+        # tail map built later is the inverse's two last rows, bit for bit.
+        code = textwrap.dedent("""
+            import trapbose.cli
+            from trapbose import thermo
+            print(*("tail" in vars(grid) for grid in thermo._GRIDS))
+        """)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(thermo.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=60)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.split() == ["False"] * 4
+        for grid in thermo._GRIDS:
+            vander = np.polynomial.chebyshev.chebvander(2.0 * grid.nodes - 1.0,
+                                                        grid.nodes.size - 1)
+            assert np.array_equal(grid.tail, np.linalg.inv(vander)[-2:])
 
     @pytest.fixture
     def table_calls(self, monkeypatch, chunk_sizes):
@@ -1187,9 +1289,9 @@ class TestLevelTable:
         calls = []
         levels = SpectrumModel.levels
 
-        def counting(model, n0):
+        def counting(model, n0, out=None):
             calls.append(n0)
-            return levels(model, n0)
+            return levels(model, n0, out)
 
         monkeypatch.setattr(SpectrumModel, "levels", counting)
         return calls
@@ -1523,9 +1625,9 @@ class TestSweep:
         calls = []
         levels = SpectrumModel.levels
 
-        def counting(model, n0):
+        def counting(model, n0, out=None):
             calls.append(n0)
-            return levels(model, n0)
+            return levels(model, n0, out)
 
         monkeypatch.setattr(SpectrumModel, "levels", counting)
         basis = enumerate_basis(CFG, 120.0)
