@@ -207,8 +207,7 @@ def _coupling_array(m, n, cfg: TrapConfig):
 
 # Cephes lgam (S. L. Moshier, Cephes Math Library, gamma.c), the routine
 # behind scipy.special.gammaln, for x > 0: its coefficients, and its
-# operations in its order, on Python floats (_lgam) or on float arrays,
-# whose +, -, * and / round alike (_lgam_tail).  Every log is math.log, the C
+# operations in its order, on Python floats.  Every log is math.log, the C
 # library's log that Cephes calls; numpy's vectorized log differs from it in
 # the last bit at some arguments.  The values are gammaln's bit for bit.
 _LGAM_A = (8.11614167470508450300e-4, -5.95061904284301438324e-4, 7.93650340457716943945e-4,
@@ -231,24 +230,8 @@ def _polevl(x, coef):
     return value
 
 
-def _lgam_tail(x):
-    """lgam at each entry of a float array x >= 13: one math.log per entry,
-    and the rest in numpy's +, -, * and /, which round as Python's do, in
-    Cephes' order.  Each branch is formed over all of x and then chosen."""
-    log = np.fromiter(map(math.log, x.tolist()), dtype=float, count=x.size)
-    with np.errstate(over="ignore"):
-        q = (x - 0.5) * log - x + _LS2PI
-        p = 1.0 / (x * x)
-    far = ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
-           + 0.0833333333333333333333) / x
-    near = _polevl(p, _LGAM_A) / x
-    value = np.where(x > 1.0e8, q, q + np.where(x >= 1000.0, far, near))
-    return np.where(x > _MAXLGM, math.inf, value)
-
-
 def _lgam(x):
-    """log Gamma(x) for a float x > 0, as Cephes lgam computes it.  From 13
-    on it is the reference for _lgam_tail, which _half_gamma uses there."""
+    """log Gamma(x) for a float x > 0, as Cephes lgam computes it."""
     if x < 13.0:
         # Shift x into [2, 3) by the recurrence, keeping the product in z.
         z, p, u = 1.0, 0.0, x
@@ -279,11 +262,8 @@ def _lgam(x):
 @functools.lru_cache(maxsize=None)
 def _half_gamma(size):
     # Sizes are powers of two, so a process keeps one table per doubling,
-    # and every run of a sweep's set-up finds its table here.  Entry k is
-    # log Gamma((k + 1)/2): _lgam's recurrence below 13, _lgam_tail from 13.
-    x = np.arange(1, size + 1) / 2
-    small = int(np.searchsorted(x, 13.0))
-    table = np.concatenate([[_lgam(v) for v in x[:small].tolist()], _lgam_tail(x[small:])])
+    # and every run of a sweep's set-up finds its table here.
+    table = np.array([_lgam((k + 1) / 2) for k in range(size)])
     table.flags.writeable = False
     return table
 

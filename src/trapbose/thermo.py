@@ -280,28 +280,28 @@ class SpectrumModel:
         self._bare_positive = not (energies <= 0.0).any()
 
     def levels(self, n0, out=None):
-        """The levels at condensate occupation n0, written into out when
-        it is given (a float array of the model's size) and out returned.
+        """The levels at condensate occupation n0.
 
         Without out, lambda = 0 returns the model's read-only bare levels
-        and every other n0 a new array.  solve_n0's Newton solves pass a
-        buffer of their point's workspace, so that each evaluation is still
-        one levels call; the model keeps no buffer of its own, and one
-        model may serve solve_n0 on several threads.
+        and every other n0 a new array.  An ideal or perturbative1 model
+        writes them into out when it is given (a float array of the model's
+        size) and returns out: solve_n0's Newton passes a buffer of its
+        point's workspace, so that each evaluation is still one levels call.
+        That Newton never reaches the dense kinds, whose levels at lambda
+        != 0 are always a new array.  The model keeps no buffer of its own,
+        and one model may serve solve_n0 on several threads.
         """
         lam = self.cfg.coupling_lambda(n0)
         if lam == 0.0:
-            levels = self._energies
-        elif self._sector_levels is None:
+            if out is None:
+                return self._energies
+            np.copyto(out, self._energies)
+            return out
+        if self._sector_levels is None:
             # E + (4*lam)*c, the product formed in out when it is given.
             levels = np.multiply(4.0 * lam, self.coupling_diagonal, out=out)
             return np.add(self._energies, levels, out=levels)
-        else:
-            levels = np.sort(self._sectors(np.array([lam]))[0])
-        if out is None:
-            return levels
-        out[...] = levels
-        return out
+        return np.sort(self._sectors(np.array([lam]))[0])
 
     def _sectors(self, lam):
         """The sector levels at each lambda of lam, one row per lambda."""
@@ -561,13 +561,13 @@ FUGACITY_TOL = 1e-15
 FUGACITY_MAX_EVALUATIONS = 50
 
 
-def _fugacity_occupations(u, r, out=None):
-    """Occupations z/(r + 1 - z) at z = exp(u): one evaluation of the
-    normal-phase Newton solve, written into out when it is given (the
-    solve passes the occupation buffer of its point's workspace, which
-    lives for one solve_n0 call) and into a new array otherwise."""
-    occ = np.subtract(r, math.expm1(u), out=out)
-    return np.divide(math.exp(u), occ, out=occ)
+def _fugacity_occupations(u, r, out):
+    """Occupations z/(r + 1 - z) at z = exp(u), written into out: one
+    evaluation of the normal-phase Newton solve, which passes the
+    occupation buffer of its point's workspace (it lives for one solve_n0
+    call)."""
+    np.subtract(r, math.expm1(u), out=out)
+    return np.divide(math.exp(u), out, out=out)
 
 
 def _fugacity_start(r, occ, n_total):

@@ -274,27 +274,6 @@ class TestLogGamma:
     def test_matches_gammaln(self, x):
         assert np.float64(basis_mod._lgam(x)).view(np.int64) == gammaln(x).view(np.int64)
 
-    def test_tail_matches_gammaln(self):
-        # _half_gamma's entries k from 25 on (x = (k + 1)/2 >= 13) come from
-        # _lgam_tail.  Windows of a table of 2**28 entries, whose x reaches
-        # 1.3e8, around the ends of the series of A (x < 1000), the
-        # three-term series (1000 <= x <= 1e8) and log Gamma's leading
-        # terms (x > 1e8), and its last entry.
-        k = np.concatenate([np.arange(25, 4000), np.arange(2 * 10**8 - 4000, 2 * 10**8 + 4000),
-                            [2**28 - 1]])
-        x = (k + 1) / 2
-        assert np.array_equal(basis_mod._lgam_tail(x).view(np.int64), gammaln(x).view(np.int64))
-
-    @settings(max_examples=200, deadline=None)
-    @given(x=st.lists(st.floats(min_value=13.0, allow_infinity=False), min_size=1, max_size=40))
-    # The branch ends, the overflow bound MAXLGM and the float range's end.
-    @example(x=[13.0, math.nextafter(1000.0, 0.0), 1000.0, 1e8, math.nextafter(1e8, math.inf),
-                2.556348e305, math.nextafter(2.556348e305, math.inf), sys.float_info.max])
-    def test_tail_is_lgam_entry_by_entry(self, x):
-        tail = basis_mod._lgam_tail(np.array(x))
-        port = np.array([basis_mod._lgam(v) for v in x])
-        assert np.array_equal(tail.view(np.int64), port.view(np.int64))
-
     def test_cached_tables_match_gammaln(self):
         # The table of 2*top + 2 entries is a slice of a cached one of a
         # power-of-two size: tops whose table fills one (2**j - 1) and

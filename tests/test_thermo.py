@@ -79,7 +79,7 @@ def record_fugacity_evaluations(monkeypatch):
     evaluations = []
     occupations = thermo._fugacity_occupations
 
-    def recording(u, r, out=None):
+    def recording(u, r, out):
         evaluations.append(u)
         return occupations(u, r, out)
 
@@ -398,7 +398,7 @@ class TestSolveN0:
         with np.errstate(over="ignore"):
             r = np.expm1(bare / temperature)
             u0 = thermo._fugacity_start(r, 1.0 / r, float(n_total))
-            count = float(np.sum(thermo._fugacity_occupations(u0, r)))
+            count = float(np.sum(thermo._fugacity_occupations(u0, r, np.empty_like(r))))
         assert u0 <= 0.0
         assert count >= n_total
 
@@ -417,7 +417,7 @@ class TestSolveN0:
         with np.errstate(over="ignore"):
             r = np.expm1(bare / temperature)
             u0 = thermo._fugacity_start(r, 1.0 / r, float(n_total))
-            count = float(np.sum(thermo._fugacity_occupations(u0, r)))
+            count = float(np.sum(thermo._fugacity_occupations(u0, r, np.empty_like(r))))
         assert u0 <= 0.0
         assert count >= n_total
         log_fugacity = record_fugacity_evaluations(monkeypatch)
@@ -849,10 +849,11 @@ class TestSpectrumModel:
             model.levels(0.0)[:] = 1e9
         assert solve_n0(model, 5.0).n0 == before
 
-    @pytest.mark.parametrize("kind", thermo.SOLVER_KINDS)
+    @pytest.mark.parametrize("kind", ["ideal", "perturbative1"])
     @pytest.mark.parametrize("n0", [0.0, 300.0])
     def test_levels_into_out(self, kind, n0):
-        # levels(n0, out) writes the levels of levels(n0) into out.
+        # levels(n0, out) writes the levels of levels(n0) into out on the
+        # kinds whose Newton solve passes a buffer.
         model = SpectrumModel(CFG, enumerate_basis(CFG, 60.0), kind=kind)
         expected = model.levels(n0)
         out = np.full(expected.shape, np.nan)
