@@ -146,14 +146,60 @@ def _blas_threads():
     return None
 
 
-_BLAS_LOCK = threading.Lock()  # held by a table build that sets the BLAS threads
+_BLAS_LOCK = threading.Lock()  # held while _on_one_blas_thread has set the BLAS threads
 
 
 def _cpu_count():
-    """The CPUs node chunks may use: all those this process may run on."""
+    """The CPUs that node chunks and sweep stripes may use: all those this
+    process may run on."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def _on_one_blas_thread(work, parts, stop=None):
+    """[work(part) for part in parts], with numpy's OpenBLAS on one thread:
+    the first part on the calling thread, and the others on a pool of one
+    worker per part that lives for this call.
+
+    The call sets the BLAS thread count to one and restores the count it
+    found when it ends, however it ends; with no OpenBLAS to set
+    (_blas_threads is None) the parts run on the BLAS as it is.  The count
+    is process-wide, so the call holds _BLAS_LOCK: two calls on two threads
+    run one after the other, and a host thread's BLAS calls run on one
+    thread meanwhile.  A pool kept between calls would not survive a fork,
+    and a worker does not inherit the caller's np.errstate.  An exception
+    that a part raises propagates once every worker has ended, the first
+    part's before the others'.  stop, when given, is set as soon as a part
+    raises, or the calling thread is interrupted while it waits for the
+    workers, so that a work that checks it can end early.
+    """
+    get, set_ = _blas_threads() or (lambda: None, lambda threads: None)
+    first, *rest = parts
+    with _BLAS_LOCK:
+        previous = get()
+        set_(1)
+        try:
+            if not rest:
+                return [work(first)]
+            stop = threading.Event() if stop is None else stop
+
+            def guarded(part):
+                try:
+                    return work(part)
+                except BaseException:
+                    stop.set()
+                    raise
+
+            with ThreadPoolExecutor(len(rest)) as pool:
+                later = pool.map(guarded, rest)
+                try:
+                    return [work(first), *later]
+                except BaseException:
+                    stop.set()
+                    raise
+        finally:
+            set_(previous)
 
 
 # Chebyshev points of the second kind in t = lambda/lambda_max = n0/N on
@@ -175,12 +221,11 @@ class _Grid:
         """Two rows of the inverse Chebyshev-Vandermonde matrix, built at
         first use, so that importing the package inverts no matrix, and a
         sweep only those of the grids it reaches.  The inverse of 129 nodes
-        takes other bits on one BLAS thread than on two, so it is formed
-        under _BLAS_LOCK, on the BLAS threads the process runs with rather
-        than the one a table build on another thread may have set."""
+        takes other bits on one BLAS thread than on two, so it is formed on
+        one (_on_one_blas_thread), whatever threads the process runs with."""
         vander = np.polynomial.chebyshev.chebvander(2.0 * self.nodes - 1.0, self.nodes.size - 1)
-        with _BLAS_LOCK:
-            return _read_only(np.linalg.inv(vander)[-2:])
+        (inverse,) = _on_one_blas_thread(np.linalg.inv, [vander])
+        return _read_only(inverse[-2:])
 
 
 _GRIDS = tuple(_Grid(16 << j) for j in range(4))
@@ -338,44 +383,30 @@ class SpectrumModel:
     def _node_levels(self, nodes):
         """The levels at lambda_max * nodes, one row per node, or None.
 
-        The build sets numpy's OpenBLAS to one thread and then restores the
-        count it found.  The count is process-wide, so builds hold
-        _BLAS_LOCK: two on two threads run one after the other.  Each row
+        The build runs numpy's OpenBLAS on one thread (_on_one_blas_thread),
+        so two builds on two threads run one after the other.  Each row
         depends on its node alone, and _sectors checks each sector matrix on
         its own, so a table with enough work (MIN_CHUNK_WORK) is split into
         contiguous node chunks, one thread each on the CPUs that _cpu_count
         gives: the joined chunks are one call's rows bit for bit, and a
         chunk raises exactly where one call would.  With no OpenBLAS to set
-        (_blas_threads is None), the table is one call.  The pool lives for
-        one build, as a pool kept between builds would not survive a fork,
-        and _sectors sets its error state on each worker, which does not
-        inherit the caller's.
+        (_blas_threads is None), the table is one call.  _sectors sets its
+        error state on each worker.
         """
         lam_max = self.cfg.coupling_lambda(self.cfg.n_particles)
         # lam_max = inf (g*N beyond the float range) would make node 0 nan.
         if self._sector_levels is None or not 0.0 < lam_max < math.inf:
             return None
         lam = lam_max * nodes
-        blas = _blas_threads()
         work = lam.size * self._sector_matrices * sum(
             c.size * c.shape[-1] for _, c, *_ in self._groups)
-        chunks = max(1, min(lam.size, work // MIN_CHUNK_WORK, _cpu_count() if blas else 1))
-        first, *rest = np.array_split(lam, chunks)
-        get, set_ = blas or (lambda: None, lambda threads: None)
-        with _BLAS_LOCK:
-            previous = get()
-            set_(1)
-            try:
-                if rest:
-                    with ThreadPoolExecutor(len(rest)) as pool:
-                        later = pool.map(self._sectors, rest)
-                        values = np.concatenate([self._sectors(first), *later])
-                else:
-                    values = self._sectors(first)
-            except TrapBoseError:
-                return None
-            finally:
-                set_(previous)
+        chunks = max(1, min(lam.size, work // MIN_CHUNK_WORK,
+                            _cpu_count() if _blas_threads() else 1))
+        try:
+            values = np.concatenate(_on_one_blas_thread(self._sectors,
+                                                        np.array_split(lam, chunks)))
+        except TrapBoseError:
+            return None
         if np.any(values <= 0.0):
             return None
         return _read_only(values)
@@ -756,13 +787,42 @@ def _failed_point(temperature, exc):
     )
 
 
+# The levels per temperature stripe of an ideal or perturbative1 sweep:
+# size // MIN_STRIPE_LEVELS stripes at most, one thread each.  Timed on 2
+# shared cores with one BLAS thread, serial time over two-stripe time on a 2D
+# (1, sqrt 2) trap (200 temperatures; 100 at 56,910): 0.35 at 600 levels,
+# 0.47 at 2,627, 0.60 at 5,194, 0.70-0.90 at 10,363, 0.98-1.28 at 20,569,
+# 1.10-1.56 at 32,076 and 1.75 at 56,910; 1.3-1.6 on a 3D (1, 1, 1) trap at
+# e_cut 60 (39,710 levels, 100 temperatures).  On smaller bases a point is
+# too short for two threads that contend for the interpreter lock, so two
+# stripes start at 32,000 levels, past the sizes where they did not always win.
+MIN_STRIPE_LEVELS = 16_000
+
+
 def sweep(cfg: TrapConfig, basis: BasisSet, t_grid, solver_kind="perturbative1",
           tol=DEFAULT_TOL):
-    """One ThermoPoint per grid temperature, each solved on its own.
+    """One ThermoPoint per grid temperature, in grid order, each solved on
+    its own by one call of the module-global solve_n0.
 
     A point whose solve raises a TrapBoseError is flagged as not converged
     on the returned curve, and the sweep goes on.  Raises ValueError when
     cfg and basis.config describe different traps.
+
+    An ideal or perturbative1 sweep runs numpy's OpenBLAS on one thread
+    throughout (_on_one_blas_thread): it holds _BLAS_LOCK, so a table build
+    on another thread waits until it ends.  On a basis of at least
+    2 * MIN_STRIPE_LEVELS states it splits the grid into interleaved
+    stripes, t_grid[i::stripes], at most one per CPU (_cpu_count): stripe 0
+    on the calling thread and the others on a pool, so that the costlier
+    cold points spread over all of them.  Each point is the serial
+    sweep's bit for bit, as solve_n0 keeps nothing between points and
+    sets its error state on each thread.  With no OpenBLAS to set
+    (_blas_threads is None) the sweep is one stripe on the BLAS as it is.
+    When a point raises anything but a TrapBoseError, every other stripe
+    stops before its next point, and the sweep re-raises it.  The dense
+    kinds sweep on the calling thread, on the BLAS threads the process
+    runs with: their points are small eigen-solves and Brent steps on
+    tables that _node_levels builds on one BLAS thread.
     """
     t_grid = [float(t) for t in t_grid]
     for temperature in t_grid:
@@ -770,12 +830,28 @@ def sweep(cfg: TrapConfig, basis: BasisSet, t_grid, solver_kind="perturbative1",
     _check_positive(tol, "tol")
 
     model = SpectrumModel(cfg, basis, kind=solver_kind)
-    points = []
-    for temperature in t_grid:
-        try:
-            point = solve_n0(model, temperature, tol=tol)
-        except TrapBoseError as exc:
-            point = _failed_point(temperature, exc)
-        points.append(point)
+    dense = solver_kind in _SECTOR_KINDS
+    stripes = 1 if dense else max(1, min(len(t_grid), basis.size // MIN_STRIPE_LEVELS,
+                                         _cpu_count() if _blas_threads() else 1))
+    # Set when a stripe raises; one stripe needs none.
+    stop = threading.Event() if stripes > 1 else None
 
+    def stripe(temperatures):
+        points = []
+        for temperature in temperatures:
+            if stop is not None and stop.is_set():
+                break
+            try:
+                point = solve_n0(model, temperature, tol=tol)
+            except TrapBoseError as exc:
+                point = _failed_point(temperature, exc)
+            points.append(point)
+        return points
+
+    if dense:
+        return ThermoCurve(points=stripe(t_grid), config=model.cfg)
+    points = [None] * len(t_grid)
+    parts = _on_one_blas_thread(stripe, [t_grid[i::stripes] for i in range(stripes)], stop)
+    for i, part in enumerate(parts):
+        points[i::stripes] = part
     return ThermoCurve(points=points, config=model.cfg)

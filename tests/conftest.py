@@ -22,7 +22,8 @@ def node_chunks(monkeypatch):
 
 @pytest.fixture
 def pools(monkeypatch):
-    """The max_workers of every thread pool the table builds make from now on."""
+    """The max_workers of every thread pool that table builds and sweeps
+    make from now on."""
     made = []
 
     class Recording(thermo.ThreadPoolExecutor):

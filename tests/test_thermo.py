@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import os
@@ -6,6 +7,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+import time
 import tracemalloc
 import warnings
 import weakref
@@ -1142,7 +1144,8 @@ class TestLevelTable:
 
     def test_tail_maps_built_at_first_use(self):
         # Importing the package inverts no Chebyshev-Vandermonde matrix.  A
-        # tail map built later is the inverse's two last rows, bit for bit.
+        # tail map built later is the inverse's two last rows at one BLAS
+        # thread, bit for bit.
         code = textwrap.dedent("""
             import trapbose.cli
             from trapbose import thermo
@@ -1154,10 +1157,36 @@ class TestLevelTable:
                              text=True, timeout=60)
         assert run.returncode == 0, run.stderr
         assert run.stdout.split() == ["False"] * 4
-        for grid in thermo._GRIDS:
-            vander = np.polynomial.chebyshev.chebvander(2.0 * grid.nodes - 1.0,
-                                                        grid.nodes.size - 1)
-            assert np.array_equal(grid.tail, np.linalg.inv(vander)[-2:])
+        get, set_ = thermo._blas_threads()
+        threads = get()
+        set_(1)
+        try:
+            inverses = [np.linalg.inv(np.polynomial.chebyshev.chebvander(
+                2.0 * grid.nodes - 1.0, grid.nodes.size - 1)) for grid in thermo._GRIDS]
+        finally:
+            set_(threads)
+        for grid, inverse in zip(thermo._GRIDS, inverses):
+            assert np.array_equal(grid.tail, inverse[-2:])
+
+    def test_tail_maps_alike_at_any_blas_threads(self):
+        # The 129-node inverse takes other bits on two BLAS threads than on
+        # one; every tail map is formed on one, so processes started at
+        # either count hold the same four maps, bit for bit.
+        code = textwrap.dedent("""
+            import hashlib
+            from trapbose import thermo
+            print(*(hashlib.md5(grid.tail.tobytes()).hexdigest() for grid in thermo._GRIDS))
+        """)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(thermo.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+        hashes = []
+        for threads in ("1", "2"):
+            env["OPENBLAS_NUM_THREADS"] = threads
+            run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                 text=True, timeout=60)
+            assert run.returncode == 0, run.stderr
+            hashes.append(run.stdout.split())
+        assert len(hashes[0]) == 4 and hashes[0] == hashes[1]
 
     @pytest.fixture
     def table_calls(self, monkeypatch, chunk_sizes):
@@ -1768,6 +1797,234 @@ class TestSweep:
         ric = sweep(CFG, basis, grid, solver_kind="riccati")
         for a, b in zip(pert.points, ric.points):
             assert abs(a.n0 - b.n0) / 1000.0 < 1e-4
+
+
+def point_bits(point):
+    """Every field of a ThermoPoint, its floats as their hex form, so that
+    equal lists mean equal bits and nan equals nan."""
+    return [v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(point)]
+
+
+class Abort(BaseException):
+    """Raised by a stub solve_n0: no TrapBoseError, nor an Exception."""
+
+
+class TestSweepStripes:
+    @staticmethod
+    def striped(monkeypatch, cpus):
+        """Every ideal or perturbative1 sweep from now on in
+        min(cpus, temperatures, states) stripes."""
+        monkeypatch.setattr(thermo, "MIN_STRIPE_LEVELS", 1)
+        monkeypatch.setattr(thermo, "_cpu_count", lambda: cpus)
+
+    @settings(deadline=None, max_examples=40)
+    @given(kind=st.sampled_from(["ideal", "perturbative1"]),
+           trap=st.sampled_from([((1.0,), 120.0), ((1.0, math.sqrt(2.0)), 24.0),
+                                 ((1.0, 1.3, 0.7), 9.0)]),
+           g=st.sampled_from([2e-4, 0.02, 1e308]),
+           evaluations=st.sampled_from([1, 2, 50]),
+           grid=st.lists(st.floats(0.2, 150.0), min_size=1, max_size=12),
+           cpus=st.sampled_from([2, 3]))
+    @example(kind="perturbative1", trap=((1.0,), 120.0), g=2e-4, evaluations=2,
+             grid=[1.0, 5.0, 5.0, 10.0, 40.0, 150.0, 400.0, 1000.0], cpus=3)
+    def test_stripes_give_the_serial_points(self, kind, trap, g, evaluations, grid, cpus):
+        # Interleaved stripes on 2 or 3 threads give every point of the
+        # serial sweep bit for bit, failed ones and their reasons included
+        # (one or two Newton evaluations fail most condensed perturbative1
+        # and normal-phase points, as in the example, and g = 1e308 every
+        # condensed perturbative1 point), in grid order, with one call of
+        # the module-global solve_n0 per temperature.
+        frequencies, e_cut = trap
+        cfg = TrapConfig(dimension=len(frequencies), frequencies=frequencies, g=g)
+        basis = enumerate_basis(cfg, e_cut)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(thermo, "N0_MAX_EVALUATIONS", evaluations)
+            patch.setattr(thermo, "FUGACITY_MAX_EVALUATIONS", evaluations)
+            serial = sweep(cfg, basis, grid, solver_kind=kind)
+            calls = []
+
+            def counting(model, temperature, **kwargs):
+                calls.append(temperature)
+                return solve_n0(model, temperature, **kwargs)
+
+            patch.setattr(thermo, "solve_n0", counting)
+            self.striped(patch, cpus)
+            curve = sweep(cfg, basis, grid, solver_kind=kind)
+        assert sorted(calls) == sorted(grid)
+        assert [point_bits(p) for p in curve.points] == [point_bits(p) for p in serial.points]
+        assert all(p.converged == (p.fail_reason == "") for p in curve.points)
+
+    @pytest.mark.parametrize("cpus, grid, size, stripes", [
+        (2, 200, 32_076, 2), (3, 200, 32_076, 2), (2, 200, 20_569, 1), (3, 200, 56_910, 3),
+        (8, 2, 56_910, 2), (2, 1, 32_076, 1), (1, 200, 56_910, 1), (2, 0, 32_076, 1),
+    ])
+    def test_stripe_count(self, cpus, grid, size, stripes, monkeypatch, pools):
+        # min(CPUs, temperatures, size // MIN_STRIPE_LEVELS) stripes, at
+        # least one: a pool for all but the first, and stripe i solves
+        # t_grid[i::stripes] on one thread, stripe 0 on the calling one.
+        # The basis is the 1D one of 400 states, counted as size // 400 of
+        # MIN_STRIPE_LEVELS.  Each point sleeps, so that a worker that
+        # starts first cannot run every stripe before the pool starts the
+        # next worker.
+        monkeypatch.setattr(thermo, "MIN_STRIPE_LEVELS", 16_000 * 400 // size)
+        monkeypatch.setattr(thermo, "_cpu_count", lambda: cpus)
+        threads = {}
+
+        def recording(model, temperature, **kwargs):
+            threads.setdefault(threading.get_ident(), []).append(temperature)
+            time.sleep(1e-4)
+            return solve_n0(model, temperature, **kwargs)
+
+        monkeypatch.setattr(thermo, "solve_n0", recording)
+        t_grid = list(np.linspace(1.0, 200.0, grid))
+        curve = sweep(CFG, enumerate_basis(CFG, 400.0), t_grid)
+        assert [p.temperature for p in curve.points] == t_grid
+        assert pools == ([stripes - 1] if stripes > 1 else [])
+        if grid:
+            assert threads.pop(threading.get_ident()) == t_grid[::stripes]
+            assert sorted(threads.values()) == [t_grid[i::stripes] for i in range(1, stripes)]
+
+    def test_more_stripes_than_cores_switching_often(self, monkeypatch, pools):
+        # Eight stripes on the machine's cores, with the interpreter switching
+        # threads every microsecond: the points of one model, solved on all
+        # of them at once, are still the serial sweep's.
+        basis = enumerate_basis(CFG, 400.0)
+        grid = np.linspace(1.0, 200.0, 64)
+        serial = sweep(CFG, basis, grid)
+        self.striped(monkeypatch, 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            curve = sweep(CFG, basis, grid)
+        finally:
+            sys.setswitchinterval(interval)
+        assert pools == [7]
+        assert [point_bits(p) for p in curve.points] == [point_bits(p) for p in serial.points]
+
+    @pytest.mark.parametrize("kind", ["perturbative2", "riccati"])
+    def test_dense_kinds_are_never_striped(self, kind, monkeypatch, pools):
+        # The riccati-1d and a small perturbative2 trap: each point on the
+        # calling thread, and no table large enough to split.
+        self.striped(monkeypatch, 2)
+        basis = enumerate_basis(CFG, 14.0)
+        threads = []
+
+        def recording(model, temperature, **kwargs):
+            threads.append(threading.get_ident())
+            return solve_n0(model, temperature, **kwargs)
+
+        monkeypatch.setattr(thermo, "solve_n0", recording)
+        curve = sweep(CFG, basis, np.arange(1.0, 21.0), solver_kind=kind)
+        assert all(p.converged for p in curve.points)
+        assert pools == [] and set(threads) == {threading.get_ident()}
+
+    def test_small_bases_are_never_striped(self, monkeypatch, pools):
+        # The ref1d-p1 trap, 400 states, on any number of CPUs.
+        monkeypatch.setattr(thermo, "_cpu_count", lambda: 64)
+        for kind in ("ideal", "perturbative1"):
+            sweep(CFG, enumerate_basis(CFG, 400.0), np.arange(1.0, 201.0), solver_kind=kind)
+        assert pools == []
+
+    def test_one_stripe_without_openblas(self, monkeypatch, pools):
+        self.striped(monkeypatch, 2)
+        basis = enumerate_basis(CFG, 120.0)
+        striped = sweep(CFG, basis, np.arange(1.0, 21.0))
+        assert pools == [1]
+        pools.clear()
+        monkeypatch.setattr(thermo, "_blas_threads", lambda: None)
+        serial = sweep(CFG, basis, np.arange(1.0, 21.0))
+        assert pools == []
+        assert [point_bits(p) for p in serial.points] == [point_bits(p) for p in striped.points]
+
+    @pytest.fixture
+    def blas(self, monkeypatch):
+        """A stand-in for numpy's OpenBLAS at 3 threads: .threads is its
+        count, .during the count at each solve_n0 call from now on."""
+        fake = SimpleNamespace(threads=3, during=[])
+
+        def set_threads(threads):
+            fake.threads = threads
+
+        def recording(model, temperature, **kwargs):
+            fake.during.append(fake.threads)
+            return solve_n0(model, temperature, **kwargs)
+
+        monkeypatch.setattr(thermo, "_blas_threads", lambda: (lambda: fake.threads, set_threads))
+        monkeypatch.setattr(thermo, "solve_n0", recording)
+        return fake
+
+    @pytest.mark.parametrize("kind, cpus", [("ideal", 1), ("perturbative1", 1),
+                                            ("perturbative1", 2), ("perturbative1", 3)])
+    def test_sweep_restores_the_blas_threads(self, kind, cpus, blas, monkeypatch):
+        # Every point of these kinds, in one stripe or several, is solved at
+        # one BLAS thread, and the sweep leaves the count it found.
+        self.striped(monkeypatch, cpus)
+        sweep(CFG, enumerate_basis(CFG, 60.0), np.arange(1.0, 31.0), solver_kind=kind)
+        assert blas.threads == 3 and blas.during == [1] * 30
+
+    def test_dense_sweep_leaves_the_blas_threads(self, blas, monkeypatch):
+        # A dense kind's points run on the BLAS threads the process runs
+        # with; only its table build sets one.
+        self.striped(monkeypatch, 2)
+        sweep(CFG, enumerate_basis(CFG, 14.0), np.arange(1.0, 11.0), solver_kind="riccati")
+        assert blas.threads == 3 and blas.during == [3] * 10
+
+    @pytest.mark.parametrize("cpus, failing", [(2, 0), (2, 1), (3, 0), (3, 2)])
+    def test_abort_stops_every_stripe(self, cpus, failing, blas, monkeypatch, pools):
+        # A point of stripe `failing` (0 is the calling thread's) raises a
+        # BaseException at its third temperature: every other stripe makes
+        # at most one more solve_n0 call, the sweep re-raises it once no
+        # thread of its pool is left, and the BLAS count is restored.
+        self.striped(monkeypatch, cpus)
+        grid = list(np.arange(1.0, 61.0))
+        bad = grid[failing + 2 * cpus]
+        lock, calls, raised = threading.Lock(), [], []
+        recording = thermo.solve_n0
+
+        def stub(model, temperature, **kwargs):
+            with lock:
+                calls.append((threading.get_ident(), len(raised)))
+            if temperature == bad:
+                raised.append(threading.get_ident())
+                raise Abort(temperature)
+            time.sleep(5e-3)
+            return recording(model, temperature, **kwargs)
+
+        monkeypatch.setattr(thermo, "solve_n0", stub)
+        before = set(threading.enumerate())
+        with pytest.raises(Abort, match=f"^{bad}$"):
+            sweep(CFG, enumerate_basis(CFG, 60.0), grid)
+        assert set(threading.enumerate()) == before and pools == [cpus - 1]
+        assert blas.threads == 3 and set(blas.during) == {1}
+        later = [ident for ident, after in calls if after and ident != raised[0]]
+        assert len(set(ident for ident, _ in calls)) == cpus
+        assert all(later.count(ident) <= 1 for ident in set(later))
+        assert len(calls) < len(grid) // 2
+
+    @pytest.mark.parametrize("failing", [0, 1])
+    def test_aborted_sweep_frees_its_model(self, failing, monkeypatch):
+        # The exception of a stripe holds no reference cycle through the
+        # pool's futures: once it is dropped, the sweep's model is freed
+        # without the garbage collector, as after a serial sweep.
+        self.striped(monkeypatch, 2)
+        grid = list(np.arange(1.0, 21.0))
+        models = []
+
+        def stub(model, temperature, **kwargs):
+            models.append(weakref.ref(model))
+            if temperature == grid[failing + 4]:
+                raise Abort(temperature)
+            return solve_n0(model, temperature, **kwargs)
+
+        monkeypatch.setattr(thermo, "solve_n0", stub)
+        basis = enumerate_basis(CFG, 60.0)
+        gc.disable()
+        try:
+            with pytest.raises(Abort):
+                sweep(CFG, basis, grid)
+            assert models and models[0]() is None
+        finally:
+            gc.enable()
 
 
 class TestTruncationStability:
