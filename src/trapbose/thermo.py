@@ -209,23 +209,19 @@ def _on_one_blas_thread(work, parts, stop=None):
 # T_(n-1+i)(2t - 1) in their interpolant, the last two.  Each of the nested
 # _GRIDS (17, 33, 65 and 129 nodes) is in refinement order: the nodes of the
 # grid before it, bit for bit, as k/n = (k/2)/(n/2) exactly, then new ones.
+#
+# At these nodes the coefficients are halved cosine sums, so the tail map is
+# closed-form in the weights w: T_n(2t - 1) = (-1)^(n-k) at node k, and
+# T_(n-1)(2t - 1) = (-1)^(n-k) (2t - 1), which give the rows (2/n) w (2t - 1)
+# and w/n times (-1)^n, which is 1 on every grid of _GRIDS.
 class _Grid:
     def __init__(self, n):
         k = np.arange(n + 1)
         k = k[np.argsort(-np.gcd(k, n // 16), kind="stable")]
         self.nodes = _read_only(np.sin(0.5 * np.pi * k / n) ** 2)
         self.weights = _read_only(np.where(k % n == 0, 0.5, 1.0) * (-1.0) ** k)
-
-    @cached_property
-    def tail(self):
-        """Two rows of the inverse Chebyshev-Vandermonde matrix, built at
-        first use, so that importing the package inverts no matrix, and a
-        sweep only those of the grids it reaches.  The inverse of 129 nodes
-        takes other bits on one BLAS thread than on two, so it is formed on
-        one (_on_one_blas_thread), whatever threads the process runs with."""
-        vander = np.polynomial.chebyshev.chebvander(2.0 * self.nodes - 1.0, self.nodes.size - 1)
-        (inverse,) = _on_one_blas_thread(np.linalg.inv, [vander])
-        return _read_only(inverse[-2:])
+        self.tail = _read_only(np.stack([(2.0 / n) * self.weights * (2.0 * self.nodes - 1.0),
+                                         self.weights / n]))
 
 
 _GRIDS = tuple(_Grid(16 << j) for j in range(4))
@@ -533,20 +529,21 @@ def _brent_root(residual, args, n_total, tol):
 N0_MAX_EVALUATIONS = 50
 
 
-def _affine_root(model, temperature, n_total, bare_count, tol, levels, occ):
+def _affine_root(model, temperature, n_total, bare_count, tol, levels, occ, weight):
     """Newton's method for f(n0) on the affine levels of model:
     (n0, energy, evaluations).
 
-    The solve runs in the workspace of solve_n0's bare count: each
-    evaluation writes its levels over `levels` (the bare count's r, which
-    is not read again) in one model.levels(n0, out=levels) call, levels/T
-    and then their occupations over occ (_bose), and the slope weight
-    occ*(1 + occ) into the one buffer this allocates; the model keeps no
+    The solve runs in solve_n0's workspace: each evaluation writes its
+    levels over `levels` (the bare count's r, which is not read again) in
+    one model.levels(n0, out=levels) call, levels/T and then their
+    occupations over occ (_bose), and the slope weight occ*(1 + occ) into
+    weight, which this allocates when it is None; the model keeps no
     buffer.  Every sum is np.add.reduce, the pairwise sum of ndarray.sum.
     """
     g = model.cfg.g
     limit = max(tol, TOL_FLOOR) * n_total
-    weight = np.empty_like(occ)
+    if weight is None:
+        weight = np.empty_like(occ)
     n0, fall = n_total - bare_count, math.nan
     for evaluations in range(1, N0_MAX_EVALUATIONS + 1):
         model.levels(n0, out=levels)
@@ -566,7 +563,9 @@ def _affine_root(model, temperature, n_total, bare_count, tol, levels, occ):
         fall = residual / slope
         # The step from x_a rises; every later step falls.
         if (abs(fall) if evaluations == 1 else fall) <= limit:
-            if not np.isfinite(levels).all():
+            # The levels are at least the bare ones, so they are all finite
+            # when their largest is (a nan propagates to it).
+            if not math.isfinite(levels.max()):
                 raise ConvergenceError(f"levels beyond the float range at lambda = "
                                        f"{model.cfg.coupling_lambda(n0):.3g}", residual=residual)
             return n0, float(levels @ occ), evaluations
@@ -595,8 +594,7 @@ FUGACITY_MAX_EVALUATIONS = 50
 def _fugacity_occupations(u, r, out):
     """Occupations z/(r + 1 - z) at z = exp(u), written into out: one
     evaluation of the normal-phase Newton solve, which passes the
-    occupation buffer of its point's workspace (it lives for one solve_n0
-    call)."""
+    occupation buffer of solve_n0's workspace."""
     np.subtract(r, math.expm1(u), out=out)
     return np.divide(math.exp(u), out, out=out)
 
@@ -681,7 +679,7 @@ def _table_sums(model, temperature, bare_count, tol):
     return None
 
 
-def solve_n0(model: SpectrumModel, temperature, tol=DEFAULT_TOL):
+def solve_n0(model: SpectrumModel, temperature, tol=DEFAULT_TOL, *, workspace=None):
     """Self-consistent condensate occupation at one temperature.
 
     Finds the root of f(n0) = N - n0 - N_excited(lambda(n0)) on [0, N] to
@@ -714,13 +712,15 @@ def solve_n0(model: SpectrumModel, temperature, tol=DEFAULT_TOL):
     The bare count is sum 1/r over r = expm1(eps/T), bit for bit the
     in-place kernel _bose, through which every other Bose sum goes; the
     normal phase solves on that r (see _normal_phase_point).  All of them
-    run under one np.errstate(over="ignore") for the point.  For ideal and
-    perturbative1 the bare count's r and 1/r are the point's workspace:
-    the normal phase writes each evaluation's occupations over 1/r, and
-    the Newton solve its levels over r and their occupations over 1/r,
-    with one more buffer for its slope weight (_affine_root).  The
-    buffers live for the call and the model keeps none, so one model may
-    serve solve_n0 on several threads.  Raises
+    run under one np.errstate(over="ignore") for the point.  The bare
+    count's r and 1/r are the point's workspace: for ideal and
+    perturbative1 the normal phase writes each evaluation's occupations
+    over 1/r, and the Newton solve its levels over r and their occupations
+    over 1/r, with a third buffer for its slope weight (_affine_root).
+    workspace is those three float vectors of the model's size, which the
+    call overwrites (sweep passes one per stripe of ideal and
+    perturbative1); without it the call allocates its own.  The model keeps no buffer, so one model may serve
+    solve_n0 on several threads.  Raises
     UnstableSpectrumError when a level it sums is not positive: the bare
     levels (tested once per model, raised at each point), the direct levels
     of the dense kinds by excited_count, and nothing else, as the
@@ -736,13 +736,17 @@ def solve_n0(model: SpectrumModel, temperature, tol=DEFAULT_TOL):
     ideal_levels = model.levels(0.0)
     if not model._bare_positive:
         _require_positive(ideal_levels)
+    if workspace is None:
+        # The Newton solve allocates its slope weight only where it runs.
+        workspace = np.empty_like(ideal_levels), np.empty_like(ideal_levels), None
+    r, occ, weight = workspace
     with np.errstate(over="ignore"):
         # r = expm1(eps/T): the bare count is sum 1/r, as _bose forms it,
         # and the normal phase solves on r itself.  r and occ = 1/r are the
         # point's workspace, which the later evaluations overwrite.
-        r = ideal_levels / temperature
+        np.divide(ideal_levels, temperature, out=r)
         np.expm1(r, out=r)
-        occ = np.reciprocal(r)
+        np.reciprocal(r, out=occ)
         bare_count = float(np.add.reduce(occ))
         if bare_count >= n_total:
             return _normal_phase_point(ideal_levels, r, occ, temperature, n_total)
@@ -753,7 +757,7 @@ def solve_n0(model: SpectrumModel, temperature, tol=DEFAULT_TOL):
             energy = float(np.add.reduce(np.multiply(ideal_levels, occ, out=r)))
         elif model.coupling_diagonal is not None:
             n0, energy, calls = _affine_root(model, temperature, n_total, bare_count, tol,
-                                             r, occ)
+                                             r, occ, weight)
         elif (sums := _table_sums(model, temperature, bare_count, tol)) is not None:
             grid, counts, energies = sums
             n0, calls = _brent_root(_interpolated_residual, (grid, counts, n_total),
@@ -814,15 +818,17 @@ def sweep(cfg: TrapConfig, basis: BasisSet, t_grid, solver_kind="perturbative1",
     2 * MIN_STRIPE_LEVELS states it splits the grid into interleaved
     stripes, t_grid[i::stripes], at most one per CPU (_cpu_count): stripe 0
     on the calling thread and the others on a pool, so that the costlier
-    cold points spread over all of them.  Each point is the serial
-    sweep's bit for bit, as solve_n0 keeps nothing between points and
-    sets its error state on each thread.  With no OpenBLAS to set
-    (_blas_threads is None) the sweep is one stripe on the BLAS as it is.
+    cold points spread over all of them.  Each stripe's points share one
+    workspace (solve_n0), which ends with the stripe.  Each point is the
+    serial sweep's bit for bit, as solve_n0 writes its workspace before it
+    reads it and sets its error state on each thread.  With no OpenBLAS to
+    set (_blas_threads is None) the sweep is one stripe on the BLAS as it is.
     When a point raises anything but a TrapBoseError, every other stripe
     stops before its next point, and the sweep re-raises it.  The dense
     kinds sweep on the calling thread, on the BLAS threads the process
-    runs with: their points are small eigen-solves and Brent steps on
-    tables that _node_levels builds on one BLAS thread.
+    runs with, each point in its own workspace: their points are small
+    eigen-solves and Brent steps on tables that _node_levels builds on one
+    BLAS thread.
     """
     t_grid = [float(t) for t in t_grid]
     for temperature in t_grid:
@@ -837,12 +843,13 @@ def sweep(cfg: TrapConfig, basis: BasisSet, t_grid, solver_kind="perturbative1",
     stop = threading.Event() if stripes > 1 else None
 
     def stripe(temperatures):
+        workspace = None if dense else tuple(np.empty(basis.size) for _ in range(3))
         points = []
         for temperature in temperatures:
             if stop is not None and stop.is_set():
                 break
             try:
-                point = solve_n0(model, temperature, tol=tol)
+                point = solve_n0(model, temperature, tol=tol, workspace=workspace)
             except TrapBoseError as exc:
                 point = _failed_point(temperature, exc)
             points.append(point)

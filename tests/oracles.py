@@ -9,10 +9,12 @@ Bose occupations are formed in place, the normal-phase fugacity and the
 first-order condensed root are Newton solves instead of bracketed ones,
 each ideal and first-order point is solved in one workspace instead of
 new arrays at each evaluation, the dense kinds' Brent root is a port of
-brentq that imports no scipy.optimize, the symmetric-branch X, Y are
-formed in the Cholesky frame of the levels instead of from the generator
-T, and the pipeline never needs the shift vector z or the spectrum of
-the solved X, Y.  The tests compare the fast forms against these, so
+brentq that imports no scipy.optimize, the Chebyshev grids' tail maps
+are closed-form rows instead of two rows of an inverse
+Chebyshev-Vandermonde matrix, the symmetric-branch X, Y are formed in
+the Cholesky frame of the levels instead of from the generator T, and
+the pipeline never needs the shift vector z or the spectrum of the
+solved X, Y.  The tests compare the fast forms against these, so
 their arithmetic must stay as the formulas read.
 """
 
@@ -308,6 +310,19 @@ def _allocating_normal_phase(levels, r, occ, temperature, n_total):
     raise ConvergenceError(
         f"normal-phase fugacity not converged in {thermo.FUGACITY_MAX_EVALUATIONS} Newton "
         f"evaluations (last step {step:.3g} in log z)", residual=count - n_total)
+
+
+# The Chebyshev grids' tail map as two rows of the inverse of the grid's
+# Chebyshev-Vandermonde matrix: the reference for thermo._Grid.tail, which
+# forms those rows in closed form.
+
+def inverse_tail(nodes):
+    """The last two rows of the inverse of the Chebyshev-Vandermonde matrix
+    of T_0 ... T_n at 2*nodes - 1, for the n + 1 nodes in [0, 1]: the map
+    from values at the nodes to the coefficients of T_(n-1) and T_n in
+    their interpolant."""
+    vander = np.polynomial.chebyshev.chebvander(2.0 * nodes - 1.0, nodes.size - 1)
+    return np.linalg.inv(vander)[-2:]
 
 
 # scipy's Brent root: the reference for thermo._brent_root, a port of

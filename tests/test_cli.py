@@ -20,17 +20,24 @@ REFERENCE_CSV = Path(__file__).resolve().parents[1] / "benchmarks" / "reference"
 
 
 # Runs the given solver kinds through cli.run in a fresh interpreter and
-# prints the scipy modules, scipy itself included, that importing trapbose
-# and the runs load: a sweep needs none of them, as the Gamma table is the
-# package's port of Cephes lgam and the Brent root its port of brentq.
+# prints the modules of the package named first, the package itself
+# included, that importing trapbose and the runs load beyond what importing
+# numpy loads: a sweep needs no scipy module, as the Gamma table is the
+# package's port of Cephes lgam and the Brent root its port of brentq, and
+# no numpy.polynomial module, as the grids' tail maps are closed-form
+# (numpy 1.24 imports numpy.polynomial with numpy itself).
 FOOTPRINT = """
 import io, sys
+import numpy
+before = set(sys.modules)
 import trapbose
 from trapbose.cli import RunConfig, run
-for solver in sys.argv[1:]:
+package, *solvers = sys.argv[1:]
+for solver in solvers:
     config = RunConfig(e_cut=40.0, t_max=10.0, solver=solver)
     assert run(config, stream=io.StringIO()) == 0, solver
-print(*sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+print(*sorted(m for m in set(sys.modules) - before
+              if m == package or m.startswith(package + ".")))
 """
 
 
@@ -185,20 +192,26 @@ class TestRun:
         int_frac = [float(r.split(",")[1]) for r in interacting.getvalue().strip().split("\n")[1:]]
         assert all(b >= a - 1e-12 for a, b in zip(ideal_frac, int_frac))
 
-    def scipy_modules_loaded(self, *solvers):
+    def modules_loaded(self, package, *solvers):
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
-        return subprocess.run([sys.executable, "-c", FOOTPRINT, *solvers], env=env, check=True,
-                              capture_output=True, text=True, timeout=120).stdout.split()
+        return subprocess.run([sys.executable, "-c", FOOTPRINT, package, *solvers], env=env,
+                              check=True, capture_output=True, text=True,
+                              timeout=120).stdout.split()
 
     def test_ideal_and_perturbative1_load_no_scipy(self):
         # Both import-time and sweep-time loads count: only --validate's
         # general Riccati branch calls scipy.
-        assert self.scipy_modules_loaded("ideal", "perturbative1") == []
+        assert self.modules_loaded("scipy", "ideal", "perturbative1") == []
 
     def test_dense_kinds_load_no_scipy(self):
         # Their Brent root is thermo's own port of brentq.
-        assert self.scipy_modules_loaded("perturbative2", "riccati") == []
+        assert self.modules_loaded("scipy", "perturbative2", "riccati") == []
+
+    def test_no_kind_loads_numpy_polynomial(self):
+        # The grids' tail maps are closed-form: only --validate loads it,
+        # for hermgauss.
+        assert self.modules_loaded("numpy.polynomial", *thermo.SOLVER_KINDS) == []
 
 
 class TestValidate:

@@ -40,8 +40,8 @@ from trapbose import (
     sweep,
 )
 from oracles import (allocating_point, bogoliubov_levels, bose_occupation, brent_root,
-                     condensed_point, fugacity_occupation_q, fugacity_occupation_r, normal_phase_point,
-                     quasiparticle_levels, spectrum_matrix)
+                     condensed_point, fugacity_occupation_q, fugacity_occupation_r, inverse_tail,
+                     normal_phase_point, quasiparticle_levels, spectrum_matrix)
 
 CFG = TrapConfig()
 IDEAL = TrapConfig(g=0.0)
@@ -679,7 +679,7 @@ def _bracketing(x, shape, n, share, width, wave, scale, numpy):
 class TestPointWorkspace:
     """solve_n0 on ideal and perturbative1 runs each point in one workspace:
     the bare count's r and 1/r, and one slope-weight buffer for the Newton
-    solve."""
+    solve; sweep hands one workspace to all the points of a stripe."""
 
     @settings(deadline=None)
     @given(kind=st.sampled_from(["ideal", "perturbative1"]),
@@ -731,6 +731,60 @@ class TestPointWorkspace:
                 tracemalloc.stop()
             assert point.converged and point.normal_phase == normal_phase
             assert peak <= limit * vector, (temperature, peak / vector)
+
+    @pytest.mark.parametrize("kind", ["ideal", "perturbative1"])
+    def test_sweep_points_allocate_no_level_vector(self, kind, monkeypatch):
+        # A sweep hands each stripe's points one workspace: on the
+        # aniso2d-p1 trap, in one stripe, no point's traced peak reaches a
+        # twentieth of a level vector, in either phase (2.0 and 3.1
+        # vectors when each point allocated its own).
+        cfg = TrapConfig(dimension=2, frequencies=(1.0, math.sqrt(2.0)))
+        basis = enumerate_basis(cfg, 300.0)
+        monkeypatch.setattr(thermo, "_cpu_count", lambda: 1)
+        peaks = []
+
+        def measuring(*args, **kwargs):
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            try:
+                return solve_n0(*args, **kwargs)
+            finally:
+                peaks.append(tracemalloc.get_traced_memory()[1] - start)
+
+        monkeypatch.setattr(thermo, "solve_n0", measuring)
+        tracemalloc.start()
+        try:
+            curve = sweep(cfg, basis, np.arange(1.0, 201.0, 7.0), solver_kind=kind)
+        finally:
+            tracemalloc.stop()
+        assert 0 < sum(p.normal_phase for p in curve.points) < len(curve.points)
+        assert max(peaks) < basis.size * 8 / 20, max(peaks) / (basis.size * 8)
+
+    def test_sweep_takes_no_fresh_pages_per_point(self):
+        # With glibc's mmap threshold fixed below a level vector's 256 KB,
+        # every level vector a point allocated came from fresh pages: about
+        # 138 minor faults per point on the aniso2d-p1 trap.  A stripe's
+        # one workspace takes them once per sweep.
+        code = textwrap.dedent("""
+            import math, resource
+            import numpy as np
+            from trapbose import TrapConfig, enumerate_basis, sweep
+            cfg = TrapConfig(dimension=2, frequencies=(1.0, math.sqrt(2.0)))
+            basis = enumerate_basis(cfg, 300.0)
+            grid = np.arange(1.0, 201.0)
+            sweep(cfg, basis, grid[:2])
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            curve = sweep(cfg, basis, grid)
+            after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            assert all(p.converged for p in curve.points)
+            print((after - before) / grid.size)
+        """)
+        env = dict(os.environ, MALLOC_MMAP_THRESHOLD_="65536", PYTHONPATH=os.pathsep.join(
+            [str(Path(thermo.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert float(run.stdout) < 20.0
 
     def test_one_model_on_several_threads(self):
         # The model keeps no buffer: points solved on four threads at once,
@@ -1095,19 +1149,16 @@ class TestLevelTable:
 
     def test_first_two_grids_are_the_former_grids(self):
         # The 17-node grid in the order of k and the 33-node grid with even
-        # k first, as built before the grids were one sequence: nodes,
-        # weights and tail map, bit for bit, so a point that solves on 17 or
-        # 33 nodes gives the same bits.
-        def grid(k):
-            n = k.size - 1
-            nodes = np.sin(0.5 * np.pi * k / n) ** 2
-            weights = np.where(k % n == 0, 0.5, 1.0) * (-1.0) ** k
-            tail = np.linalg.inv(np.polynomial.chebyshev.chebvander(2.0 * nodes - 1.0, n))[-2:]
-            return nodes, weights, tail
-
+        # k first, as built before the grids were one sequence: nodes and
+        # weights bit for bit, so a point that solves on 17 or 33 nodes
+        # gives the same bits.  Every grid's closed-form tail map is the
+        # inverse Chebyshev-Vandermonde rows it replaced, to rounding.
         for ours, k in zip(thermo._GRIDS, (np.arange(17), np.r_[0:33:2, 1:33:2])):
-            for mine, theirs in zip((ours.nodes, ours.weights, ours.tail), grid(k)):
-                assert np.array_equal(mine, theirs)
+            n = k.size - 1
+            assert np.array_equal(ours.nodes, np.sin(0.5 * np.pi * k / n) ** 2)
+            assert np.array_equal(ours.weights, np.where(k % n == 0, 0.5, 1.0) * (-1.0) ** k)
+        for grid in thermo._GRIDS:
+            np.testing.assert_allclose(grid.tail, inverse_tail(grid.nodes), rtol=0.0, atol=1e-14)
 
     def test_interpolant_is_exact_at_the_nodes(self):
         # At a node the interpolant returns that node's value, bit for bit,
@@ -1142,36 +1193,11 @@ class TestLevelTable:
                                        0.0, rtol=0.0, atol=1e-13)
             assert not grid.tail.flags.writeable
 
-    def test_tail_maps_built_at_first_use(self):
-        # Importing the package inverts no Chebyshev-Vandermonde matrix.  A
-        # tail map built later is the inverse's two last rows at one BLAS
-        # thread, bit for bit.
-        code = textwrap.dedent("""
-            import trapbose.cli
-            from trapbose import thermo
-            print(*("tail" in vars(grid) for grid in thermo._GRIDS))
-        """)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [str(Path(thermo.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
-        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                             text=True, timeout=60)
-        assert run.returncode == 0, run.stderr
-        assert run.stdout.split() == ["False"] * 4
-        get, set_ = thermo._blas_threads()
-        threads = get()
-        set_(1)
-        try:
-            inverses = [np.linalg.inv(np.polynomial.chebyshev.chebvander(
-                2.0 * grid.nodes - 1.0, grid.nodes.size - 1)) for grid in thermo._GRIDS]
-        finally:
-            set_(threads)
-        for grid, inverse in zip(thermo._GRIDS, inverses):
-            assert np.array_equal(grid.tail, inverse[-2:])
-
     def test_tail_maps_alike_at_any_blas_threads(self):
-        # The 129-node inverse takes other bits on two BLAS threads than on
-        # one; every tail map is formed on one, so processes started at
-        # either count hold the same four maps, bit for bit.
+        # The 129-node inverse Chebyshev-Vandermonde rows take other bits on
+        # two BLAS threads than on one; the closed-form maps call no BLAS,
+        # so processes started at either count hold the same four maps, bit
+        # for bit.
         code = textwrap.dedent("""
             import hashlib
             from trapbose import thermo
@@ -1187,6 +1213,37 @@ class TestLevelTable:
             assert run.returncode == 0, run.stderr
             hashes.append(run.stdout.split())
         assert len(hashes[0]) == 4 and hashes[0] == hashes[1]
+
+    def test_sweeps_alike_on_the_inverse_tail_maps(self, monkeypatch):
+        # The closed-form tail maps and the inverse Chebyshev-Vandermonde
+        # rows differ by rounding, far below the margin of any tail test
+        # these sweeps make: with every grid's map swapped for the inverse
+        # rows, both dense kinds give the same points, bit for bit, on the
+        # 1D trap at three couplings (whose riccati points solve on all
+        # four grids) and on the CI's 2D and 3D traps.
+        cases = [(TrapConfig(g=g), 60.0, np.arange(0.5, 7.6, 0.5)) for g in (2e-4, 5e-3, 2e-2)]
+        cases += [(TrapConfig(dimension=2, frequencies=(1.0, math.sqrt(2.0))), 40.0,
+                   np.arange(1.0, 6.0)),
+                  (TrapConfig(dimension=3, frequencies=(1.0, 1.3, 0.7)), 16.0,
+                   np.arange(0.5, 2.1, 0.5))]
+        reached = set()
+        table_sums = thermo._table_sums
+
+        def recording(*args):
+            sums = table_sums(*args)
+            reached.add(None if sums is None else sums[0].nodes.size)
+            return sums
+
+        monkeypatch.setattr(thermo, "_table_sums", recording)
+        sweeps = [(cfg, enumerate_basis(cfg, e_cut), grid, kind)
+                  for cfg, e_cut, grid in cases for kind in ("perturbative2", "riccati")]
+        closed = [sweep(cfg, basis, grid, solver_kind=kind) for cfg, basis, grid, kind in sweeps]
+        assert reached == {None, 17, 33, 65, 129}
+        for grid in thermo._GRIDS:
+            monkeypatch.setattr(grid, "tail", inverse_tail(grid.nodes))
+        inverse = [sweep(cfg, basis, grid, solver_kind=kind) for cfg, basis, grid, kind in sweeps]
+        for ours, theirs in zip(closed, inverse):
+            assert [point_bits(p) for p in ours.points] == [point_bits(p) for p in theirs.points]
 
     @pytest.fixture
     def table_calls(self, monkeypatch, chunk_sizes):
