@@ -69,9 +69,11 @@ class BasisSet:
         The arithmetic of the scalar oscillator_energy in tests/oracles.py in
         the same order, so the values are bit-identical to it.
         """
-        total = 0
-        for j, w in enumerate(self.config.frequencies):
-            total = total + w * self.quanta[:, j]
+        # The scalar sum starts at 0, and 0 + x is x for the x >= 0 here.
+        (w, *others), quanta = self.config.frequencies, self.quanta
+        total = w * quanta[:, 0]
+        for j, w in enumerate(others, start=1):
+            total = total + w * quanta[:, j]
         return self.config.hbar * total
 
 
@@ -82,9 +84,10 @@ def _quantum_count(cfg: TrapConfig, e_cut, j, kept):
     Raises BasisTooLargeError when the kept rows, each followed by every
     one of them, would hold more than MAX_ENUMERATION_ENTRIES quantum numbers.
     """
-    # A float until it passes the guard: e_cut/(hbar*w) may be inf.  Under a
-    # negative e_cut no quantum fits.
-    count = max(np.floor(e_cut / (cfg.hbar * cfg.frequencies[j - 1]) + 1e-12) + 1.0, 0.0)
+    # A float until it passes the guard: e_cut/(hbar*w) may be inf, which
+    # math.floor does not take.  Under a negative e_cut no quantum fits.
+    quotient = e_cut / (cfg.hbar * cfg.frequencies[j - 1]) + 1e-12
+    count = max(math.floor(quotient) + 1.0 if math.isfinite(quotient) else quotient, 0.0)
     rows = kept * count
     if rows * j > MAX_ENUMERATION_ENTRIES:
         raise BasisTooLargeError(
@@ -110,22 +113,23 @@ def enumerate_basis(cfg: TrapConfig, e_cut):
     # The first dimension extends one row, the ground state's empty one.
     k = np.arange(_quantum_count(cfg, e_cut, 1, 1))
     partial = w * k
-    keep = hbar * partial <= e_cut
-    quanta, partial = np.compress(keep, k)[:, None], np.compress(keep, partial)
+    # The energies rise with k, so the k that fit are a prefix of k.
+    fit = (hbar * partial).searchsorted(e_cut, side="right")
+    quanta, partial = k[:fit, None], partial[:fit]
     for j, w in enumerate(others, start=2):
         count = _quantum_count(cfg, e_cut, j, len(quanta))
         # A row's energy rises with k, so the k that fit are a prefix of
         # range(count).  Its estimated length plus two candidates covers the
         # rounding of the estimate; the test of keep is the exact one.
         size = np.minimum(np.floor((e_cut / hbar - partial) / w) + 3.0, count).astype(np.int64)
-        row = np.repeat(np.arange(len(size)), size)
-        k = np.arange(len(row)) - np.repeat(np.cumsum(size) - size, size)
-        partial = np.take(partial, row) + w * k
+        row = np.arange(len(size)).repeat(size)
+        k = np.arange(len(row)) - (size.cumsum() - size).repeat(size)
+        partial = partial.take(row) + w * k
         keep = hbar * partial <= e_cut
-        row, k, partial = np.compress(keep, row), np.compress(keep, k), np.compress(keep, partial)
+        row, k, partial = row.compress(keep), k.compress(keep), partial.compress(keep)
         # Each kept row followed by each of its k, in order.
         grown = np.empty((len(row), j), dtype=np.int64)
-        grown[:, :-1] = np.take(quanta, row, axis=0)
+        grown[:, :-1] = quanta.take(row, axis=0)
         grown[:, -1] = k
         quanta = grown
     # Row 0 is the ground state, first in the enumeration and kept by any
@@ -138,7 +142,7 @@ def enumerate_basis(cfg: TrapConfig, e_cut):
         )
     # The rows come in lexicographic order, so a stable sort by energy
     # orders them by (energy, n_1, ..., n_D), ties included.
-    quanta = np.take(quanta, np.argsort(energies, kind="stable"), axis=0)
+    quanta = quanta.take(energies.argsort(kind="stable"), axis=0)
     quanta.flags.writeable = False
     return BasisSet(quanta=quanta, config=cfg)
 
@@ -172,37 +176,48 @@ class SystemMatrices:
         return self.energies.shape[0]
 
 
-def _coupling_array(m, n, cfg: TrapConfig):
-    """Interaction matrix element c_mn for integer quanta arrays m and n of
-    shape (..., D), broadcast against each other; the source d_n is c_mn
-    with m = 0.
+def _coupling_magnitude(m, n, cfg: TrapConfig, top):
+    """|c_mn| for integer quanta arrays m and n of shape (..., D), broadcast
+    against each other, wherever m_j + n_j is even in every dimension (c_mn
+    vanishes elsewhere).  top is at least their largest quantum number: it
+    sizes the log Gamma tables, whose entries do not depend on it.
 
-    c_mn vanishes exactly unless m_j + n_j is even in every dimension.  The
-    Gamma/factorial magnitudes are accumulated in log space with the sign
-    tracked separately, so large quantum numbers do not overflow.  The
-    arithmetic is that of the scalar coupling_coefficient in tests/oracles.py
-    in the same order, with log Gamma read from the cached table of
-    _gamma_tables, whose entries are scipy's gammaln bit for bit, instead of
-    evaluated per element.  The log-magnitude and the sign are symmetric in m
-    and n operation by operation, so swapping m and n gives bit-identical
-    values.
+    The Gamma/factorial magnitudes are accumulated in log space, so large
+    quantum numbers do not overflow.  The arithmetic is that of the scalar
+    coupling_coefficient in tests/oracles.py in the same order, with log
+    Gamma read from the cached table of _gamma_tables, whose entries are
+    scipy's gammaln bit for bit, instead of evaluated per element.  It is
+    symmetric in m and n operation by operation, so swapping m and n gives
+    bit-identical values.
     """
-    half_gamma, log_factorial = _gamma_tables(max(m.max(initial=0), n.max(initial=0)))
+    half_gamma, log_factorial = _gamma_tables(top)
     log_mag = _log_prefactor(cfg)
+    for j in range(cfg.dimension):
+        mj, nj = m[..., j], n[..., j]
+        log_mag = log_mag + half_gamma[mj + nj]
+        log_mag = log_mag - 0.5 * (log_factorial[mj] + log_factorial[nj])
+    return np.exp(log_mag)
+
+
+def _coupling_array(m, n, cfg: TrapConfig, top):
+    """Interaction matrix element c_mn for integer quanta arrays m and n of
+    shape (..., D), broadcast against each other, and top as for
+    _coupling_magnitude; the source d_n is c_mn with m = 0.
+
+    c_mn vanishes exactly unless m_j + n_j is even in every dimension; its
+    sign, like its magnitude, is symmetric in m and n.
+    """
     # The quanta are non-negative, so bit 0 of bits = 3 mj + nj is the
     # parity of mj + nj, and bit 1 that of (3 mj + nj) // 2, whose parities
     # summed over j give the sign: OR and XOR gather them over j.
     odd = 0
     sign = 0
     for j in range(cfg.dimension):
-        mj, nj = m[..., j], n[..., j]
-        total = mj + nj
-        log_mag = log_mag + half_gamma[total]
-        log_mag = log_mag - 0.5 * (log_factorial[mj] + log_factorial[nj])
-        bits = 3 * mj + nj
+        bits = 3 * m[..., j] + n[..., j]
         odd = odd | bits
         sign = sign ^ bits
-    return np.where(odd & 1, 0.0, np.where(sign & 2, -1.0, 1.0) * np.exp(log_mag))
+    # 1 - (sign & 2) is the sign, +1 or -1, which multiplies exactly.
+    return np.where(odd & 1, 0.0, (1 - (sign & 2)) * _coupling_magnitude(m, n, cfg, top))
 
 
 # Cephes lgam (S. L. Moshier, Cephes Math Library, gamma.c), the routine
@@ -283,7 +298,7 @@ def diagonal_coupling(basis: BasisSet):
 
     Cheap path for the first-order level formula; avoids the full matrix.
     With m = n every parity is even and every sign +, so the arithmetic of
-    _coupling_array reduces to per-dimension lookups in the same cached
+    _coupling_magnitude reduces to per-dimension lookups in the same cached
     log Gamma table (_gamma_tables) in the same order, and the values are
     bit-identical to the diagonal of build_matrices(basis, n0).coupling.
     """
@@ -292,8 +307,9 @@ def diagonal_coupling(basis: BasisSet):
     # Entry n of each: the terms of a dimension where m_j = n_j = n.
     gamma_term = half_gamma[::2]
     factorial_term = 0.5 * (log_factorial + log_factorial)
-    # The additions of _coupling_array, in place on one buffer.
-    log_mag = np.full(len(quanta), _log_prefactor(basis.config))
+    # The additions of _coupling_magnitude, in place on one buffer.
+    log_mag = np.empty(len(quanta))
+    log_mag.fill(_log_prefactor(basis.config))
     for j in range(basis.config.dimension):
         nj = quanta[:, j]
         log_mag += gamma_term[nj]
@@ -310,12 +326,16 @@ def build_matrices(basis: BasisSet, n0):
         raise ValueError(f"n0={n0} outside [0, N={cfg.n_particles}]")
     quanta = basis.quanta
     ground = np.zeros(cfg.dimension, dtype=np.int64)
+    top = quanta.max(initial=0)
     return SystemMatrices(
         energies=basis.energies(),
-        coupling=_coupling_array(quanta[:, None, :], quanta[None, :, :], cfg),
-        source=_coupling_array(ground, quanta, cfg),
+        coupling=_coupling_array(quanta[:, None, :], quanta[None, :, :], cfg, top),
+        source=_coupling_array(ground, quanta, cfg, top),
         lam=cfg.coupling_lambda(n0),
     )
+
+
+_SIGNS = np.array([1, -1])
 
 
 def parity_sectors(basis: BasisSet, arrays=1):
@@ -337,7 +357,8 @@ def parity_sectors(basis: BasisSet, arrays=1):
     if basis.size == 0:
         raise EmptyBasisError("basis is empty")
     quanta = basis.quanta
-    key = (quanta % 2) @ (1 << np.arange(quanta.shape[1]))
+    half, parity = np.divmod(quanta, 2)
+    key = parity @ (1 << np.arange(quanta.shape[1]))
     sizes = np.bincount(key)
     counts = sizes.tolist()
     entries = sum(m * m for m in counts)
@@ -346,14 +367,24 @@ def parity_sectors(basis: BasisSet, arrays=1):
             f"the parity-sector blocks of {basis.size} states in dimension "
             f"{basis.config.dimension} need {arrays} x {entries} entries, above the limit of "
             f"{MAX_SECTOR_ENTRIES} (basis.MAX_SECTOR_ENTRIES)")
-    order = np.argsort(key, kind="stable")
-    starts = np.cumsum(sizes) - sizes
-    stacks = []
+    # The states by the size of their sector, then by key, then in basis
+    # order (the sort is stable): the sectors of one size are one run.
+    order = ((sizes.take(key) << quanta.shape[1]) | key).argsort(kind="stable")
+    # In a sector every m_j + n_j is even.  With m_j = 2a + p and n_j = 2b + p,
+    # (3 m_j + n_j)/2 = 3a + b + 2p has the parity of a + b, so the sign of
+    # c_mn (_coupling_array) is the product of each state's sign
+    # (-1)^(sum_j floor(n_j/2)), read from (1, -1) mod 2; +1 and -1
+    # multiply exactly.
+    signs = _SIGNS.take(np.add.reduce(half, axis=1), mode="wrap")
+    top = quanta.max(initial=0)
+    stacks, start = [], 0
     for m in sorted(set(counts) - {0}):
-        index = order[starts[sizes == m][:, None] + np.arange(m)]
-        block = np.take(quanta, index, axis=0)
-        stacks.append((index, _coupling_array(block[..., :, None, :], block[..., None, :, :],
-                                              basis.config)))
+        index = order[start:start + m * counts.count(m)].reshape(-1, m)
+        start += index.size
+        block, sign = quanta.take(index, axis=0), signs.take(index)
+        magnitude = _coupling_magnitude(block[..., :, None, :], block[..., None, :, :],
+                                        basis.config, top)
+        stacks.append((index, (sign[..., :, None] * sign[..., None, :]) * magnitude))
     return stacks
 
 

@@ -52,13 +52,14 @@ class RunConfig:
             raise ConfigError("tol must be positive")
         if self.solver not in SOLVER_KINDS:
             raise ConfigError(f"unknown solver {self.solver!r}; choose from {SOLVER_KINDS}")
-        # A float until it passes the limit: inf when t_step is subnormal.
-        count = np.floor((self.t_max - self.t_min) / self.t_step + 1e-9) + 1.0
-        if count > MAX_TEMPERATURES:
-            raise ConfigError(f"t_step = {self.t_step} gives {count:.12g} temperatures "
-                              f"from t_min to t_max, above the limit of {MAX_TEMPERATURES} "
-                              f"(cli.MAX_TEMPERATURES)")
-        object.__setattr__(self, "_grid_size", int(count))
+        # span is inf when t_step is subnormal, which math.floor does not
+        # take; floor(span) + 1 exceeds the limit exactly when span reaches it.
+        span = (self.t_max - self.t_min) / self.t_step + 1e-9
+        if not span < MAX_TEMPERATURES:
+            raise ConfigError(f"t_step = {self.t_step} gives {np.floor(span) + 1.0:.12g} "
+                              f"temperatures from t_min to t_max, above the limit of "
+                              f"{MAX_TEMPERATURES} (cli.MAX_TEMPERATURES)")
+        object.__setattr__(self, "_grid_size", math.floor(span) + 1)
 
     def temperature_grid(self):
         return [self.t_min + k * self.t_step for k in range(self._grid_size)]
@@ -97,12 +98,12 @@ def parse_config(text):
     kwargs = {"trap": {}, "run": {}}
     first_line = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw.partition("#")[0].strip()
         if not line:
             continue
-        if "=" not in line:
+        key, equals, value = line.partition("=")
+        if not equals:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key, _, value = line.partition("=")
         key = key.strip()
         if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")

@@ -37,17 +37,17 @@ class TrapConfig:
     n_particles: int = 1000
 
     def __post_init__(self):
-        object.__setattr__(self, "frequencies", tuple(float(w) for w in self.frequencies))
+        object.__setattr__(self, "frequencies", tuple(map(float, self.frequencies)))
         require_finite(("g", self.g), ("mass", self.mass), ("hbar", self.hbar),
                         ("n_particles", self.n_particles),
-                        *(("omega", w) for w in self.frequencies))
+                        *[("omega", w) for w in self.frequencies])
         if self.dimension < 1:
             raise ConfigError(f"dimension must be >= 1, got {self.dimension}")
         if len(self.frequencies) != self.dimension:
             raise ConfigError(
                 f"expected {self.dimension} frequencies, got {len(self.frequencies)}"
             )
-        if any(w <= 0.0 for w in self.frequencies):
+        if min(self.frequencies) <= 0.0:
             raise ConfigError("all trap frequencies must be positive")
         if self.mass <= 0.0:
             raise ConfigError("mass must be positive")
@@ -65,7 +65,7 @@ class TrapConfig:
     @property
     def omega_mean(self):
         """Geometric-mean frequency (omega_1 ... omega_D)^(1/D)."""
-        log_sum = sum(math.log(w) for w in self.frequencies)
+        log_sum = sum(map(math.log, self.frequencies))
         return math.exp(log_sum / self.dimension)
 
     def coupling_lambda(self, n0):

@@ -73,14 +73,16 @@ def real_eigenvalues(stack):
         eigenvalues = np.linalg.eigvals(np.asarray(stack, dtype=float))
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigenvalue solve failed: {exc}") from exc
-    scale = np.max(np.abs(eigenvalues.real), axis=-1)
-    max_imag = np.max(np.abs(eigenvalues.imag), axis=-1)
+    scale = np.abs(eigenvalues.real).max(axis=-1)
+    max_imag = np.abs(eigenvalues.imag).max(axis=-1)
     failed = max_imag > IMAG_TOL * scale
-    if np.any(failed):
-        first = np.argmax(failed)
+    if failed.any():
+        first = failed.argmax()
         raise ComplexSpectrumError(f"max |Im eigenvalue| = {max_imag.flat[first]:.3e} "
                                    f"exceeds {IMAG_TOL} * {scale.flat[first]:.3e}")
-    return np.sort(eigenvalues.real, axis=-1)
+    levels = eigenvalues.real.copy()
+    levels.sort(axis=-1)
+    return levels
 
 
 def constraint_residual(x, y):

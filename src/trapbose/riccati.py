@@ -158,13 +158,13 @@ def _cholesky_frame(prob, vectors=False):
         low = np.linalg.cholesky(prob.a - 2.0 * prob.b)
     except np.linalg.LinAlgError as exc:
         raise NoSolutionError("A - 2B is not positive definite") from exc
-    q_in_low = np.swapaxes(low, -1, -2) @ (prob.a + 2.0 * prob.b) @ low
+    q_in_low = low.swapaxes(-1, -2) @ (prob.a + 2.0 * prob.b) @ low
     try:
         squares, frame = (np.linalg.eigh(q_in_low) if vectors
                           else (np.linalg.eigvalsh(q_in_low), None))
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigenvalue solve failed: {exc}") from exc
-    lowest = np.min(squares)
+    lowest = squares.min()
     if lowest <= 0.0:
         raise NoSolutionError(f"A + 2B is not positive definite (eigenvalue {lowest:.3g})")
     return low, squares, frame

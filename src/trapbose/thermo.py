@@ -44,9 +44,9 @@ TOL_FLOOR = 4 * sys.float_info.epsilon  # the finest tol of a root in n0
 
 def _require_positive(levels):
     """Raise UnstableSpectrumError unless every level is positive."""
-    if np.any(levels <= 0.0):
+    if (levels <= 0.0).any():
         raise UnstableSpectrumError(
-            f"all levels must be positive, lowest is {np.min(levels):.6g}")
+            f"all levels must be positive, lowest is {levels.min():.6g}")
 
 
 def _bose(x):
@@ -87,7 +87,7 @@ def occupation(levels, temperature):
 def excited_count(levels, temperature):
     """Total occupation of the excited levels at temperature T.  Raises
     UnstableSpectrumError for a non-positive level."""
-    return float(np.sum(occupation(levels, temperature)))
+    return float(occupation(levels, temperature).sum())
 
 
 def _read_only(array):
@@ -228,15 +228,21 @@ _GRIDS = tuple(_Grid(16 << j) for j in range(4))
 
 
 def _interpolate(grid, values, t):
-    """Barycentric interpolant of values at the grid's nodes, evaluated at t."""
+    """Barycentric interpolant of values at the grid's nodes, evaluated at t.
+
+    It runs at each Brent evaluation, so it calls ndarray.argmin,
+    ndarray.dot and np.add.reduce, the kernels that np.argmin, the @ of two
+    vectors and np.sum run without their Python-level wrappers: the same
+    bits as wrapped_interpolate in tests/oracles.py.
+    """
     gap = t - grid.nodes
-    nearest = np.argmin(np.abs(gap))
+    nearest = np.abs(gap).argmin()
     if gap[nearest] == 0.0:
         return values[nearest]
     # Scaled by the smallest gap: every term is at most 1 in magnitude, so
     # none overflows however close t comes to a node.
     terms = grid.weights * (gap[nearest] / gap)
-    return (terms @ values) / np.sum(terms)
+    return terms.dot(values) / np.add.reduce(terms)
 
 
 class SpectrumModel:
@@ -310,11 +316,18 @@ class SpectrumModel:
             self._groups = []
             # Each group keeps E, C and the extra terms, all of C's shape.
             for index, coupling in parity_sectors(basis, arrays=2 + len(extra_terms)):
-                sector = energies[index]
-                group = (sector[..., None] * np.eye(index.shape[1]), coupling,
-                         *[term(sector, coupling) for term in extra_terms])
-                self._groups.append(tuple(_read_only(a) for a in group))
-            energies = np.sort(energies)
+                sector = energies.take(index)
+                # E as zeros with the energies on a strided view of each
+                # diagonal: sector[..., None] * np.eye(m) bit for bit, as the
+                # energies are finite and non-negative (e*0.0 is +0.0).
+                k, m = index.shape
+                diagonal = np.zeros((k, m, m))
+                diagonal.reshape(k, m * m)[:, ::m + 1] = sector
+                group = (diagonal, coupling, *[term(sector, coupling) for term in extra_terms])
+                for array in group:
+                    _read_only(array)
+                self._groups.append(group)
+            energies.sort()
         self._energies = _read_only(energies)
         # levels(0.0) is this array at every point, so it is tested once;
         # solve_n0 raises UnstableSpectrumError at each point when it fails.
@@ -342,11 +355,13 @@ class SpectrumModel:
             # E + (4*lam)*c, the product formed in out when it is given.
             levels = np.multiply(4.0 * lam, self.coupling_diagonal, out=out)
             return np.add(self._energies, levels, out=levels)
-        return np.sort(self._sectors(np.array([lam]))[0])
+        levels = self._sectors(np.array([lam]))[0]
+        levels.sort()
+        return levels
 
     def _sectors(self, lam):
         """The sector levels at each lambda of lam, one row per lambda."""
-        column = np.reshape(lam, (-1, 1, 1, 1))
+        column = lam.reshape(-1, 1, 1, 1)
         # A coupling beyond the float range overflows the sector matrices:
         # that is a failed eigen-solve of the point, not a warning.
         try:
@@ -403,7 +418,7 @@ class SpectrumModel:
                                                         np.array_split(lam, chunks)))
         except TrapBoseError:
             return None
-        if np.any(values <= 0.0):
+        if (values <= 0.0).any():
             return None
         return _read_only(values)
 
@@ -647,16 +662,18 @@ def _normal_phase_point(levels, r, occ, temperature, n_total):
 
 def energy_excess(levels, temperature):
     """E - E0 = sum_n eps_n/(exp(eps_n/T) - 1) at the given levels."""
-    return float(np.sum(levels * occupation(levels, temperature)))
+    return float((levels * occupation(levels, temperature)).sum())
 
 
 def _node_sums(rows, temperature):
     """The excited count and energy at each row of node levels, which
-    _node_levels has checked positive."""
+    _node_levels has checked positive, summed along each row by
+    np.add.reduce: np.sum's pairwise sum without its wrapper, the same bits
+    as wrapped_node_sums in tests/oracles.py."""
     occ = _bose(rows / temperature)
-    counts = np.sum(occ, axis=1)
+    counts = np.add.reduce(occ, axis=1)
     occ *= rows
-    return counts, np.sum(occ, axis=1)
+    return counts, np.add.reduce(occ, axis=1)
 
 
 def _table_sums(model, temperature, bare_count, tol):
@@ -674,7 +691,7 @@ def _table_sums(model, temperature, bare_count, tol):
         # Node 0 is lambda = 0: the count that chose this phase, so f(0) > 0
         # holds on the interpolant too.
         counts[0] = bare_count
-        if np.sum(np.abs(grid.tail @ counts)) <= limit:
+        if np.add.reduce(np.abs(grid.tail @ counts)) <= limit:
             return grid, *sums
     return None
 

@@ -11,10 +11,13 @@ each ideal and first-order point is solved in one workspace instead of
 new arrays at each evaluation, the dense kinds' Brent root is a port of
 brentq that imports no scipy.optimize, the Chebyshev grids' tail maps
 are closed-form rows instead of two rows of an inverse
-Chebyshev-Vandermonde matrix, the symmetric-branch X, Y are formed in
-the Cholesky frame of the levels instead of from the generator T, and
-the pipeline never needs the shift vector z or the spectrum of the
-solved X, Y.  The tests compare the fast forms against these, so
+Chebyshev-Vandermonde matrix, the count interpolant and the node sums
+call ndarray methods and ufunc reductions instead of numpy's
+Python-level functions, the dense models' E stacks are zeros with a
+strided diagonal instead of a product with the identity, the
+symmetric-branch X, Y are formed in the Cholesky frame of the levels
+instead of from the generator T, and the pipeline never needs the shift
+vector z or the spectrum of the solved X, Y.  The tests compare the fast forms against these, so
 their arithmetic must stay as the formulas read.
 """
 
@@ -323,6 +326,36 @@ def inverse_tail(nodes):
     their interpolant."""
     vander = np.polynomial.chebyshev.chebvander(2.0 * nodes - 1.0, nodes.size - 1)
     return np.linalg.inv(vander)[-2:]
+
+
+# The count interpolant and the node sums in numpy's Python-level functions:
+# the reference for thermo._interpolate and thermo._node_sums, whose ndarray
+# methods and ufunc reductions run the same kernels, bit for bit, without
+# the wrappers' cost on every Brent evaluation.
+
+def wrapped_interpolate(grid, values, t):
+    """Barycentric interpolant of values at the grid's nodes, evaluated at t."""
+    gap = t - grid.nodes
+    nearest = np.argmin(np.abs(gap))
+    if gap[nearest] == 0.0:
+        return values[nearest]
+    terms = grid.weights * (gap[nearest] / gap)
+    return (terms @ values) / np.sum(terms)
+
+
+def wrapped_node_sums(rows, temperature):
+    """The excited count and energy at each row of positive node levels."""
+    occ = thermo._bose(rows / temperature)
+    counts = np.sum(occ, axis=1)
+    occ *= rows
+    return counts, np.sum(occ, axis=1)
+
+
+def eye_energy_stack(sector):
+    """The (k, m, m) stack of diagonal matrices of a (k, m) stack of sector
+    energies, as a product with the identity: the reference for the E
+    stacks of SpectrumModel."""
+    return sector[..., None] * np.eye(sector.shape[-1])
 
 
 # scipy's Brent root: the reference for thermo._brent_root, a port of

@@ -447,7 +447,7 @@ class TestParitySectors:
         def build(*args):
             raise AssertionError("a sector block was built")
 
-        monkeypatch.setattr(basis_mod, "_coupling_array", build)
+        monkeypatch.setattr(basis_mod, "_coupling_magnitude", build)
         cfg = TrapConfig(dimension=3, frequencies=(1.0, 1.0, 1.0))
         basis = enumerate_basis(cfg, 60.0)
         message = r"39710 states in dimension 3 need {} x 197571650 entries"

@@ -41,6 +41,11 @@ print(*sorted(m for m in set(sys.modules) - before
 """
 
 
+# The body of the trapbose console script that pyproject.toml declares, run
+# with python -c, so that a test needs no installed script.
+CONSOLE_SCRIPT = "import sys; from trapbose.cli import main; sys.exit(main())"
+
+
 FLOAT_KEYS = ("g", "mass", "hbar", "omega", "e_cut", "t_min", "t_max", "t_step", "tol")
 
 
@@ -442,3 +447,31 @@ class TestMainExitStatus:
         config.write_text("e_cut = 40\nt_max = 5\n")
         assert main(["--config", str(config), "--validate"]) == 0
         assert "PASS" in capsys.readouterr().out
+
+
+class TestConsoleScript:
+    """The console script in a fresh interpreter: its exit status and its
+    stderr."""
+
+    def console(self, *args, **env):
+        env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
+            [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+        return subprocess.run([sys.executable, "-c", CONSOLE_SCRIPT, *args], env=env,
+                              capture_output=True, text=True, timeout=300)
+
+    @pytest.mark.parametrize("kind", thermo.SOLVER_KINDS)
+    def test_sweeps_with_a_tol_below_float_resolution(self, kind, tmp_path):
+        # tol = 1e-17 asks for a step below the float spacing of n0 (5.7e-14
+        # near n0 = 500), so it is floored at 4*eps.  With RuntimeWarning
+        # raised as an error, each kind must sweep the default grid with
+        # every point converged: exit status 0, no "# T=" failure line and
+        # no traceback.  The riccati points that fail the tail test on every
+        # grid solve on direct levels.
+        config = tmp_path / "tiny-tol.cfg"
+        config.write_text("tol = 1e-17\n")
+        run = self.console("--config", str(config), "--solver", kind,
+                           "--output", str(tmp_path / f"tiny-tol-{kind}.csv"),
+                           PYTHONWARNINGS="error::RuntimeWarning")
+        assert run.returncode == 0, run.stderr
+        assert not [line for line in run.stderr.splitlines() if line.startswith("# T=")]
+        assert "Traceback" not in run.stderr

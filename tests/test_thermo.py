@@ -39,9 +39,12 @@ from trapbose import (
     solve_n0,
     sweep,
 )
+from trapbose.basis import parity_sectors
 from oracles import (allocating_point, bogoliubov_levels, bose_occupation, brent_root,
-                     condensed_point, fugacity_occupation_q, fugacity_occupation_r, inverse_tail,
-                     normal_phase_point, quasiparticle_levels, spectrum_matrix)
+                     condensed_point, eye_energy_stack, fugacity_occupation_q,
+                     fugacity_occupation_r, inverse_tail, normal_phase_point,
+                     quasiparticle_levels, spectrum_matrix, wrapped_interpolate,
+                     wrapped_node_sums)
 
 CFG = TrapConfig()
 IDEAL = TrapConfig(g=0.0)
@@ -1460,6 +1463,99 @@ class TestLevelTable:
         assert calls == [0.0]
         assert not point.normal_phase
         assert abs(point.n0 - reference.n0) <= 2 * thermo.DEFAULT_TOL * 20
+
+
+def float_bits(value):
+    """The bytes of a float64, which tell -0.0 from 0.0."""
+    return np.float64(value).tobytes()
+
+
+class TestWrapperFreeForms:
+    """The dense kinds' per-point and set-up arithmetic calls ndarray methods
+    and ufunc reductions where numpy's Python-level functions wrap them:
+    the same bits as the wrapped forms that tests/oracles.py keeps."""
+
+    @settings(deadline=None, max_examples=400)
+    @given(j=st.integers(0, len(thermo._GRIDS) - 1), seed=st.integers(0, 2**32 - 1),
+           where=st.sampled_from(["node", "ulp below", "ulp above", "between"]),
+           node=st.integers(0, 128), between=st.floats(0.0, 1.0))
+    def test_interpolant_matches_wrapped_form(self, j, seed, where, node, between):
+        grid = thermo._GRIDS[j]
+        rng = np.random.default_rng(seed)
+        values = rng.uniform(-1.0, 1.0, grid.nodes.size) * 10.0 ** rng.integers(-3, 4)
+        node = float(grid.nodes[node % grid.nodes.size])
+        t = {"node": node, "ulp below": math.nextafter(node, -math.inf),
+             "ulp above": math.nextafter(node, math.inf), "between": between}[where]
+        assert (float_bits(thermo._interpolate(grid, values, t))
+                == float_bits(wrapped_interpolate(grid, values, t)))
+
+    def test_interpolant_matches_wrapped_form_near_every_node(self):
+        # Each node, the floats next to it and the midpoints between
+        # neighbours, on every grid.
+        rng = np.random.default_rng(11)
+        for grid in thermo._GRIDS:
+            ordered = np.sort(grid.nodes)
+            points = [*grid.nodes, *(0.5 * (ordered[:-1] + ordered[1:]))]
+            points += [math.nextafter(float(t), toward) for t in grid.nodes
+                       for toward in (-math.inf, math.inf)]
+            for values in (rng.uniform(0.0, 1000.0, grid.nodes.size),
+                           rng.standard_normal(grid.nodes.size)):
+                for t in points:
+                    assert (float_bits(thermo._interpolate(grid, values, float(t)))
+                            == float_bits(wrapped_interpolate(grid, values, float(t))))
+
+    @settings(deadline=None, max_examples=200)
+    @given(j=st.integers(0, len(thermo._GRIDS) - 1), seed=st.integers(0, 2**32 - 1),
+           size=st.integers(1, 60), temperature=st.floats(0.05, 300.0))
+    def test_node_sums_match_wrapped_form(self, j, seed, size, temperature):
+        rows = np.random.default_rng(seed).uniform(0.01, 200.0, (thermo._GRIDS[j].nodes.size,
+                                                                  size))
+        with np.errstate(over="ignore"):
+            ours, theirs = thermo._node_sums(rows, temperature), wrapped_node_sums(rows,
+                                                                                   temperature)
+        for got, want in zip(ours, theirs):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("cfg, e_cut", [
+        (CFG, 60.0),
+        (TrapConfig(dimension=2, frequencies=(1.0, math.sqrt(2.0))), 12.0),
+        (TrapConfig(dimension=2, frequencies=(1.0, 1.0)), 10.0),
+        (TrapConfig(dimension=3, frequencies=(1.0, 1.3, 0.7)), 6.0),
+    ], ids=["1d", "2d-aniso", "2d-iso", "3d-aniso"])
+    @pytest.mark.parametrize("kind", ["perturbative2", "riccati"])
+    def test_energy_stacks_match_eye_product(self, kind, cfg, e_cut):
+        basis = enumerate_basis(cfg, e_cut)
+        model = SpectrumModel(cfg, basis, kind=kind)
+        energies = basis.energies()
+        blocks = parity_sectors(basis)
+        assert len(model._groups) == len(blocks)
+        for (stack, *_), (index, _) in zip(model._groups, blocks):
+            assert stack.tobytes() == eye_energy_stack(energies[index]).tobytes()
+        assert model.levels(0.0).tobytes() == np.sort(energies).tobytes()
+
+    @pytest.mark.parametrize("kind", ["perturbative2", "riccati"])
+    def test_table_point_calls_no_fromnumeric_function(self, kind):
+        # Once the table is built, a condensed point is table sums and Brent
+        # evaluations of the interpolant, none of which goes through numpy's
+        # fromnumeric wrappers (numpy/_core/ in numpy 2, numpy/core/ in 1.x).
+        model = SpectrumModel(CFG, enumerate_basis(CFG, 60.0), kind=kind)
+        first = solve_n0(model, 5.0)  # builds every grid the point reaches
+        called = set()
+
+        def profile(frame, event, arg):
+            if event == "call":
+                called.add((os.path.basename(frame.f_code.co_filename), frame.f_code.co_name))
+
+        sys.setprofile(profile)
+        try:
+            point = solve_n0(model, 5.0)
+        finally:
+            sys.setprofile(None)
+        assert point_bits(point) == point_bits(first)
+        assert not point.normal_phase and point.iterations > 0
+        assert ("thermo.py", "_interpolate") in called
+        assert ("thermo.py", "_direct_residual") not in called
+        assert sorted(name for file, name in called if file == "fromnumeric.py") == []
 
 
 class TestNodeChunks:
