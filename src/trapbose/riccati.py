@@ -113,8 +113,8 @@ def anomalous_residuals(x, y, prob: RiccatiProblem):
 
 
 def _cosh_sinh_general(t_mat):
-    # Imported at the first call, as in thermo._brent_root: only the
-    # general branch, which --validate runs, comes here.
+    # Imported at the first call: only the general branch, which --validate
+    # runs, needs scipy.linalg, so no sweep loads it.
     from scipy.linalg import expm
 
     ep = expm(t_mat)

@@ -736,11 +736,11 @@ def solve_n0(model: SpectrumModel, temperature, tol=DEFAULT_TOL, *, workspace=No
     over 1/r, with a third buffer for its slope weight (_affine_root).
     workspace is those three float vectors of the model's size, which the
     call overwrites (sweep passes one per stripe of ideal and
-    perturbative1); without it the call allocates its own.  The model keeps no buffer, so one model may serve
-    solve_n0 on several threads.  Raises
-    UnstableSpectrumError when a level it sums is not positive: the bare
-    levels (tested once per model, raised at each point), the direct levels
-    of the dense kinds by excited_count, and nothing else, as the
+    perturbative1); without it the call allocates its own.  The model
+    keeps no buffer, so one model may serve solve_n0 on several threads.
+    Raises UnstableSpectrumError when a level it sums is not positive: the
+    bare levels (tested once per model, raised at each point), the direct
+    levels of the dense kinds by excited_count, and nothing else, as the
     perturbative1 levels are at least the bare ones and the table rows were
     checked when built.  Raises ValueError for a temperature or tol that
     is not positive and finite.

@@ -1,8 +1,10 @@
 """The paper's printed formulas, kept as independent oracles for the tests.
 
-The package evaluates each of these in a faster form: the basis arrays
-vectorize the scalar matrix elements, reading log Gamma from a table of
-its port of the Cephes lgam that scipy's gammaln runs, the basis is
+The package evaluates each of these in a faster or plainer form: the
+basis arrays vectorize the scalar matrix elements, reading log Gamma from
+a table of its port of the Cephes lgam that scipy's gammaln runs, the
+couplings take their parity and sign from one key and sign per state
+instead of bit tricks on each pair's quanta, the basis is
 sorted by one stable argsort instead of a lexsort, the level models
 solve each parity sector on its own instead of the full matrices, the
 Bose occupations are formed in place, the normal-phase fugacity and the
@@ -30,7 +32,7 @@ from scipy.special import gammaln
 from trapbose import (ConvergenceError, NoSolutionError, RiccatiProblem, RiccatiSolution,
                       SystemMatrices, ThermoPoint, TrapConfig, energy_excess, occupation)
 from trapbose import thermo
-from trapbose.basis import _log_prefactor
+from trapbose.basis import _coupling_magnitude, _log_prefactor
 from trapbose.perturbative import real_eigenvalues, second_order_term
 from trapbose.riccati import bogoliubov_sector_levels
 
@@ -71,6 +73,33 @@ def source_coefficient(n, cfg: TrapConfig):
     """Linear-term coefficient d_n; equals c_mn with m = 0."""
     zero = (0,) * cfg.dimension
     return coupling_coefficient(zero, n, cfg)
+
+
+# The coupling arrays with c_mn's parity and sign gathered by bit tricks on
+# 3 m_j + n_j over each pair: the byte-level reference for build_matrices,
+# which reads them from one parity key and sign per state.  The scalar
+# coupling_coefficient differs from the arrays in the last bit of a few
+# entries, so it cannot be that reference.
+
+def coupling_array(m, n, cfg: TrapConfig, top):
+    """Interaction matrix element c_mn for integer quanta arrays m and n of
+    shape (..., D), broadcast against each other, and top as for
+    _coupling_magnitude; the source d_n is c_mn with m = 0.
+
+    c_mn vanishes exactly unless m_j + n_j is even in every dimension; its
+    sign, like its magnitude, is symmetric in m and n.
+    """
+    # The quanta are non-negative, so bit 0 of bits = 3 mj + nj is the
+    # parity of mj + nj, and bit 1 that of (3 mj + nj) // 2, whose parities
+    # summed over j give the sign: OR and XOR gather them over j.
+    odd = 0
+    sign = 0
+    for j in range(cfg.dimension):
+        bits = 3 * m[..., j] + n[..., j]
+        odd = odd | bits
+        sign = sign ^ bits
+    # 1 - (sign & 2) is the sign, +1 or -1, which multiplies exactly.
+    return np.where(odd & 1, 0.0, (1 - (sign & 2)) * _coupling_magnitude(m, n, cfg, top))
 
 
 # The full-matrix level path: the reference for the per-sector levels of

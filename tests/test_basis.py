@@ -21,8 +21,8 @@ from trapbose import (
     parity_sectors,
     quadrature_oracle_element,
 )
-from oracles import (coupling_coefficient, gammaln, lexsort_enumeration, oscillator_energy,
-                     source_coefficient)
+from oracles import (coupling_array, coupling_coefficient, gammaln, lexsort_enumeration,
+                     oscillator_energy, source_coefficient)
 
 PAPER_1D = TrapConfig()
 SQRT2 = math.sqrt(2.0)
@@ -240,6 +240,24 @@ class TestBasisSet:
     def test_integer_quanta_accepted(self, quanta):
         assert BasisSet(quanta, PAPER_2D).size == len(quanta)
 
+    @pytest.mark.parametrize("quanta", [
+        np.array([[100], [120]], dtype=np.int8),
+        np.array([[130], [130]], dtype=np.uint8),
+    ], ids=["int8", "uint8"])
+    def test_narrow_quanta_couple_as_int64(self, quanta):
+        # The couplings sum quanta: 100 + 120 wraps in int8 and 130 + 130
+        # in uint8.  The int8 basis used to give couplings of 1.28e-15
+        # where int64 gives 0.0999.
+        narrow, wide = BasisSet(quanta, PAPER_1D), BasisSet(quanta.astype(np.int64), PAPER_1D)
+        got, want = build_matrices(narrow, 500), build_matrices(wide, 500)
+        assert got.coupling.tobytes() == want.coupling.tobytes()
+        assert got.source.tobytes() == want.source.tobytes()
+        assert diagonal_coupling(narrow).tobytes() == diagonal_coupling(wide).tobytes()
+        for (index, block), (want_index, want_block) in zip(parity_sectors(narrow),
+                                                            parity_sectors(wide), strict=True):
+            assert index.tobytes() == want_index.tobytes()
+            assert block.tobytes() == want_block.tobytes()
+
 
 class TestLogGamma:
     # basis._lgam ports Cephes lgam, which scipy's gammaln runs: the two are
@@ -401,6 +419,35 @@ class TestBuildMatrices:
             assert np.array_equal(actual == 0.0, wanted == 0.0)
             assert np.allclose(actual, wanted, rtol=1e-14, atol=0.0)
         assert np.count_nonzero(source) > 0
+
+    @settings(deadline=None)
+    @given(frequencies=st.one_of(st.lists(st.floats(0.5, 3.0), min_size=1, max_size=3),
+                                 st.lists(st.sampled_from([0.5, 1.0, 2.0]), min_size=1,
+                                          max_size=3)),
+           e_cut=st.floats(3.0, 8.0), index_grid=st.booleans())
+    @example(frequencies=[1.0], e_cut=400.0, index_grid=False)
+    @example(frequencies=[1.0, SQRT2], e_cut=40.0, index_grid=False)
+    @example(frequencies=[1.0, 1.3, 0.7], e_cut=8.0, index_grid=True)
+    def test_matches_the_pairwise_parity_reference(self, frequencies, e_cut, index_grid):
+        # C, d and every sector block, byte for byte, against the parity
+        # and sign gathered from each pair's quanta (oracles.coupling_array).
+        # index_grid takes --validate's basis: the index grid up to 8 (1D)
+        # or 4 quanta per dimension, in np.ndindex order rather than by
+        # energy.
+        cfg = TrapConfig(dimension=len(frequencies), frequencies=tuple(frequencies))
+        if index_grid:
+            top = 8 if cfg.dimension == 1 else 4
+            basis = BasisSet(np.array(list(np.ndindex(*(top + 1,) * cfg.dimension))[1:]), cfg)
+        else:
+            basis = enumerate_basis(cfg, e_cut)
+        quanta, top = basis.quanta, basis.quanta.max()
+        coupling = coupling_array(quanta[:, None, :], quanta[None, :, :], cfg, top)
+        source = coupling_array(np.zeros(cfg.dimension, dtype=np.int64), quanta, cfg, top)
+        sysm = build_matrices(basis, 500)
+        assert sysm.coupling.tobytes() == coupling.tobytes()
+        assert sysm.source.tobytes() == source.tobytes()
+        for index, block in parity_sectors(basis):
+            assert block.tobytes() == coupling[index[:, :, None], index[:, None, :]].tobytes()
 
     def test_n0_out_of_range(self):
         basis = enumerate_basis(PAPER_1D, 2.5)

@@ -453,11 +453,53 @@ class TestConsoleScript:
     """The console script in a fresh interpreter: its exit status and its
     stderr."""
 
-    def console(self, *args, **env):
+    def console(self, *args, flags=(), **env):
+        """Run the script with args and the interpreter flags given, in the
+        environment with env added."""
         env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
             [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
-        return subprocess.run([sys.executable, "-c", CONSOLE_SCRIPT, *args], env=env,
+        return subprocess.run([sys.executable, *flags, "-c", CONSOLE_SCRIPT, *args], env=env,
                               capture_output=True, text=True, timeout=300)
+
+    # A non-finite config value, an n_particles beyond the float range, an
+    # hbar*omega that underflows to 0 or to a subnormal (whose basis count
+    # is inf), or a subnormal t_step (whose grid count is inf) is a
+    # configuration error: exit status 1, an "error:" line and no traceback.
+    @pytest.mark.parametrize("text", [
+        "g = nan\ne_cut = 20\nt_min = 1\nt_max = 3\n",
+        "e_cut = 20\nt_min = 1\nt_max = inf\n",
+        f"n_particles = 1{'0' * 399}\ne_cut = 20\nt_min = 1\nt_max = 3\n",
+        "hbar = 1e-10\nomega = 5e-324\ne_cut = 60\nt_min = 1\nt_max = 2\n",
+        "hbar = 1e-10\nomega = 1e-300\ne_cut = 60\nt_min = 1\nt_max = 2\n",
+        "e_cut = 20\nt_min = 1\nt_max = 3\nt_step = 5e-324\n",
+    ], ids=["g-nan", "tmax-inf", "n-huge", "hbar-omega-zero", "hbar-omega-subnormal",
+            "tstep-subnormal"])
+    def test_rejects_non_finite_config_values(self, text, tmp_path):
+        config = tmp_path / "bad.cfg"
+        config.write_text(text)
+        run = self.console("--config", str(config), "--output", str(tmp_path / "bad.csv"))
+        assert run.returncode == 1, run.stderr
+        assert [line for line in run.stderr.splitlines() if line.startswith("error: ")]
+        assert "Traceback" not in run.stderr
+
+    # Invariants are raised as errors, never checked by assert, which
+    # python -O strips: the default config and an anisotropic 2D trap give
+    # the same CSV bytes with and without -O.
+    @pytest.mark.parametrize("text", [
+        None,
+        "dimension = 2\nomega = 1, 1.4142135623730951\ne_cut = 40\nt_min = 1\nt_max = 5\n",
+    ], ids=["default", "trap2d"])
+    def test_sweeps_alike_under_python_optimize(self, text, tmp_path):
+        args = ()
+        if text is not None:
+            (tmp_path / "trap.cfg").write_text(text)
+            args = ("--config", str(tmp_path / "trap.cfg"))
+        csvs = []
+        for flags in ((), ("-O",)):
+            csvs.append(tmp_path / f"sweep{''.join(flags)}.csv")
+            run = self.console(*args, "--output", str(csvs[-1]), flags=flags)
+            assert run.returncode == 0, run.stderr
+        assert csvs[0].read_bytes() == csvs[1].read_bytes()
 
     @pytest.mark.parametrize("kind", thermo.SOLVER_KINDS)
     def test_sweeps_with_a_tol_below_float_resolution(self, kind, tmp_path):
