@@ -35,11 +35,13 @@ MAX_SECTOR_ENTRIES = 2**26
 class BasisSet:
     """Ordered excited states (n != 0) of the trap in config.
 
-    quanta is a read-only (size, D) integer array, one state per row.
+    quanta is a read-only (size, D) int64 array, one state per row.
     Ordering is (energy, lexicographic row), so two runs with identical
-    inputs enumerate identically.  A quanta of another integer dtype is
-    kept as its int64 copy.  A quanta that is not a 2-D integer array with
-    config.dimension columns, or holds a negative number, raises ValueError.
+    inputs enumerate identically.  A quanta that is not a read-only int64
+    array owning its data (as enumerate_basis makes) is kept as a read-only
+    int64 copy, so that no later write to the caller's array reaches it.  A
+    quanta that is not a 2-D integer array with config.dimension columns,
+    or holds a negative number, raises ValueError.
     """
 
     quanta: np.ndarray
@@ -57,9 +59,12 @@ class BasisSet:
                 f"{np.shape(quanta)}, dtype {getattr(quanta, 'dtype', None)}")
         # The kernels sum quanta in their dtype, where a narrow one wraps
         # (int8 100 + 120 is -36); a uint64 beyond int64 wraps negative here.
-        quanta = quanta.astype(np.int64, copy=False)
-        object.__setattr__(self, "quanta", quanta)
-        if quanta.min(initial=0) < 0:
+        flags = quanta.flags
+        if quanta.dtype != np.int64 or flags.writeable or not flags.owndata:
+            quanta = quanta.astype(np.int64)
+            quanta.flags.writeable = False
+            object.__setattr__(self, "quanta", quanta)
+        if np.minimum.reduce(quanta, axis=None, initial=0) < 0:
             raise ValueError(f"quanta must be non-negative; got {quanta.min()}")
 
     @property
@@ -68,17 +73,25 @@ class BasisSet:
 
     def energies(self):
         """Vector of excitation energies hbar*(omega_1*n_1 + ... + omega_D*n_D),
-        in basis order, measured from the ground state.
+        in basis order, measured from the ground state: a new array.
 
         The arithmetic of the scalar oscillator_energy in tests/oracles.py in
         the same order, so the values are bit-identical to it.
         """
-        # The scalar sum starts at 0, and 0 + x is x for the x >= 0 here.
+        return self._energies.copy()
+
+    @functools.cached_property
+    def _energies(self):
+        # Read-only, as the quanta are.  A 1D enumerate_basis sets it to the
+        # energies it sums as it enumerates, in this arithmetic.  The scalar
+        # sum starts at 0, and 0 + x is x for the x >= 0 here.
         (w, *others), quanta = self.config.frequencies, self.quanta
         total = w * quanta[:, 0]
         for j, w in enumerate(others, start=1):
             total = total + w * quanta[:, j]
-        return self.config.hbar * total
+        total = self.config.hbar * total
+        total.flags.writeable = False
+        return total
 
 
 def _quantum_count(cfg: TrapConfig, e_cut, j, kept):
@@ -117,8 +130,9 @@ def enumerate_basis(cfg: TrapConfig, e_cut):
     # The first dimension extends one row, the ground state's empty one.
     k = np.arange(_quantum_count(cfg, e_cut, 1, 1))
     partial = w * k
+    energies = hbar * partial
     # The energies rise with k, so the k that fit are a prefix of k.
-    fit = (hbar * partial).searchsorted(e_cut, side="right")
+    fit = energies.searchsorted(e_cut, side="right")
     quanta, partial = k[:fit, None], partial[:fit]
     for j, w in enumerate(others, start=2):
         count = _quantum_count(cfg, e_cut, j, len(quanta))
@@ -138,15 +152,23 @@ def enumerate_basis(cfg: TrapConfig, e_cut):
         quanta = grown
     # Row 0 is the ground state, first in the enumeration and kept by any
     # e_cut >= 0; every other row is excited.
-    quanta, energies = quanta[1:], hbar * partial[1:]
+    quanta = quanta[1:]
     if not quanta.size:
         raise EmptyBasisError(
             f"no excited state below e_cut={e_cut} "
             f"(first level at {cfg.hbar * min(cfg.frequencies)})"
         )
+    if not others:
+        # In one dimension the energies never fall, so the sort below is
+        # the identity, and the basis keeps them as its energies.
+        quanta, energies = quanta.copy(), energies[1:fit]
+        quanta.flags.writeable = energies.flags.writeable = False
+        basis = BasisSet(quanta=quanta, config=cfg)
+        vars(basis)["_energies"] = energies
+        return basis
     # The rows come in lexicographic order, so a stable sort by energy
     # orders them by (energy, n_1, ..., n_D), ties included.
-    quanta = quanta.take(energies.argsort(kind="stable"), axis=0)
+    quanta = quanta.take((hbar * partial[1:]).argsort(kind="stable"), axis=0)
     quanta.flags.writeable = False
     return BasisSet(quanta=quanta, config=cfg)
 
@@ -204,6 +226,7 @@ def _coupling_magnitude(m, n, cfg: TrapConfig, top):
 
 
 _SIGNS = np.array([1, -1])
+_KEY_BITS = 1 << np.arange(62)  # 2^j, the key's weight of dimension j
 
 
 def _parity_keys(quanta):
@@ -217,7 +240,7 @@ def _parity_keys(quanta):
     has the parity of a + b.
     """
     half, parity = np.divmod(quanta, 2)
-    key = parity @ (1 << np.arange(quanta.shape[1]))
+    key = parity @ _KEY_BITS[:quanta.shape[1]]
     # (1, -1) read at the sum mod 2; +1 and -1 multiply exactly.
     return key, _SIGNS.take(np.add.reduce(half, axis=1), mode="wrap")
 
@@ -375,7 +398,7 @@ def parity_sectors(basis: BasisSet, arrays=1):
     # The states by the size of their sector, then by key, then in basis
     # order (the sort is stable): the sectors of one size are one run.
     order = ((sizes.take(key) << quanta.shape[1]) | key).argsort(kind="stable")
-    top = quanta.max(initial=0)
+    top = np.maximum.reduce(quanta, axis=None, initial=0)
     stacks, start = [], 0
     for m in sorted(set(counts) - {0}):
         index = order[start:start + m * counts.count(m)].reshape(-1, m)

@@ -62,11 +62,12 @@ class RunConfig:
         object.__setattr__(self, "_grid_size", math.floor(span) + 1)
 
     def temperature_grid(self):
-        return [self.t_min + k * self.t_step for k in range(self._grid_size)]
+        t_min, t_step = self.t_min, self.t_step
+        return [t_min + k * t_step for k in range(self._grid_size)]
 
 
 def _floats(value):
-    return tuple(float(part) for part in value.split(","))
+    return tuple(map(float, value.split(",")))
 
 
 # config key -> (TrapConfig or RunConfig keyword set, field name, value parser)

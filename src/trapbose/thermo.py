@@ -213,11 +213,13 @@ def _on_one_blas_thread(work, parts, stop=None):
 # At these nodes the coefficients are halved cosine sums, so the tail map is
 # closed-form in the weights w: T_n(2t - 1) = (-1)^(n-k) at node k, and
 # T_(n-1)(2t - 1) = (-1)^(n-k) (2t - 1), which give the rows (2/n) w (2t - 1)
-# and w/n times (-1)^n, which is 1 on every grid of _GRIDS.
+# and w/n times (-1)^n, which is 1 on every grid of _GRIDS.  top is the index
+# of node n, at t = 1 exactly.
 class _Grid:
     def __init__(self, n):
         k = np.arange(n + 1)
         k = k[np.argsort(-np.gcd(k, n // 16), kind="stable")]
+        self.top = int(np.flatnonzero(k == n)[0])
         self.nodes = _read_only(np.sin(0.5 * np.pi * k / n) ** 2)
         self.weights = _read_only(np.where(k % n == 0, 0.5, 1.0) * (-1.0) ** k)
         self.tail = _read_only(np.stack([(2.0 / n) * self.weights * (2.0 * self.nodes - 1.0),
@@ -227,22 +229,32 @@ class _Grid:
 _GRIDS = tuple(_Grid(16 << j) for j in range(4))
 
 
-def _interpolate(grid, values, t):
-    """Barycentric interpolant of values at the grid's nodes, evaluated at t.
+def _barycentric(grid, t):
+    """The terms of the barycentric interpolant over the grid's nodes at t
+    and their sum; (index, None) when t is the node of that index."""
+    gap = t - grid.nodes
+    nearest = np.abs(gap).argmin()
+    if gap[nearest] == 0.0:
+        return nearest, None
+    # Scaled by the smallest gap: every term is at most 1 in magnitude, so
+    # none overflows however close t comes to a node.
+    terms = grid.weights * (gap[nearest] / gap)
+    return terms, np.add.reduce(terms)
+
+
+def _interpolate(grid, values, t, at=None):
+    """Barycentric interpolant of values at the grid's nodes, evaluated at t
+    from at, the _barycentric terms of t, which this forms when at is None.
 
     It runs at each Brent evaluation, so it calls ndarray.argmin,
     ndarray.dot and np.add.reduce, the kernels that np.argmin, the @ of two
     vectors and np.sum run without their Python-level wrappers: the same
     bits as wrapped_interpolate in tests/oracles.py.
     """
-    gap = t - grid.nodes
-    nearest = np.abs(gap).argmin()
-    if gap[nearest] == 0.0:
-        return values[nearest]
-    # Scaled by the smallest gap: every term is at most 1 in magnitude, so
-    # none overflows however close t comes to a node.
-    terms = grid.weights * (gap[nearest] / gap)
-    return terms.dot(values) / np.add.reduce(terms)
+    terms, total = _barycentric(grid, t) if at is None else at
+    if total is None:
+        return values[terms]
+    return terms.dot(values) / total
 
 
 class SpectrumModel:
@@ -304,7 +316,9 @@ class SpectrumModel:
             raise ValueError(f"cfg and basis.config are different traps: {cfg} vs {trap}")
         self.cfg = replace(cfg, g=0.0) if kind == "ideal" else cfg
         self.kind = kind
-        energies = basis.energies()
+        # The basis's energies, read-only: kept as they are by ideal and
+        # perturbative1, whose levels are in basis order.
+        energies = basis._energies
         self.coupling_diagonal = None
         self._groups = None
         self._refined = {}  # the blocks after table that _blocks has built
@@ -327,11 +341,13 @@ class SpectrumModel:
                 for array in group:
                     _read_only(array)
                 self._groups.append(group)
+            energies = energies.copy()
             energies.sort()
-        self._energies = _read_only(energies)
+            _read_only(energies)
+        self._energies = energies
         # levels(0.0) is this array at every point, so it is tested once;
         # solve_n0 raises UnstableSpectrumError at each point when it fails.
-        self._bare_positive = not (energies <= 0.0).any()
+        self._bare_positive = float(np.minimum.reduce(energies, initial=math.inf)) > 0.0
 
     def levels(self, n0, out=None):
         """The levels at condensate occupation n0.
@@ -451,27 +467,42 @@ class ThermoPoint:
 # and one args to both.  Nothing in the solve refers to itself, so no
 # reference cycle keeps a model alive until the garbage collector runs.
 
-def _interpolated_residual(n0, grid, counts, n_total):
-    return n_total - n0 - _interpolate(grid, counts, n0 / n_total)
+def _interpolated_residual(n0, grid, counts, n_total, seen):
+    # seen keeps the terms of each n0, from which solve_n0 takes the
+    # energy at the root.
+    t = n0 / n_total
+    seen[n0] = at = _barycentric(grid, t)
+    return n_total - n0 - _interpolate(grid, counts, t, at)
 
 
 def _direct_residual(n0, model, temperature, n_total):
     return n_total - n0 - excited_count(model.levels(n0), temperature)
 
 
+def _direct_point(args):
+    """(n0, evaluations, energy) of a condensed point on direct levels."""
+    model, temperature, n_total, tol = args
+    n0, calls = _brent_root(_direct_residual, (model, temperature, n_total), n_total, tol)
+    return n0, calls, energy_excess(model.levels(n0), temperature)
+
+
 BRENT_MAX_ITERATIONS = 100  # brentq's default maxiter
 
 
-def _brent_value(residual, n0, args):
-    value = float(residual(n0, *args))
+def _brent_value(value, n0):
+    value = float(value)
     if math.isnan(value):
         raise ConvergenceError(f"Brent root: residual is nan at n0 = {n0:.6g}", residual=value)
     return value
 
 
-def _brent_root(residual, args, n_total, tol):
+def _brent_root(residual, args, n_total, tol, ends=None):
     """Brent's method for residual(n0, *args) on [0, N] to within tol*N,
     or TOL_FLOOR relative to n0: (n0, evaluations).
+
+    ends, when given, are the residuals at 0 and N, which the caller has
+    at hand: the root takes them in place of its first two evaluations,
+    which it still counts.
 
     A port of scipy's brentq.c (R. P. Brent, Algorithms for Minimization
     without Derivatives, 1973, ch. 4) that makes brentq's evaluations and
@@ -484,7 +515,11 @@ def _brent_root(residual, args, n_total, tol):
     """
     xtol = float(tol) * n_total
     xpre, xcur = 0.0, n_total
-    fpre, fcur = _brent_value(residual, xpre, args), _brent_value(residual, xcur, args)
+    if ends is None:
+        fpre = _brent_value(residual(xpre, *args), xpre)
+        fcur = _brent_value(residual(xcur, *args), xcur)
+    else:
+        fpre, fcur = _brent_value(ends[0], xpre), _brent_value(ends[1], xcur)
     calls = 2
     if fpre == 0.0:
         return xpre, calls
@@ -523,7 +558,7 @@ def _brent_root(residual, args, n_total, tol):
             spre = scur = sbis
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = _brent_value(residual, xcur, args)
+        fcur = _brent_value(residual(xcur, *args), xcur)
         calls += 1
     raise ConvergenceError(f"Brent root not converged in {BRENT_MAX_ITERATIONS} iterations "
                            f"(n0 = {xcur:.6g})", residual=fcur)
@@ -669,24 +704,31 @@ def _node_sums(rows, temperature):
     """The excited count and energy at each row of node levels, which
     _node_levels has checked positive, summed along each row by
     np.add.reduce: np.sum's pairwise sum without its wrapper, the same bits
-    as wrapped_node_sums in tests/oracles.py."""
+    as wrapped_node_sums in tests/oracles.py.  A (k, 1, 1) column of
+    temperatures gives a (k, rows) count and energy, row i those of
+    temperature i bit for bit: each sum runs along the last, contiguous
+    axis, as it does for one temperature."""
     occ = _bose(rows / temperature)
-    counts = np.add.reduce(occ, axis=1)
+    counts = np.add.reduce(occ, axis=-1)
     occ *= rows
-    return counts, np.add.reduce(occ, axis=1)
+    return counts, np.add.reduce(occ, axis=-1)
 
 
-def _table_sums(model, temperature, bare_count, tol):
+def _table_sums(model, temperature, bare_count, tol, first=None):
     """(grid, counts, energies) at the nodes of the first grid of _GRIDS
     whose count tail is within max(tol, TOL_FLOOR)*N; None when none is, or
-    the model's block of a grid it reaches (_blocks) is None."""
+    the model's block of a grid it reaches (_blocks) is None.  first, when
+    given, is the _node_sums of model.table at temperature, which a sweep's
+    _TableInputs has formed; this writes the bare count over its node 0."""
     limit = max(tol, TOL_FLOOR) * model.cfg.n_particles
     sums = None
     for grid, block in zip(_GRIDS, model._blocks()):
         if block is None:
             return None
-        new = _node_sums(block, temperature)
-        sums = new if sums is None else [np.concatenate(pair) for pair in zip(sums, new)]
+        if sums is None:
+            sums = _node_sums(block, temperature) if first is None else first
+        else:
+            sums = [np.concatenate(pair) for pair in zip(sums, _node_sums(block, temperature))]
         counts = sums[0]
         # Node 0 is lambda = 0: the count that chose this phase, so f(0) > 0
         # holds on the interpolant too.
@@ -694,6 +736,70 @@ def _table_sums(model, temperature, bare_count, tol):
         if np.add.reduce(np.abs(grid.tail @ counts)) <= limit:
             return grid, *sums
     return None
+
+
+# The node occupations that one pass over a chunk of a dense sweep's
+# temperatures forms: a chunk holds MAX_INPUT_ENTRIES // (17 * size)
+# temperatures, and at least one, so that its transient (k, 17, size) array
+# holds at most 512 KB, or one temperature's rows where those hold more.
+# Timed on 2 shared cores with one BLAS thread, in one process, the 200
+# points of the default trap's riccati sweep (400 levels) on built tables
+# took, against solve_n0's per-point sums, 1.11-1.14 times as long at one
+# temperature a pass, 1.02-1.03 at 2, 0.95-0.96 at 4, 0.91 at 9 (2**16),
+# 0.92 at 19 and 0.93 at 38; riccati-1d fits its 20 temperatures in one pass.
+MAX_INPUT_ENTRIES = 2**16
+
+
+class _TableInputs:
+    """The table path's inputs at each temperature of a dense sweep, formed
+    a chunk of temperatures at a time, for solve_n0 to read in grid order.
+
+    For each temperature of a chunk: the bare count's r = expm1(eps/T) and
+    1/r, rows of two (k, size) arrays, and the row sums of 1/r, the bare
+    counts; and, when the chunk holds a condensed temperature (bare count
+    below N), g != 0 and the model has a table, the _node_sums of
+    model.table, which _table_sums takes as its first sums at a condensed
+    point.  Each value is solve_n0's per-point value bit for bit: the same
+    elementwise operations, and each sum along a row's contiguous entries.
+
+    sweep makes one, which does no work then.  solve_n0, handed it as its
+    workspace, forms the chunk that starts at its point when its point is
+    past the chunk formed, and reads its point's rows, which it may
+    overwrite: the normal phase solves in them, as in a workspace of its own.
+    """
+
+    def __init__(self, model, temperatures):
+        self.model = model
+        self.temperatures = temperatures
+        self.next = self.stop = 0  # the index of the next point; the end of the chunk formed
+
+    def take(self, temperature):
+        """(r, 1/r, bare count, first sums or None) of the next point;
+        None when the next point is not at temperature."""
+        i = self.next
+        if i == len(self.temperatures) or self.temperatures[i] != temperature:
+            return None
+        self.next += 1
+        if i == self.stop:
+            self._form(i)
+        i -= self.start
+        first = None if self.sums is None else (self.sums[0][i], self.sums[1][i])
+        return self.r[i], self.occ[i], float(self.bare[i]), first
+
+    def _form(self, start):
+        model = self.model
+        chunk = max(1, MAX_INPUT_ENTRIES // (_GRIDS[0].nodes.size * model._energies.size))
+        self.start, self.stop = start, min(start + chunk, len(self.temperatures))
+        temperatures = np.array(self.temperatures[start:self.stop])
+        self.sums = None
+        with np.errstate(over="ignore"):
+            self.r = np.divide(model._energies, temperatures[:, None])
+            np.expm1(self.r, out=self.r)
+            self.occ = np.reciprocal(self.r)
+            self.bare = np.add.reduce(self.occ, axis=1)
+            if (model.cfg.g != 0.0 and (self.bare < float(model.cfg.n_particles)).any()
+                    and model.table is not None):
+                self.sums = _node_sums(model.table, temperatures[:, None, None])
 
 
 def solve_n0(model: SpectrumModel, temperature, tol=DEFAULT_TOL, *, workspace=None):
@@ -724,7 +830,13 @@ def solve_n0(model: SpectrumModel, temperature, tol=DEFAULT_TOL, *, workspace=No
     129 nodes) where they sum to at most max(tol, TOL_FLOOR)*N in magnitude,
     the root is found on that interpolant, whose node 0 is the bare count
     above, and the energy is interpolated; otherwise, and without a table,
-    on direct levels.  Each point makes one root solve.
+    on direct levels.  Each point makes one root solve.  On the
+    interpolant, the residuals at 0 and N are its end nodes' counts, which
+    the root takes without evaluating them, and the energy takes the
+    barycentric terms of the evaluation at the root.  A direct root and the
+    levels of its energy run at one BLAS thread (_on_one_blas_thread), so
+    that their bits do not depend on the thread count the process runs
+    with; levels(n0) called on its own runs on the BLAS as it is.
 
     The bare count is sum 1/r over r = expm1(eps/T), bit for bit the
     in-place kernel _bose, through which every other Bose sum goes; the
@@ -736,8 +848,13 @@ def solve_n0(model: SpectrumModel, temperature, tol=DEFAULT_TOL, *, workspace=No
     over 1/r, with a third buffer for its slope weight (_affine_root).
     workspace is those three float vectors of the model's size, which the
     call overwrites (sweep passes one per stripe of ideal and
-    perturbative1); without it the call allocates its own.  The model
-    keeps no buffer, so one model may serve solve_n0 on several threads.
+    perturbative1); without it the call allocates its own.  A dense
+    sweep's workspace is its _TableInputs instead: the call takes its
+    point's bare count, r and 1/r, and the sums at the first grid's nodes,
+    from the chunk of temperatures that holds it, the values of the
+    per-point code bit for bit; at a temperature other than the inputs'
+    next one it forms its own.  The model keeps no buffer, so one model
+    may serve solve_n0 on several threads.
     Raises UnstableSpectrumError when a level it sums is not positive: the
     bare levels (tested once per model, raised at each point), the direct
     levels of the dense kinds by excited_count, and nothing else, as the
@@ -753,18 +870,25 @@ def solve_n0(model: SpectrumModel, temperature, tol=DEFAULT_TOL, *, workspace=No
     ideal_levels = model.levels(0.0)
     if not model._bare_positive:
         _require_positive(ideal_levels)
-    if workspace is None:
-        # The Newton solve allocates its slope weight only where it runs.
-        workspace = np.empty_like(ideal_levels), np.empty_like(ideal_levels), None
-    r, occ, weight = workspace
+    inputs = None
+    if isinstance(workspace, _TableInputs):
+        inputs, workspace = workspace.take(temperature), None
     with np.errstate(over="ignore"):
-        # r = expm1(eps/T): the bare count is sum 1/r, as _bose forms it,
-        # and the normal phase solves on r itself.  r and occ = 1/r are the
-        # point's workspace, which the later evaluations overwrite.
-        np.divide(ideal_levels, temperature, out=r)
-        np.expm1(r, out=r)
-        np.reciprocal(r, out=occ)
-        bare_count = float(np.add.reduce(occ))
+        if inputs is not None:
+            (r, occ, bare_count, first), weight = inputs, None
+        else:
+            if workspace is None:
+                # The Newton solve allocates its slope weight only where it runs.
+                workspace = np.empty_like(ideal_levels), np.empty_like(ideal_levels), None
+            r, occ, weight = workspace
+            first = None
+            # r = expm1(eps/T): the bare count is sum 1/r, as _bose forms it,
+            # and the normal phase solves on r itself.  r and occ = 1/r are
+            # the point's workspace, which the later evaluations overwrite.
+            np.divide(ideal_levels, temperature, out=r)
+            np.expm1(r, out=r)
+            np.reciprocal(r, out=occ)
+            bare_count = float(np.add.reduce(occ))
         if bare_count >= n_total:
             return _normal_phase_point(ideal_levels, r, occ, temperature, n_total)
 
@@ -775,15 +899,18 @@ def solve_n0(model: SpectrumModel, temperature, tol=DEFAULT_TOL, *, workspace=No
         elif model.coupling_diagonal is not None:
             n0, energy, calls = _affine_root(model, temperature, n_total, bare_count, tol,
                                              r, occ, weight)
-        elif (sums := _table_sums(model, temperature, bare_count, tol)) is not None:
+        elif (sums := _table_sums(model, temperature, bare_count, tol, first)) is not None:
             grid, counts, energies = sums
-            n0, calls = _brent_root(_interpolated_residual, (grid, counts, n_total),
-                                    n_total, tol)
-            energy = float(_interpolate(grid, energies, n0 / n_total))
+            # The interpolant is counts[0] at 0 and counts[grid.top] at N,
+            # and the energy at the root takes the terms of its evaluation.
+            seen = {}
+            n0, calls = _brent_root(_interpolated_residual, (grid, counts, n_total, seen),
+                                    n_total, tol, (n_total - 0.0 - counts[0],
+                                                   n_total - n_total - counts[grid.top]))
+            energy = float(_interpolate(grid, energies, n0 / n_total, seen.get(n0)))
         else:
-            n0, calls = _brent_root(_direct_residual, (model, temperature, n_total),
-                                    n_total, tol)
-            energy = energy_excess(model.levels(n0), temperature)
+            n0, calls, energy = _on_one_blas_thread(_direct_point, [
+                (model, temperature, n_total, tol)])[0]
     return ThermoPoint(temperature=temperature, n0=n0, lam=cfg.coupling_lambda(n0),
                        energy_excess=energy, iterations=calls, converged=True)
 
@@ -842,14 +969,18 @@ def sweep(cfg: TrapConfig, basis: BasisSet, t_grid, solver_kind="perturbative1",
     set (_blas_threads is None) the sweep is one stripe on the BLAS as it is.
     When a point raises anything but a TrapBoseError, every other stripe
     stops before its next point, and the sweep re-raises it.  The dense
-    kinds sweep on the calling thread, on the BLAS threads the process
-    runs with, each point in its own workspace: their points are small
-    eigen-solves and Brent steps on tables that _node_levels builds on one
-    BLAS thread.
+    kinds sweep on the calling thread: their points are Brent steps on
+    tables that _node_levels builds on one BLAS thread, and direct roots
+    that solve_n0 runs on one BLAS thread.  Their workspace is one
+    _TableInputs, which does no work until the first point: each point
+    reads its bare count and its sums at the first grid's nodes from a
+    chunk of at most MAX_INPUT_ENTRIES node occupations, formed in one pass
+    at the chunk's first point.
     """
     t_grid = [float(t) for t in t_grid]
     for temperature in t_grid:
-        _check_positive(temperature, "all temperatures")
+        if not 0.0 < temperature < math.inf:
+            _check_positive(temperature, "all temperatures")
     _check_positive(tol, "tol")
 
     model = SpectrumModel(cfg, basis, kind=solver_kind)
@@ -860,7 +991,8 @@ def sweep(cfg: TrapConfig, basis: BasisSet, t_grid, solver_kind="perturbative1",
     stop = threading.Event() if stripes > 1 else None
 
     def stripe(temperatures):
-        workspace = None if dense else tuple(np.empty(basis.size) for _ in range(3))
+        workspace = (_TableInputs(model, temperatures) if dense
+                     else tuple(np.empty(basis.size) for _ in range(3)))
         points = []
         for temperature in temperatures:
             if stop is not None and stop.is_set():

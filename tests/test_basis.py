@@ -258,6 +258,28 @@ class TestBasisSet:
             assert index.tobytes() == want_index.tobytes()
             assert block.tobytes() == want_block.tobytes()
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.int8])
+    def test_quanta_are_frozen(self, dtype):
+        # The model and the couplings read quanta long after the basis is
+        # made: a write to it, or to the array it was made from, must not
+        # reach them.
+        caller = np.array([[3], [1], [2]], dtype=dtype)
+        basis = BasisSet(caller, PAPER_1D)
+        assert basis.quanta.dtype == np.int64 and not basis.quanta.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            basis.quanta[0, 0] = 5
+        caller[0, 0] = 7
+        view = caller[::-1]
+        view.flags.writeable = False
+        from_view = BasisSet(view, PAPER_1D)
+        caller[1, 0] = 9
+        assert basis.quanta.tolist() == [[3], [1], [2]]
+        assert from_view.quanta.tolist() == [[2], [1], [7]]
+
+    def test_enumerated_quanta_pass_through(self):
+        ordered = enumerate_basis(PAPER_2D, 12.0)
+        assert BasisSet(ordered.quanta, PAPER_2D).quanta is ordered.quanta
+
 
 class TestLogGamma:
     # basis._lgam ports Cephes lgam, which scipy's gammaln runs: the two are
